@@ -18,6 +18,7 @@ baseline stays meaningful across machines.  See ``docs/performance.md``.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -30,7 +31,9 @@ from repro.attacks.cpa import CpaEngine, cpa_byte
 from repro.attacks.models import last_round_hd_predictions
 from repro.crypto.aes import AES, batch_expand_key
 from repro.crypto.datapath import AesDatapath, batch_round_states
+from repro.experiments import scenarios
 from repro.hw.clock import ClockSchedule
+from repro.hw.drp import _encode_burst
 from repro.leakage_assessment.tvla import IncrementalTvla
 from repro.pipeline import CampaignSpec, CpaBankConsumer, StreamingCampaign
 from repro.power.synth import TraceSynthesizer
@@ -38,7 +41,7 @@ from repro.preprocess.dtw import batch_dtw_align
 from repro.preprocess.fft import fft_magnitude
 from repro.rftc import RFTCParams
 from repro.rftc.planner import plan_overlap_free
-from repro.utils.stats import column_pearson
+from repro.utils.stats import RunningMoments, column_pearson
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 RNG = np.random.default_rng(1)
@@ -68,6 +71,26 @@ def _time(fn, min_rounds=3, min_seconds=0.5):
         if rounds >= 50:
             break
     return best
+
+
+def _time_interleaved(new, ref, rounds=20):
+    """Best-of-``rounds`` wall times of ``new`` and ``ref``, alternated.
+
+    Alternating the two puts drift in machine speed on both sides
+    instead of on whichever ran later, which matters for kernels of a
+    few milliseconds on a shared host.
+    """
+    new()
+    ref()
+    new_s = ref_s = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        new()
+        new_s = min(new_s, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        ref()
+        ref_s = min(ref_s, time.perf_counter() - t0)
+    return new_s, ref_s
 
 
 def _expand_keys_reference(keys):
@@ -196,12 +219,99 @@ def bench_pipeline_e2e(scale, rng):
     }
 
 
+def _welford_reference(moments, traces):
+    """The per-population Welford row loop the fused fold replaced."""
+    batch = np.atleast_2d(np.asarray(traces, dtype=np.float64))
+    if moments._mean is None:
+        moments._mean = np.zeros(batch.shape[1])
+        moments._m2 = np.zeros(batch.shape[1])
+    for row in batch:
+        moments.count += 1
+        delta = row - moments._mean
+        moments._mean += delta / moments.count
+        moments._m2 += delta * (row - moments._mean)
+
+
+def bench_tvla_fold(scale, rng):
+    """Both TVLA populations in one Welford pass vs. one pass each.
+
+    One interleaved fixed-vs-random chunk of the ``tvla-archive`` ledger
+    workload's shape (5000 x 256 float64) folded into fresh
+    accumulators; the two folds must agree bit for bit.
+    """
+    n = max(500, int(5000 * scale))
+    traces = rng.normal(100.0, 30.0, size=(n, 256))
+
+    def new():
+        tvla = IncrementalTvla()
+        tvla.update_interleaved(traces)
+        return tvla
+
+    def ref():
+        fixed, random_ = RunningMoments(), RunningMoments()
+        _welford_reference(fixed, traces[0::2])
+        _welford_reference(random_, traces[1::2])
+        return fixed, random_
+
+    fused, (fixed, random_) = new(), ref()
+    for got, want in ((fused._fixed, fixed), (fused._random, random_)):
+        assert np.array_equal(got._mean, want._mean)
+        assert np.array_equal(got._m2, want._m2)
+    new_s, ref_s = _time_interleaved(new, ref)
+    return {
+        "shape": {"n_traces": n, "n_samples": 256},
+        "new_seconds": new_s,
+        "ref_seconds": ref_s,
+        "traces_per_second": n / new_s,
+        "ref_traces_per_second": n / ref_s,
+        "speedup": ref_s / new_s,
+    }
+
+
+def bench_rftc_device_build(scale, rng):
+    """RFTC(3,256) device build on the warm ROM memo vs. a cold build.
+
+    The cold build empties the DRP-burst memo and hands the builder a
+    fresh copy of the plan, so all 256 configurations are converted and
+    encoded again — what every chunk's device build did before the ROM
+    was memoized.  Planning itself is cached in both cases.
+    """
+    spec = CampaignSpec(target="rftc", m_outputs=3, p_configs=256)
+    spec.warm_caches()
+    key = (spec.m_outputs, spec.p_configs, spec.plan_seed, True)
+    plan = scenarios._PLAN_CACHE[key]
+
+    def new():
+        spec.build_device(np.random.default_rng(0))
+
+    def ref():
+        _encode_burst.cache_clear()
+        scenarios._PLAN_CACHE[key] = dataclasses.replace(plan)
+        spec.build_device(np.random.default_rng(0))
+
+    try:
+        new_s, ref_s = _time_interleaved(new, ref)
+    finally:
+        scenarios._PLAN_CACHE[key] = plan
+        spec.warm_caches()
+    return {
+        "shape": {"m_outputs": 3, "p_configs": 256},
+        "new_seconds": new_s,
+        "ref_seconds": ref_s,
+        "builds_per_second": 1.0 / new_s,
+        "ref_builds_per_second": 1.0 / ref_s,
+        "speedup": ref_s / new_s,
+    }
+
+
 KERNELS = {
     "synth": bench_synth,
     "cpa16": bench_cpa16,
     "key_schedule": bench_key_schedule,
     "datapath": bench_datapath,
     "pipeline_e2e": bench_pipeline_e2e,
+    "tvla_fold": bench_tvla_fold,
+    "rftc_device_build": bench_rftc_device_build,
 }
 
 
@@ -209,7 +319,7 @@ def run_suite(scale):
     kernels = {}
     for name, fn in KERNELS.items():
         kernels[name] = fn(scale, np.random.default_rng(1))
-        line = f"{name:13s} new {kernels[name]['new_seconds'] * 1e3:9.2f} ms"
+        line = f"{name:17s} new {kernels[name]['new_seconds'] * 1e3:9.2f} ms"
         if "ref_seconds" in kernels[name]:
             line += (
                 f"   ref {kernels[name]['ref_seconds'] * 1e3:9.2f} ms"
@@ -374,8 +484,7 @@ if pytest is not None:
     def test_kernel_tvla_update(benchmark, traces):
         def run():
             tvla = IncrementalTvla()
-            tvla.update_fixed(traces[:1024])
-            tvla.update_random(traces[1024:])
+            tvla.update_interleaved(traces)
             return tvla.result()
 
         result = benchmark(run)

@@ -38,6 +38,13 @@ def bram_count_for_bits(total_bits: int, use_parity_bits: bool = True) -> int:
 class BlockRam:
     """Configuration store: P precomputed DRP write bursts.
 
+    The bursts are the design-time ROM contents: each comes from
+    :func:`~repro.hw.drp.encode_config`, which encodes a configuration
+    once per process, so building a ROM over an already-encoded plan
+    costs P memo lookups rather than P encodings.  Each instance keeps
+    its own :attr:`read_count`; bursts handed out by :meth:`read_burst`
+    are private copies.
+
     Parameters
     ----------
     configs:

@@ -16,6 +16,7 @@ inverses, which the test suite exercises exhaustively.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -175,7 +176,21 @@ def encode_config(config: MmcmConfig) -> List[DrpTransaction]:
     CLKFBOUT pair, DIVCLK, the three lock registers and two filter
     registers — 23 transactions for a fully populated MMCM, matching the
     XAPP888 state-machine ROM length.
+
+    Like the design-time ROM it models, each distinct configuration is
+    encoded once per process: the burst is memoized on the (frozen,
+    hashable) config, so block-RAM builds and every runtime DRP swap
+    reuse it.  The burst only depends on the counter fields, never on
+    the timing spec the config was validated against.  Each call
+    returns a fresh list; the frozen transactions are shared.  The memo
+    holds one burst per distinct configuration encoded, so it grows
+    with the plans built in the process, as their cache does.
     """
+    return list(_encode_burst(config))
+
+
+@functools.lru_cache(maxsize=None)
+def _encode_burst(config: MmcmConfig) -> Tuple[DrpTransaction, ...]:
     writes = [DrpTransaction(POWER_REG_ADDR, 0xFFFF)]
     for idx in range(len(config.outputs)):
         out = config.outputs[idx]
@@ -197,7 +212,7 @@ def encode_config(config: MmcmConfig) -> List[DrpTransaction]:
     filt_regs = _filter_register_values(config.mult)
     for addr, value in zip(FILTER_REG_ADDRS, filt_regs):
         writes.append(DrpTransaction(addr, value))
-    return writes
+    return tuple(writes)
 
 
 def decode_transactions(
@@ -330,8 +345,8 @@ class MmcmDrpController:
 
     def reconfiguration_seconds(self, config: MmcmConfig) -> float:
         """Total reconfiguration latency: write burst + lock time."""
-        writes = encode_config(config)
-        return self.write_burst_seconds(len(writes)) + lock_time_seconds(config)
+        n_writes = len(_encode_burst(config))
+        return self.write_burst_seconds(n_writes) + lock_time_seconds(config)
 
     def start(self, config: MmcmConfig, at_time_s: float) -> float:
         """Begin reconfiguring to ``config`` at ``at_time_s``.
@@ -345,7 +360,7 @@ class MmcmDrpController:
                 f"DRP controller busy until t={self._busy_until_s:.3e}s, "
                 f"start requested at t={at_time_s:.3e}s"
             )
-        writes = encode_config(config)
+        writes = _encode_burst(config)
         for w in writes:
             self.interface.write(w)
         write_time = self.write_burst_seconds(len(writes))

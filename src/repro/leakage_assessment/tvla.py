@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import AttackError, CheckpointError, ConfigurationError
-from repro.utils.stats import RunningMoments, welch_t
+from repro.utils.stats import RunningMoments, fold_interleaved, welch_t
 
 #: The pass/fail threshold of [6]: |t| above this flags exploitable leakage.
 TVLA_THRESHOLD = 4.5
@@ -88,6 +88,10 @@ class IncrementalTvla:
 
     Million-trace campaigns (the paper's Fig. 6 uses one million) never
     hold the full matrix; Welford accumulators per population are exact.
+    Interleaved fixed/random batches (:meth:`update_interleaved`) step
+    both populations in one Welford pass, bit-identical to folding the
+    two halves separately through :meth:`update_fixed` and
+    :meth:`update_random`.
     """
 
     def __init__(self, exclude_prefix_samples: int = 0):
@@ -102,6 +106,10 @@ class IncrementalTvla:
 
     def update_random(self, traces: np.ndarray) -> None:
         self._random.update(traces)
+
+    def update_interleaved(self, traces: np.ndarray) -> None:
+        """Fold a batch whose even rows are fixed and odd rows random."""
+        fold_interleaved((self._fixed, self._random), traces)
 
     def merge(self, other: "IncrementalTvla") -> None:
         """Fold another accumulator in (exact parallel-shard combine).

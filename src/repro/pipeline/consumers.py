@@ -21,7 +21,6 @@ The three built-ins wrap the library's existing streaming accumulators:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Protocol, runtime_checkable
 
@@ -189,8 +188,7 @@ class TvlaStreamConsumer:
                 "TvlaStreamConsumer needs interleaved fixed-vs-random chunks "
                 "(run the campaign with a fixed_plaintext)"
             )
-        self._inc.update_fixed(chunk.traces[0::2])
-        self._inc.update_random(chunk.traces[1::2])
+        self._inc.update_interleaved(chunk.traces)
 
     def result(self) -> TvlaResult:
         return self._inc.result()
@@ -247,38 +245,56 @@ class CompletionTimeStats:
 
 
 class CompletionTimeConsumer:
-    """Histogram completion times chunk by chunk, in O(distinct times)."""
+    """Histogram completion times chunk by chunk, in O(distinct times).
+
+    The histogram is two sorted numpy arrays — bucket times (quantized
+    value x ``resolution_ns``) and their int64 counts — and each chunk's
+    ``np.unique`` is merged into them, so no Python loop runs over the
+    distinct times in ``consume``, ``snapshot`` or ``merge``.
+    """
 
     def __init__(self, resolution_ns: float = 0.01, name: str = "completion"):
         if resolution_ns <= 0:
             raise ConfigurationError("resolution_ns must be positive")
         self.resolution_ns = float(resolution_ns)
         self.name = name
-        self._counts: Counter = Counter()
+        self._times = np.empty(0, dtype=np.float64)
+        self._counts = np.empty(0, dtype=np.int64)
 
     def consume(self, chunk: TraceSet) -> None:
         quantized = np.round(
             np.asarray(chunk.completion_times_ns, dtype=np.float64)
             / self.resolution_ns
         )
-        values, counts = np.unique(quantized, return_counts=True)
-        for value, count in zip(values, counts):
-            self._counts[float(value) * self.resolution_ns] += int(count)
+        times, counts = np.unique(
+            quantized * self.resolution_ns, return_counts=True
+        )
+        self._add(times, counts.astype(np.int64))
+
+    def _add(self, times: np.ndarray, counts: np.ndarray) -> None:
+        """Merge sorted, distinct ``times`` with their ``counts`` in."""
+        at = np.searchsorted(self._times, times)
+        hit = at < self._times.size
+        hit[hit] = self._times[at[hit]] == times[hit]
+        self._counts[at[hit]] += counts[hit]
+        new = ~hit
+        if new.any():
+            self._times = np.insert(self._times, at[new], times[new])
+            self._counts = np.insert(self._counts, at[new], counts[new])
 
     def result(self) -> CompletionTimeStats:
-        if not self._counts:
+        if self._times.size == 0:
             raise AttackError("no completion times accumulated")
         return CompletionTimeStats(
-            counts=dict(self._counts), resolution_ns=self.resolution_ns
+            counts=dict(zip(self._times.tolist(), self._counts.tolist())),
+            resolution_ns=self.resolution_ns,
         )
 
     def snapshot(self) -> dict:
-        times = np.array(sorted(self._counts), dtype=np.float64)
-        counts = np.array([self._counts[t] for t in times], dtype=np.int64)
         return {
             "resolution_ns": self.resolution_ns,
-            "times": times,
-            "counts": counts,
+            "times": self._times.copy(),
+            "counts": self._counts.copy(),
         }
 
     def restore(self, state: dict) -> None:
@@ -289,11 +305,13 @@ class CompletionTimeConsumer:
             )
         times = np.asarray(state.get("times", ()), dtype=np.float64)
         counts = np.asarray(state.get("counts", ()), dtype=np.int64)
-        if times.shape != counts.shape:
+        if times.shape != counts.shape or times.ndim != 1:
             raise CheckpointError("snapshot times/counts length mismatch")
-        self._counts = Counter(
-            {float(t): int(c) for t, c in zip(times, counts)}
-        )
+        order = np.argsort(times, kind="stable")
+        times, counts = times[order], counts[order]
+        if np.any(times[1:] == times[:-1]):
+            raise CheckpointError("snapshot repeats a completion time")
+        self._times, self._counts = times, counts
 
     def merge(self, other: "CompletionTimeConsumer") -> None:
         """Add a disjoint shard's histogram (exact integer counts)."""
@@ -304,4 +322,4 @@ class CompletionTimeConsumer:
                 f"cannot merge histograms at {other.resolution_ns} ns into "
                 f"{self.resolution_ns} ns resolution"
             )
-        self._counts.update(other._counts)
+        self._add(other._times, other._counts)

@@ -103,6 +103,40 @@ _POOL_FAILURES = (multiprocessing.TimeoutError, PoolBrokenError, BrokenPipeError
 #: before the workers are SIGKILLed (see :func:`_abandon_pool`).
 _PROMPT_TEARDOWN_S = 10.0
 
+#: Slice, in seconds, of the parent's wait for a pooled chunk between
+#: checks that the pool's workers are still alive (see :func:`_await_chunk`).
+_POOL_POLL_S = 0.5
+
+
+def _await_chunk(result, workers: Sequence, timeout_s: Optional[float]):
+    """Collect one pooled chunk result without hanging on a dead worker.
+
+    ``multiprocessing.Pool`` replaces a worker that dies, but the task
+    that worker held is lost and its result never arrives, so an
+    unbounded ``get()`` would wait forever.  The wait therefore runs in
+    :data:`_POOL_POLL_S` slices, and between slices any exit of the
+    ``workers`` the pool started with raises
+    :class:`~repro.errors.PoolBrokenError`.  ``timeout_s`` (the engine's
+    ``chunk_timeout_s``) still caps the whole wait for this chunk.
+    """
+    deadline = None if timeout_s is None else time.perf_counter() + timeout_s
+    while True:
+        wait = _POOL_POLL_S
+        if deadline is not None:
+            wait = max(0.0, min(wait, deadline - time.perf_counter()))
+        result.wait(wait)
+        if result.ready():
+            return result.get()
+        if deadline is not None and time.perf_counter() >= deadline:
+            raise multiprocessing.TimeoutError(
+                f"no chunk result within {timeout_s} s"
+            )
+        dead = [proc.pid for proc in workers if proc.exitcode is not None]
+        if dead:
+            raise PoolBrokenError(
+                f"pool worker(s) {dead} died; the chunks they held are lost"
+            )
+
 
 def _abandon_pool(pool, prompt: bool = False) -> None:
     """Hard-stop a failed pool without letting teardown block the campaign.
@@ -387,7 +421,9 @@ class StreamingCampaign:
     chunk_timeout_s:
         Parent-side cap on waiting for one pooled chunk; on expiry the
         pool is presumed dead and the engine degrades to inline
-        execution.  ``None`` (default) waits indefinitely.
+        execution.  ``None`` (default) waits as long as the chunk takes,
+        but a pool worker that dies mid-campaign degrades the run the
+        same way instead of leaving the parent waiting forever.
     transport:
         How pooled workers ship finished chunks home.  ``"auto"``
         (default) uses shared-memory segment rings
@@ -783,6 +819,7 @@ class StreamingCampaign:
                 else:
                     pool = ctx.Pool(processes=n_procs)
                     transport_used = "pickle"
+                pool_workers = list(getattr(pool, "_pool", ()))
                 async_results = [
                     pool.apply_async(_acquire_chunk, (task,)) for task in fresh
                 ]
@@ -793,7 +830,10 @@ class StreamingCampaign:
                             self.faults.check_pool(task[0])
                         (
                             index, chunk, chunk_acquire_s, attempts, payload,
-                        ) = async_results[position].get(self.chunk_timeout_s)
+                        ) = _await_chunk(
+                            async_results[position], pool_workers,
+                            self.chunk_timeout_s,
+                        )
                         if isinstance(chunk, shm_transport.ShmChunkHandle):
                             chunk = ring.receive(chunk, key=self.spec.key)
                             obs.metrics.inc("campaign_shm_chunks_total")

@@ -195,14 +195,18 @@ class CampaignSpec:
     def warm_caches(self) -> None:
         """Precompute process-global state chunk builds will reuse.
 
-        RFTC frequency plans are expensive and memoized per process;
-        warming the cache in the parent lets forked workers inherit it
-        instead of re-planning once each.
+        RFTC frequency plans and their DRP configuration ROM are
+        expensive and memoized per process; warming both in the parent
+        lets forked workers inherit them instead of re-planning and
+        re-encoding once each.
         """
         if self.target == "rftc":
             from repro.experiments.scenarios import cached_plan
+            from repro.hw.drp import encode_config
 
-            cached_plan(self.m_outputs, self.p_configs, self.plan_seed, True)
+            plan = cached_plan(self.m_outputs, self.p_configs, self.plan_seed, True)
+            for config in plan.to_mmcm_configs():
+                encode_config(config)
 
     def build_device(self, rng: np.random.Generator):
         """A fresh :class:`ProtectedAesDevice` whose randomness is ``rng``."""

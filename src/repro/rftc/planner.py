@@ -94,6 +94,9 @@ class FrequencyPlan:
     method: str
     tolerance_ns: float = 0.0
     hardware_settings: List[HardwareSetting] = field(default_factory=list)
+    _mmcm_configs: Optional[Tuple[MmcmConfig, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.sets_mhz = np.asarray(self.sets_mhz, dtype=np.float64)
@@ -140,9 +143,17 @@ class FrequencyPlan:
         Exact when the plan carries :class:`HardwareSetting` records;
         otherwise each set is snapped via
         :func:`repro.hw.mmcm.synthesize_config` (best effort, as the
-        clocking wizard would).
+        clocking wizard would).  The conversion for the plan's own spec
+        is done once per plan and shared by every controller built from
+        it; each call returns a fresh list.
         """
-        spec = spec or self.params.spec
+        if spec is not None and spec != self.params.spec:
+            return self._convert(spec)
+        if self._mmcm_configs is None:
+            self._mmcm_configs = tuple(self._convert(self.params.spec))
+        return list(self._mmcm_configs)
+
+    def _convert(self, spec: MmcmTimingSpec) -> List[MmcmConfig]:
         f_in = self.params.f_in_mhz
         if self.hardware_settings:
             return [

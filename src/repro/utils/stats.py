@@ -8,7 +8,7 @@ the hot path of the whole library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,7 +161,9 @@ class RunningMoments:
     """Streaming mean/variance accumulator (Welford), per sample point.
 
     Used by the incremental TVLA engine so million-trace campaigns never
-    hold the full trace matrix in memory.
+    hold the full trace matrix in memory.  Rows are folded by the one
+    Welford loop in :func:`fold_interleaved`, which TVLA also uses to
+    step its fixed and random populations together.
     """
 
     count: int = 0
@@ -175,24 +177,7 @@ class RunningMoments:
         no-op: it neither bumps ``count`` nor pins the accumulator width
         (an empty 1-D array carries no sample-count information at all).
         """
-        batch = np.asarray(traces, dtype=np.float64)
-        if batch.ndim <= 1 and batch.size == 0:
-            return
-        batch = np.atleast_2d(batch)
-        if batch.shape[0] == 0:
-            return
-        if self._mean is None:
-            self._mean = np.zeros(batch.shape[1])
-            self._m2 = np.zeros(batch.shape[1])
-        elif batch.shape[1] != self._mean.shape[0]:
-            raise ConfigurationError(
-                "batch sample count does not match accumulator width"
-            )
-        for row in batch:
-            self.count += 1
-            delta = row - self._mean
-            self._mean += delta / self.count
-            self._m2 += delta * (row - self._mean)
+        fold_interleaved((self,), traces)
 
     def merge(self, other: "RunningMoments") -> None:
         """Combine with another accumulator (Chan et al. parallel update).
@@ -261,6 +246,75 @@ class RunningMoments:
         if self._m2 is None or self.count < 2:
             raise AttackError("variance requires at least 2 observations")
         return self._m2 / (self.count - 1)
+
+
+def fold_interleaved(
+    moments: Sequence[RunningMoments], traces: np.ndarray
+) -> None:
+    """Fold row ``i`` of ``traces`` into ``moments[i % K]``, in one pass.
+
+    The ``K`` accumulators are stacked and stepped together over the
+    ``(n // K, K, S)`` view of the batch, so ``K`` populations cost one
+    set of numpy calls per step instead of ``K``.  A short tail of
+    ``n % K`` rows takes one more step over the first accumulators only.
+    Each element goes through the same IEEE operations, in the same
+    order, as folding each population's rows on its own (``count += 1;
+    delta = x - mean; mean += delta / count; m2 += delta * (x - mean)``),
+    so the counts, means and M2 are bit-identical to that.
+
+    Every accumulator that receives a row must match the batch width (or
+    be empty); on a mismatch nothing is folded.  A zero-row batch is an
+    exact no-op, as in :meth:`RunningMoments.update`.
+    """
+    batch = np.asarray(traces, dtype=np.float64)
+    if batch.ndim <= 1 and batch.size == 0:
+        return
+    batch = np.atleast_2d(batch)
+    n, width = batch.shape
+    if n == 0:
+        return
+    k = len(moments)
+    live = moments[: min(k, n)]
+    for acc in live:
+        if acc._mean is not None and acc._mean.shape[0] != width:
+            raise ConfigurationError(
+                "batch sample count does not match accumulator width"
+            )
+    zeros = np.zeros(width)
+    mean = np.stack([zeros if a._mean is None else a._mean for a in live])
+    m2 = np.stack([zeros if a._m2 is None else a._m2 for a in live])
+    counts = np.array([a.count for a in live], dtype=np.int64)
+    full = n // k
+    if full:
+        _welford_steps(mean, m2, counts, batch[: full * k].reshape(full, k, width))
+    if n > full * k:
+        rest = n - full * k
+        _welford_steps(
+            mean[:rest], m2[:rest], counts[:rest],
+            batch[full * k :].reshape(1, rest, width),
+        )
+    for index, acc in enumerate(live):
+        acc._mean = mean[index]
+        acc._m2 = m2[index]
+        acc.count = int(counts[index])
+
+
+def _welford_steps(
+    mean: np.ndarray, m2: np.ndarray, counts: np.ndarray, rows: np.ndarray
+) -> None:
+    """Welford-step ``(K, S)`` moments in place over ``(n, K, S)`` rows."""
+    n = rows.shape[0]
+    divisors = (counts + np.arange(1, n + 1)[:, None]).astype(np.float64)
+    delta = np.empty_like(mean)
+    step = np.empty_like(mean)
+    for row, divisor in zip(rows, divisors[:, :, None]):
+        np.subtract(row, mean, out=delta)
+        np.divide(delta, divisor, out=step)
+        mean += step
+        np.subtract(row, mean, out=step)
+        step *= delta
+        m2 += step
+    counts += n
 
 
 def running_histogram(
