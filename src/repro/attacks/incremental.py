@@ -12,6 +12,7 @@ test suite checks.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,96 @@ def _snapshot_sums(acc) -> dict:
         for name in _SUM_FIELDS:
             state[name] = getattr(acc, f"_{name}").copy()
     return state
+
+
+@dataclass(frozen=True)
+class CpaChunkSummary:
+    """One chunk's additive contribution to the five CPA running sums.
+
+    ``chunk_summary`` computes it from the chunk and the accumulator's
+    construction-time config alone (byte indices, model, engine), never
+    from the running sums, so it can run in whichever process acquired
+    the chunk; ``fold_summary`` adds it in chunk order.  The five arrays
+    are exactly the addends the accumulator's ``+=`` lines would have
+    computed in place, so summarizing and folding is bit-identical to
+    updating.  ``seconds`` is the time computing the summary took.
+    """
+
+    n_traces: int
+    sum_t: np.ndarray
+    sum_t2: np.ndarray
+    sum_p: np.ndarray
+    sum_p2: np.ndarray
+    sum_pt: np.ndarray
+    seconds: float
+
+
+def _as_batch(traces, data, keep_float32: bool) -> np.ndarray:
+    """Validated ``(n, S)`` traces: float32 kept if asked, else float64."""
+    traces = np.asarray(traces)
+    if traces.dtype != np.float32 or not keep_float32:
+        traces = np.asarray(traces, dtype=np.float64)
+    if traces.ndim != 2:
+        raise AttackError("traces must be (n, S)")
+    if traces.shape[0] != np.asarray(data).shape[0]:
+        raise AttackError("traces and data disagree on the batch size")
+    return traces
+
+
+def _add_sums(acc, n_traces: int, sums: list, n_hyp: int, mismatch: str) -> None:
+    """Add ``(Σt, Σt², Σp, Σp², Σpt)`` addends into an accumulator."""
+    sum_t, sum_t2, sum_p, sum_p2, sum_pt = sums
+    if acc._sum_t is None:
+        s = sum_t.shape[0]
+        acc._sum_t = np.zeros(s)
+        acc._sum_t2 = np.zeros(s)
+        acc._sum_p = np.zeros(n_hyp)
+        acc._sum_p2 = np.zeros(n_hyp)
+        acc._sum_pt = np.zeros((n_hyp, s))
+    elif sum_t.shape[0] != acc._sum_t.shape[0]:
+        raise AttackError(mismatch)
+    acc.n_traces += n_traces
+    acc._sum_t += sum_t
+    acc._sum_t2 += sum_t2
+    acc._sum_p += sum_p
+    acc._sum_p2 += sum_p2
+    acc._sum_pt += sum_pt
+
+
+def _fold_summary(acc, summary: Optional[CpaChunkSummary], n_hyp: int,
+                  label: str) -> None:
+    """Fold one chunk summary into ``acc`` and report its cost."""
+    if summary is None:
+        return  # zero-trace chunk: exact no-op
+    started = time.perf_counter() if acc._metrics.enabled else 0.0
+    _add_sums(
+        acc,
+        summary.n_traces,
+        [getattr(summary, name) for name in _SUM_FIELDS],
+        n_hyp,
+        "batch sample count does not match accumulator",
+    )
+    if acc._metrics.enabled:
+        acc._metrics.observe(
+            "cpa_update_seconds",
+            summary.seconds + time.perf_counter() - started,
+            accumulator=label,
+        )
+        acc._metrics.inc(
+            "cpa_traces_folded_total", summary.n_traces, accumulator=label
+        )
+
+
+def _merge_sums(acc, other, n_hyp: int) -> None:
+    if other._sum_t is None or other.n_traces == 0:
+        return  # empty shard (even width-pinned): exact no-op
+    _add_sums(
+        acc,
+        other.n_traces,
+        [getattr(other, f"_{name}") for name in _SUM_FIELDS],
+        n_hyp,
+        "accumulators disagree on the sample count",
+    )
 
 
 def _restore_sums(acc, state: dict) -> None:
@@ -91,55 +182,42 @@ class IncrementalCpa:
         sums stay float64, so snapshots and merges are unchanged); any
         other dtype is folded in float64 exactly as before.
         """
-        started = time.perf_counter() if self._metrics.enabled else 0.0
-        traces = np.asarray(traces)
-        if traces.dtype != np.float32:
-            traces = np.asarray(traces, dtype=np.float64)
-        if traces.ndim != 2:
-            raise AttackError("traces must be (n, S)")
-        if traces.shape[0] != np.asarray(data).shape[0]:
-            raise AttackError("traces and data disagree on the batch size")
+        self.fold_summary(self.chunk_summary(traces, data))
+
+    def chunk_summary(
+        self, traces: np.ndarray, data: np.ndarray
+    ) -> Optional[CpaChunkSummary]:
+        """The batch's addends to the running sums (``None`` if empty).
+
+        Reads only ``byte_index`` and ``model``, never the sums.
+        """
+        started = time.perf_counter()
+        traces = _as_batch(traces, data, keep_float32=True)
         if traces.shape[0] == 0:
-            return  # zero traces: exact no-op, nothing to allocate or fold
+            return None  # zero traces: nothing to allocate or fold
         predictions = self.model(data, self.byte_index).astype(traces.dtype)
-        if self._sum_t is None:
-            s = traces.shape[1]
-            self._sum_t = np.zeros(s)
-            self._sum_t2 = np.zeros(s)
-            self._sum_p = np.zeros(256)
-            self._sum_p2 = np.zeros(256)
-            self._sum_pt = np.zeros((256, s))
-        elif traces.shape[1] != self._sum_t.shape[0]:
-            raise AttackError("batch sample count does not match accumulator")
-        self.n_traces += traces.shape[0]
         if traces.dtype == np.float32:
             # Prediction sums stay exact (integer-valued, < 2**24); the
             # trace sums reduce in float64 so only the GEMM loses bits.
-            self._sum_t += traces.sum(axis=0, dtype=np.float64)
-            self._sum_t2 += np.einsum(
-                "ns,ns->s", traces, traces, dtype=np.float64
-            )
-            self._sum_p += predictions.sum(axis=0, dtype=np.float64)
-            self._sum_p2 += np.einsum(
+            sum_t = traces.sum(axis=0, dtype=np.float64)
+            sum_t2 = np.einsum("ns,ns->s", traces, traces, dtype=np.float64)
+            sum_p = predictions.sum(axis=0, dtype=np.float64)
+            sum_p2 = np.einsum(
                 "nk,nk->k", predictions, predictions, dtype=np.float64
             )
-            self._sum_pt += predictions.T @ traces
         else:
-            self._sum_t += traces.sum(axis=0)
-            self._sum_t2 += (traces * traces).sum(axis=0)
-            self._sum_p += predictions.sum(axis=0)
-            self._sum_p2 += (predictions * predictions).sum(axis=0)
-            self._sum_pt += predictions.T @ traces
-        if self._metrics.enabled:
-            label = f"cpa[{self.byte_index}]"
-            self._metrics.observe(
-                "cpa_update_seconds",
-                time.perf_counter() - started,
-                accumulator=label,
-            )
-            self._metrics.inc(
-                "cpa_traces_folded_total", traces.shape[0], accumulator=label
-            )
+            sum_t = traces.sum(axis=0)
+            sum_t2 = (traces * traces).sum(axis=0)
+            sum_p = predictions.sum(axis=0)
+            sum_p2 = (predictions * predictions).sum(axis=0)
+        return CpaChunkSummary(
+            traces.shape[0], sum_t, sum_t2, sum_p, sum_p2,
+            predictions.T @ traces, time.perf_counter() - started,
+        )
+
+    def fold_summary(self, summary: Optional[CpaChunkSummary]) -> None:
+        """Add a :meth:`chunk_summary` into the running sums."""
+        _fold_summary(self, summary, 256, f"cpa[{self.byte_index}]")
 
     def merge(self, other: "IncrementalCpa") -> None:
         """Fold another accumulator's sums into this one.
@@ -154,23 +232,7 @@ class IncrementalCpa:
             raise AttackError(
                 "merge requires matching byte_index and prediction model"
             )
-        if other._sum_t is None or other.n_traces == 0:
-            return  # empty shard (even width-pinned): exact no-op
-        if self._sum_t is None:
-            s = other._sum_t.shape[0]
-            self._sum_t = np.zeros(s)
-            self._sum_t2 = np.zeros(s)
-            self._sum_p = np.zeros(256)
-            self._sum_p2 = np.zeros(256)
-            self._sum_pt = np.zeros((256, s))
-        elif other._sum_t.shape[0] != self._sum_t.shape[0]:
-            raise AttackError("accumulators disagree on the sample count")
-        self.n_traces += other.n_traces
-        self._sum_t += other._sum_t
-        self._sum_t2 += other._sum_t2
-        self._sum_p += other._sum_p
-        self._sum_p2 += other._sum_p2
-        self._sum_pt += other._sum_pt
+        _merge_sums(self, other, 256)
 
     def snapshot(self) -> dict:
         """Serializable state: byte index plus the five exact running sums.
@@ -299,16 +361,6 @@ class IncrementalCpaBank:
             axis=1,
         )
 
-    def _ensure_sums(self, s: int) -> None:
-        if self._sum_t is None:
-            self._sum_t = np.zeros(s)
-            self._sum_t2 = np.zeros(s)
-            self._sum_p = np.zeros(self._n_hyp)
-            self._sum_p2 = np.zeros(self._n_hyp)
-            self._sum_pt = np.zeros((self._n_hyp, s))
-        elif s != self._sum_t.shape[0]:
-            raise AttackError("batch sample count does not match accumulator")
-
     def _scratch_buf(self, name: str, shape: tuple, dtype) -> np.ndarray:
         """Reusable uninitialised buffer (reallocated on shape change)."""
         buf = self._scratch.get(name)
@@ -319,48 +371,50 @@ class IncrementalCpaBank:
 
     def update(self, traces: np.ndarray, data: np.ndarray) -> None:
         """Fold a batch of traces and their known data into the sums."""
-        started = time.perf_counter() if self._metrics.enabled else 0.0
-        traces = np.asarray(traces)
-        if traces.dtype != np.float32 or self.engine != "fast":
-            traces = np.asarray(traces, dtype=np.float64)
-        if traces.ndim != 2:
-            raise AttackError("traces must be (n, S)")
-        if traces.shape[0] != np.asarray(data).shape[0]:
-            raise AttackError("traces and data disagree on the batch size")
-        if traces.shape[0] == 0:
-            return  # zero traces: exact no-op, nothing to allocate or fold
-        if self.engine == "fast" and self.model is last_round_hd_predictions:
-            self._update_fast(traces, data)
-        else:
-            self._update_reference(traces, data)
-        if self._metrics.enabled:
-            self._metrics.observe(
-                "cpa_update_seconds",
-                time.perf_counter() - started,
-                accumulator="cpa_bank",
-            )
-            self._metrics.inc(
-                "cpa_traces_folded_total",
-                traces.shape[0],
-                accumulator="cpa_bank",
-            )
+        self.fold_summary(self.chunk_summary(traces, data))
 
-    def _update_reference(self, traces: np.ndarray, data: np.ndarray) -> None:
-        """The pre-optimization update: concatenate models, plain GEMM."""
+    def chunk_summary(
+        self, traces: np.ndarray, data: np.ndarray
+    ) -> Optional[CpaChunkSummary]:
+        """The batch's addends to the running sums (``None`` if empty).
+
+        Reads only the construction-time config (bytes, model, engine,
+        tiling) and the bank's scratch buffers, never the sums, so a
+        pool worker holding a fresh bank of the same config computes
+        exactly what :meth:`update` would have added here.
+        """
+        started = time.perf_counter()
+        traces = _as_batch(traces, data, keep_float32=self.engine == "fast")
+        if traces.shape[0] == 0:
+            return None  # zero traces: nothing to allocate or fold
+        if self.engine == "fast" and self.model is last_round_hd_predictions:
+            sums = self._fast_sums(traces, data)
+        else:
+            sums = self._reference_sums(traces, data)
+        return CpaChunkSummary(
+            traces.shape[0], *sums, time.perf_counter() - started
+        )
+
+    def fold_summary(self, summary: Optional[CpaChunkSummary]) -> None:
+        """Add a :meth:`chunk_summary` into the running sums."""
+        _fold_summary(self, summary, self._n_hyp, "cpa_bank")
+
+    def _reference_sums(self, traces: np.ndarray, data: np.ndarray) -> tuple:
+        """The pre-optimization addends: concatenate models, plain GEMM."""
         traces = np.asarray(traces, dtype=np.float64)
         predictions = self._predictions(data)
-        self._ensure_sums(traces.shape[1])
-        self.n_traces += traces.shape[0]
-        self._sum_t += traces.sum(axis=0)
-        self._sum_t2 += (traces * traces).sum(axis=0)
-        self._sum_p += predictions.sum(axis=0)
-        self._sum_p2 += (predictions * predictions).sum(axis=0)
-        self._sum_pt += predictions.T @ traces
+        return (
+            traces.sum(axis=0),
+            (traces * traces).sum(axis=0),
+            predictions.sum(axis=0),
+            (predictions * predictions).sum(axis=0),
+            predictions.T @ traces,
+        )
 
-    def _update_fast(self, traces: np.ndarray, data: np.ndarray) -> None:
+    def _fast_sums(self, traces: np.ndarray, data: np.ndarray) -> tuple:
         """Pair-table gather + augmented tiled GEMM (see class docstring).
 
-        float64 batches are bit-identical to :meth:`_update_reference`:
+        float64 batches are bit-identical to :meth:`_reference_sums`:
         the prediction-side sums are integer-valued and every addend is
         exactly representable, so both computations land on the same
         integers, and the augmented / tiled GEMM keeps the reduction
@@ -371,7 +425,6 @@ class IncrementalCpaBank:
         if ct.ndim != 2 or ct.shape[1] != 16:
             raise AttackError("ciphertexts must be (n, 16) uint8")
         n, s = traces.shape
-        self._ensure_sums(s)
         compute = traces.dtype
         table = hd_pair_table()
         gathered = self._scratch_buf("gathered", (n, self._n_hyp), np.uint8)
@@ -392,28 +445,25 @@ class IncrementalCpaBank:
         augmented = self._scratch_buf("augmented", (n, s + 1), compute)
         augmented[:, :s] = traces
         augmented[:, s] = 1.0
-        cross = self._scratch_buf("cross", (self._n_hyp, s + 1), compute)
+        # Not scratch: the summary holds views of it after this returns.
+        cross = np.empty((self._n_hyp, s + 1), dtype=compute)
         tile = self.tile_samples if self.tile_samples is not None else s + 1
         preds_t = preds.T
         for lo in range(0, s + 1, tile):
             hi = min(lo + tile, s + 1)
             np.matmul(preds_t, augmented[:, lo:hi], out=cross[:, lo:hi])
-        self.n_traces += n
         if compute == np.float32:
-            self._sum_t += traces.sum(axis=0, dtype=np.float64)
-            self._sum_t2 += np.einsum(
-                "ns,ns->s", traces, traces, dtype=np.float64
-            )
+            sum_t = traces.sum(axis=0, dtype=np.float64)
+            sum_t2 = np.einsum("ns,ns->s", traces, traces, dtype=np.float64)
         else:
-            self._sum_t += traces.sum(axis=0)
-            self._sum_t2 += (traces * traces).sum(axis=0)
-        self._sum_p += cross[:, s]
+            sum_t = traces.sum(axis=0)
+            sum_t2 = (traces * traces).sum(axis=0)
         # Σp² addends are integers (p ≤ 8, so p² ≤ 64): exact in float64
         # always, and exact in float32 for every realistic chunk size
         # (n·64 < 2²⁴ ⇔ n < 262144); float32 beyond that is budgeted
         # drift, not corruption.
-        self._sum_p2 += np.einsum("nk,nk->k", preds, preds)
-        self._sum_pt += cross[:, :s]
+        sum_p2 = np.einsum("nk,nk->k", preds, preds)
+        return sum_t, sum_t2, cross[:, s], sum_p2, cross[:, :s]
 
     def merge(self, other: "IncrementalCpaBank") -> None:
         """Fold another bank's sums into this one (shard-parallel CPA)."""
@@ -426,23 +476,7 @@ class IncrementalCpaBank:
             raise AttackError(
                 "merge requires matching byte_indices and prediction model"
             )
-        if other._sum_t is None or other.n_traces == 0:
-            return  # empty shard (even width-pinned): exact no-op
-        if self._sum_t is None:
-            s = other._sum_t.shape[0]
-            self._sum_t = np.zeros(s)
-            self._sum_t2 = np.zeros(s)
-            self._sum_p = np.zeros(self._n_hyp)
-            self._sum_p2 = np.zeros(self._n_hyp)
-            self._sum_pt = np.zeros((self._n_hyp, s))
-        elif other._sum_t.shape[0] != self._sum_t.shape[0]:
-            raise AttackError("accumulators disagree on the sample count")
-        self.n_traces += other.n_traces
-        self._sum_t += other._sum_t
-        self._sum_t2 += other._sum_t2
-        self._sum_p += other._sum_p
-        self._sum_p2 += other._sum_p2
-        self._sum_pt += other._sum_pt
+        _merge_sums(self, other, self._n_hyp)
 
     def snapshot(self) -> dict:
         """Serializable state: attacked bytes plus the exact running sums."""

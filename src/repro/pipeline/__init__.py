@@ -28,6 +28,7 @@ from repro.pipeline.consumers import (
     CompletionTimeStats,
     CpaBankConsumer,
     CpaStreamConsumer,
+    SummarizingConsumer,
     TraceConsumer,
     TvlaStreamConsumer,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "RetryPolicy",
     "StreamingCampaign",
     "SuccessRateConsumer",
+    "SummarizingConsumer",
     "TemplateAttackConsumer",
     "TraceConsumer",
     "TvlaStreamConsumer",

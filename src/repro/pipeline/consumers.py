@@ -21,13 +21,18 @@ The three built-ins wrap the library's existing streaming accumulators:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.attacks.cpa import CpaByteResult, CpaResult, PredictionModel
-from repro.attacks.incremental import IncrementalCpa, IncrementalCpaBank
+from repro.attacks.incremental import (
+    CpaChunkSummary,
+    IncrementalCpa,
+    IncrementalCpaBank,
+)
 from repro.attacks.models import last_round_hd_predictions
 from repro.errors import AttackError, CheckpointError, ConfigurationError
 from repro.leakage_assessment.tvla import IncrementalTvla, TvlaResult
@@ -48,6 +53,10 @@ class TraceConsumer(Protocol):
     merging a fresh (zero-trace) consumer must be an exact no-op.  The
     ``repro.verify.lint`` suite enforces that every consumer in ``src/``
     implements all three.
+
+    A consumer whose fold is a sum of per-chunk terms may also derive
+    from :class:`SummarizingConsumer`, which lets a pooled campaign
+    compute those terms in its workers.
     """
 
     name: str
@@ -73,7 +82,40 @@ class TraceConsumer(Protocol):
         ...
 
 
-class CpaStreamConsumer:
+class SummarizingConsumer:
+    """A consumer whose fold splits into a pure summary and an ordered fold.
+
+    ``summarize(chunk)`` computes the chunk's contribution from the chunk
+    and the consumer's construction-time config only, never from its
+    running state; ``fold(summary)`` adds that contribution, and is
+    called in chunk order.  ``consume(chunk)`` is ``fold(summarize(chunk))``
+    — one math path, so where a summary was computed cannot change a bit.
+
+    A pooled :class:`~repro.pipeline.StreamingCampaign` ships each such
+    consumer's :meth:`summarizer` (a twin carrying only the config) to
+    its workers, runs ``summarize`` in the worker that acquired the
+    chunk, and calls only ``fold`` in the parent.  A subclass that
+    overrides ``consume`` opts out and has its ``consume`` called in
+    the parent, as does any consumer hidden behind a wrapper.
+    """
+
+    name: str
+
+    def summarize(self, chunk: TraceSet):
+        raise NotImplementedError
+
+    def fold(self, summary) -> None:
+        raise NotImplementedError
+
+    def summarizer(self) -> "SummarizingConsumer":
+        """A picklable twin of this consumer without its running state."""
+        raise NotImplementedError
+
+    def consume(self, chunk: TraceSet) -> None:
+        self.fold(self.summarize(chunk))
+
+
+class CpaStreamConsumer(SummarizingConsumer):
     """Streaming last-round CPA on one key byte."""
 
     def __init__(
@@ -97,8 +139,16 @@ class CpaStreamConsumer:
         """Report per-chunk fold cost into an observed campaign's registry."""
         self._inc.set_metrics(metrics)
 
-    def consume(self, chunk: TraceSet) -> None:
-        self._inc.update(chunk.traces, chunk.ciphertexts)
+    def summarize(self, chunk: TraceSet) -> Optional[CpaChunkSummary]:
+        return self._inc.chunk_summary(chunk.traces, chunk.ciphertexts)
+
+    def fold(self, summary: Optional[CpaChunkSummary]) -> None:
+        self._inc.fold_summary(summary)
+
+    def summarizer(self) -> "CpaStreamConsumer":
+        twin = copy.copy(self)
+        twin._inc = IncrementalCpa(self._inc.byte_index, self._inc.model)
+        return twin
 
     def result(self) -> CpaByteResult:
         return self._inc.result()
@@ -116,7 +166,7 @@ class CpaStreamConsumer:
         self._inc.merge(other._inc)
 
 
-class CpaBankConsumer:
+class CpaBankConsumer(SummarizingConsumer):
     """Streaming last-round CPA on several key bytes at once.
 
     One :class:`~repro.attacks.IncrementalCpaBank` replaces 16 independent
@@ -150,8 +200,19 @@ class CpaBankConsumer:
         """Report per-chunk fold cost into an observed campaign's registry."""
         self._bank.set_metrics(metrics)
 
-    def consume(self, chunk: TraceSet) -> None:
-        self._bank.update(chunk.traces, chunk.ciphertexts)
+    def summarize(self, chunk: TraceSet) -> Optional[CpaChunkSummary]:
+        return self._bank.chunk_summary(chunk.traces, chunk.ciphertexts)
+
+    def fold(self, summary: Optional[CpaChunkSummary]) -> None:
+        self._bank.fold_summary(summary)
+
+    def summarizer(self) -> "CpaBankConsumer":
+        bank = self._bank
+        twin = copy.copy(self)
+        twin._bank = IncrementalCpaBank(
+            bank.byte_indices, bank.model, bank.engine, bank.tile_samples
+        )
+        return twin
 
     def result(self) -> CpaResult:
         return self._bank.result()

@@ -16,7 +16,10 @@ stream (countermeasure randomness) and a data stream (plaintexts, analog
 noise).  Chunk results are therefore a pure function of ``(spec, seed,
 chunk layout)`` — the worker count only decides *where* a chunk is
 computed, and the parent folds chunks in index order, so consumer output
-is identical for 1 or N workers (asserted by the test suite).
+is identical for 1 or N workers (asserted by the test suite).  The same
+holds for a :class:`~repro.pipeline.consumers.SummarizingConsumer`,
+whose per-chunk summary a pooled run computes in the worker that
+acquired the chunk: the parent folds the summaries in index order.
 
 Fault tolerance
 ---------------
@@ -51,6 +54,7 @@ observability on or off (``tests/pipeline/test_observability.py``).
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -68,12 +72,13 @@ from repro.errors import (
 from repro.obs import NULL_OBS, Observability
 from repro.pipeline import shm as shm_transport
 from repro.pipeline.checkpoint import CampaignCheckpoint
-from repro.pipeline.consumers import TraceConsumer
+from repro.pipeline.consumers import SummarizingConsumer, TraceConsumer
 from repro.pipeline.retry import RetryPolicy
 from repro.pipeline.spec import CampaignSpec
 from repro.power.acquisition import TraceSet
 from repro.store import ChunkedTraceStore
 from repro.testing.faults import FaultPlan
+from repro.utils.blas import set_blas_threads
 
 #: A unit of worker work: (chunk index, trace count, chunk seed, spec,
 #: retry policy, fault plan, observe flag, absolute trace offset).
@@ -98,6 +103,11 @@ _ObsPayload = Optional[dict]
 #: not "the chunk is bad" — the engine degrades to inline execution on
 #: these instead of aborting the campaign.
 _POOL_FAILURES = (multiprocessing.TimeoutError, PoolBrokenError, BrokenPipeError)
+
+#: The summarizers a pool worker runs on every chunk it acquires, set by
+#: :func:`_init_pool_worker`; empty in the parent, so inline acquisition
+#: never summarizes.
+_WORKER_SUMMARIZERS: Tuple[SummarizingConsumer, ...] = ()
 
 #: Seconds the shared-memory transport's in-place pool teardown may take
 #: before the workers are SIGKILLed (see :func:`_abandon_pool`).
@@ -185,6 +195,45 @@ def _kill_workers(pool) -> None:
             proc.kill()
 
 
+def _summarizers(consumers: Sequence[TraceConsumer]) -> Dict[int, object]:
+    """The summarizers a pool ships to its workers, by consumer position.
+
+    A consumer offers one when it is a :class:`SummarizingConsumer` that
+    kept the inherited ``consume`` (a subclass overriding ``consume``
+    must have that override run, in the parent) and its summarizer
+    pickles (a ``spawn`` pool pickles it; a lambda prediction model
+    would not).  Every other consumer is fed whole chunks in the parent.
+    """
+    offered = {}
+    for position, consumer in enumerate(consumers):
+        if (
+            not isinstance(consumer, SummarizingConsumer)
+            or type(consumer).consume is not SummarizingConsumer.consume
+        ):
+            continue
+        summarizer = consumer.summarizer()
+        try:
+            pickle.dumps(summarizer)
+        except Exception:
+            continue
+        offered[position] = summarizer
+    return offered
+
+
+def _init_pool_worker(summarizers: tuple, ring_args: Optional[tuple]) -> None:
+    """Pool initializer: one BLAS thread, the summarizers, the shm ring.
+
+    The pool already runs one process per CPU, so a worker's GEMM gets
+    one BLAS thread; more would only preempt each other (see
+    :mod:`repro.utils.blas`).
+    """
+    global _WORKER_SUMMARIZERS
+    set_blas_threads(1)
+    _WORKER_SUMMARIZERS = tuple(summarizers)
+    if ring_args is not None:
+        shm_transport._init_worker_ring(*ring_args)
+
+
 def _acquire_chunk(
     task: _ChunkTask,
 ) -> Tuple[
@@ -193,6 +242,7 @@ def _acquire_chunk(
     float,
     int,
     _ObsPayload,
+    list,
 ]:
     """Worker entry point: build a fresh device and acquire one chunk.
 
@@ -215,6 +265,12 @@ def _acquire_chunk(
     ships the metrics snapshot + drained trace events home in the fifth
     tuple slot for the parent to fold.  Observation reads clocks only —
     the chunk's RNG streams and bytes are untouched.
+
+    In a pool worker the last slot carries the chunk's summaries, one
+    per summarizer the pool initializer installed, computed once the
+    acquisition (retries included) has succeeded.  A summarizer that
+    raises is not retried: its error is the consumer's own, and it
+    reaches the parent in place of the chunk.
     """
     index, n, chunk_seed, spec, retry, faults, observe, trace_offset = task
     obs = Observability.create(origin=f"worker:chunk-{index}") if observe else NULL_OBS
@@ -248,9 +304,14 @@ def _acquire_chunk(
                     time.sleep(delay)
                 continue
             break
+    acquire_s = time.perf_counter() - started
     chunk.metadata["chunk_index"] = index
     if spec.fixed_plaintext is not None:
         chunk.metadata["tvla_interleaved"] = True
+    summaries = []
+    for summarizer in _WORKER_SUMMARIZERS:
+        with obs.tracer.span("summarize", chunk=index, consumer=summarizer.name):
+            summaries.append(summarizer.summarize(chunk))
     payload: _ObsPayload = None
     if observe:
         payload = {
@@ -272,8 +333,8 @@ def _acquire_chunk(
             ring.broken = True
             ring.close()
         else:
-            return index, handle, time.perf_counter() - started, attempt, payload
-    return index, chunk, time.perf_counter() - started, attempt, payload
+            return index, handle, acquire_s, attempt, payload, summaries
+    return index, chunk, acquire_s, attempt, payload, summaries
 
 
 @dataclass
@@ -419,11 +480,13 @@ class StreamingCampaign:
         Per-chunk :class:`RetryPolicy` (bounded attempts, deterministic
         backoff).  The default retries each chunk up to 3 times.
     chunk_timeout_s:
-        Parent-side cap on waiting for one pooled chunk; on expiry the
-        pool is presumed dead and the engine degrades to inline
-        execution.  ``None`` (default) waits as long as the chunk takes,
-        but a pool worker that dies mid-campaign degrades the run the
-        same way instead of leaving the parent waiting forever.
+        Parent-side cap on waiting for one pooled chunk, including the
+        worker-side ``summarize`` of its summarizing consumers; on
+        expiry the pool is presumed dead and the engine degrades to
+        inline execution.  ``None`` (default) waits as long as the
+        chunk takes, but a pool worker that dies mid-campaign degrades
+        the run the same way instead of leaving the parent waiting
+        forever.
     transport:
         How pooled workers ship finished chunks home.  ``"auto"``
         (default) uses shared-memory segment rings
@@ -700,8 +763,15 @@ class StreamingCampaign:
                 store.disk_budget_bytes = self.store_budget_bytes
             store.append(chunk)
 
-        def fold(index: int, chunk: TraceSet, persist: bool) -> None:
-            """Stream one chunk (replayed or fresh) through store/consumers."""
+        def fold(
+            index: int, chunk: TraceSet, persist: bool,
+            summaries: Dict[int, object],
+        ) -> None:
+            """Stream one chunk (replayed or fresh) through store/consumers.
+
+            ``summaries`` holds the worker-computed summary of each
+            consumer (by position) that folds one instead of the chunk.
+            """
             nonlocal consume_s, store_s, done
             # Pop, don't get: wall-clock stage timings must never reach
             # the store, or persisted chunk bytes stop being a pure
@@ -722,11 +792,14 @@ class StreamingCampaign:
                     store_s += elapsed
                     obs.metrics.observe("campaign_store_append_seconds", elapsed)
                 t0 = time.perf_counter()
-                for consumer in consumers:
+                for position, consumer in enumerate(consumers):
                     with obs.tracer.span(
                         "consume", chunk=index, consumer=consumer.name
                     ):
-                        consumer.consume(chunk)
+                        if position in summaries:
+                            consumer.fold(summaries[position])
+                        else:
+                            consumer.consume(chunk)
                 elapsed = time.perf_counter() - t0
                 consume_s += elapsed
                 obs.metrics.observe("campaign_consume_seconds", elapsed)
@@ -778,7 +851,7 @@ class StreamingCampaign:
                         f"stored chunk {index} holds {chunk.n_traces} traces; "
                         f"the campaign layout expects {tasks[index][1]}"
                     )
-                fold(index, chunk, persist=False)
+                fold(index, chunk, persist=False, summaries={})
 
             # Phase 2: acquire the remaining chunks.
             async_results = None
@@ -809,16 +882,16 @@ class StreamingCampaign:
                         obs.tracer.instant(
                             "transport_degraded", phase="startup"
                         )
-                if use_shm:
-                    pool = ctx.Pool(
-                        processes=n_procs,
-                        initializer=shm_transport._init_worker_ring,
-                        initargs=ring.initargs(),
-                    )
-                    transport_used = "shm-ring"
-                else:
-                    pool = ctx.Pool(processes=n_procs)
-                    transport_used = "pickle"
+                offered = _summarizers(consumers)
+                pool = ctx.Pool(
+                    processes=n_procs,
+                    initializer=_init_pool_worker,
+                    initargs=(
+                        tuple(offered.values()),
+                        ring.initargs() if use_shm else None,
+                    ),
+                )
+                transport_used = "shm-ring" if use_shm else "pickle"
                 pool_workers = list(getattr(pool, "_pool", ()))
                 async_results = [
                     pool.apply_async(_acquire_chunk, (task,)) for task in fresh
@@ -830,10 +903,12 @@ class StreamingCampaign:
                             self.faults.check_pool(task[0])
                         (
                             index, chunk, chunk_acquire_s, attempts, payload,
+                            shipped,
                         ) = _await_chunk(
                             async_results[position], pool_workers,
                             self.chunk_timeout_s,
                         )
+                        summaries = dict(zip(offered, shipped))
                         if isinstance(chunk, shm_transport.ShmChunkHandle):
                             chunk = ring.receive(chunk, key=self.spec.key)
                             obs.metrics.inc("campaign_shm_chunks_total")
@@ -861,9 +936,10 @@ class StreamingCampaign:
                         _abandon_pool(pool, prompt=ring is not None)
                         pool = None
                 if pool is None:
-                    index, chunk, chunk_acquire_s, attempts, payload = (
+                    index, chunk, chunk_acquire_s, attempts, payload, _ = (
                         _acquire_chunk(task)
                     )
+                    summaries = {}
                     if degraded:
                         degraded_chunks += 1
                         obs.metrics.inc("campaign_degraded_chunks_total")
@@ -879,7 +955,7 @@ class StreamingCampaign:
                     total_retries += attempts - 1
                     obs.metrics.inc("campaign_retried_chunks_total")
                     obs.metrics.inc("campaign_retries_total", attempts - 1)
-                fold(index, chunk, persist=True)
+                fold(index, chunk, persist=True, summaries=summaries)
         except BaseException:
             # Workers may still be mid-chunk; close()+join() would block
             # on them while the campaign is already dead.  Kill the pool,

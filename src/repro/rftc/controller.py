@@ -201,14 +201,23 @@ class RFTCController:
             set_idx = self._mmcm_set_index[driver]
             row = self._periods_ns[set_idx]  # (M,)
             remaining = n_encryptions - produced
-            chunk_periods = row[choices[produced : produced + remaining]]
-            durations_ns = chunk_periods.sum(axis=1)
-            end_times_s = now_s + np.cumsum(durations_ns) * 1e-9
+            # Only a lookahead window of encryptions is timed, doubled
+            # until it runs past the spare's lock: a prefix of the cumsum
+            # is the cumsum of the prefix, so the swap lands exactly where
+            # timing every remaining encryption would put it, in linear
+            # rather than quadratic time over the chunk.
+            window = min(swap_every if single else 2 * swap_every, remaining)
+            while True:
+                chunk_periods = row[choices[produced : produced + window]]
+                end_times_s = now_s + np.cumsum(chunk_periods.sum(axis=1)) * 1e-9
+                if single or window == remaining or end_times_s[-1] >= deadline_s:
+                    break
+                window = min(2 * window, remaining)
             if single:
-                fit = min(swap_every, remaining)
+                fit = window
             else:
                 fit = int(np.searchsorted(end_times_s, deadline_s, side="left")) + 1
-                fit = min(fit, remaining)
+                fit = min(fit, window)
             periods[produced : produced + fit] = chunk_periods[:fit]
             set_indices[produced : produced + fit] = set_idx
             produced += fit
