@@ -39,6 +39,7 @@ from repro.pipeline import CampaignSpec, CpaBankConsumer, StreamingCampaign
 from repro.power.synth import TraceSynthesizer
 from repro.preprocess.dtw import batch_dtw_align
 from repro.preprocess.fft import fft_magnitude
+from repro.utils.iir import rc_lowpass
 from repro.rftc import RFTCParams
 from repro.rftc.planner import plan_overlap_free
 from repro.utils.stats import RunningMoments, column_pearson
@@ -304,8 +305,47 @@ def bench_rftc_device_build(scale, rng):
     }
 
 
+def bench_lowpass(scale, rng):
+    """The scope's single-pole filter: samples-major recursion vs. lfilter.
+
+    One chunk of the cpa-campaign ledger workload's shape (5000 x 256)
+    through the 100 MHz pole, each side in its native layout: the numpy
+    recursion reads the synthesizer's Fortran-ordered ``(n, S)`` output,
+    ``scipy.signal.lfilter`` filters a C-ordered ``(n, S)`` copy along
+    its rows.  The two must agree bit for bit.  scipy is imported here
+    only: it is a test-time oracle, not a runtime dependency.
+    """
+    from scipy.signal import lfilter
+
+    n = max(500, int(5000 * scale))
+    analog = np.asfortranarray(rng.uniform(0.0, 100.0, size=(n, 256)))
+    c_order = np.ascontiguousarray(analog)
+    rate_msps, bandwidth_mhz = 250.0, 100.0
+    dt_s = 1e-6 / rate_msps
+    rc = 1.0 / (2.0 * np.pi * bandwidth_mhz * 1e6)
+    alpha = dt_s / (rc + dt_s)
+
+    def new():
+        return rc_lowpass(analog, rate_msps, bandwidth_mhz)
+
+    def ref():
+        return lfilter(np.array([alpha]), np.array([1.0, alpha - 1.0]), c_order, axis=1)
+
+    assert new().T.tobytes() == ref().tobytes()
+    new_s, ref_s = _time_interleaved(new, ref)
+    return {
+        "shape": {"n_traces": n, "n_samples": 256},
+        "new_seconds": new_s,
+        "ref_seconds": ref_s,
+        "traces_per_second": n / new_s,
+        "ref_traces_per_second": n / ref_s,
+        "speedup": ref_s / new_s,
+    }
+
+
 KERNELS = {
     "synth": bench_synth,
+    "lowpass": bench_lowpass,
     "cpa16": bench_cpa16,
     "key_schedule": bench_key_schedule,
     "datapath": bench_datapath,

@@ -9,6 +9,7 @@ vectorized helpers in :mod:`repro.attacks.models`).
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,16 +41,33 @@ def _as_block(name: str, data: BlockLike) -> bytes:
     return block
 
 
-def expand_key(key: BlockLike) -> List[bytes]:
-    """Expand an AES key into the per-round 16-byte round keys.
-
-    Returns ``rounds + 1`` round keys (11 for AES-128).
-    """
+def _checked_key(key: BlockLike) -> bytes:
     key = bytes(key)
     if len(key) not in _KEY_ROUNDS:
         raise ConfigurationError(
             f"AES key must be 16, 24 or 32 bytes, got {len(key)}"
         )
+    return key
+
+
+def expand_key(key: BlockLike) -> List[bytes]:
+    """Expand an AES key into the per-round 16-byte round keys.
+
+    Returns ``rounds + 1`` round keys (11 for AES-128).  A campaign
+    builds a device, and so expands its one key, for every chunk: the
+    schedule is memoized per key, and each call returns a fresh list of
+    the shared (immutable) round keys.
+    """
+    return list(_expand_key(_checked_key(key)))
+
+
+#: Keys whose schedules stay memoized.  Campaigns reuse one key; bounding
+#: the memo keeps per-trace-key callers from growing it without limit.
+_KEY_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_KEY_MEMO_SIZE)
+def _expand_key(key: bytes) -> Tuple[bytes, ...]:
     nk = len(key) // 4
     rounds = _KEY_ROUNDS[len(key)]
     words: List[List[int]] = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
@@ -62,10 +80,19 @@ def expand_key(key: BlockLike) -> List[bytes]:
         elif nk > 6 and i % nk == 4:
             temp = [int(SBOX[b]) for b in temp]
         words.append([words[i - nk][j] ^ temp[j] for j in range(4)])
-    round_keys = []
-    for r in range(rounds + 1):
-        round_keys.append(bytes(b for w in words[4 * r : 4 * r + 4] for b in w))
-    return round_keys
+    return tuple(
+        bytes(b for w in words[4 * r : 4 * r + 4] for b in w)
+        for r in range(rounds + 1)
+    )
+
+
+@functools.lru_cache(maxsize=_KEY_MEMO_SIZE)
+def _round_key_array(key: bytes) -> np.ndarray:
+    """Memoized read-only ``(rounds + 1, 16)`` uint8 schedule of ``key``."""
+    schedule = np.frombuffer(
+        b"".join(_expand_key(_checked_key(key))), dtype=np.uint8
+    )
+    return schedule.reshape(-1, 16)
 
 
 def batch_expand_key(keys: np.ndarray) -> np.ndarray:
@@ -166,13 +193,9 @@ class AES:
     """
 
     def __init__(self, key: BlockLike):
-        key = bytes(key)
-        if len(key) not in _KEY_ROUNDS:
-            raise ConfigurationError(
-                f"AES key must be 16, 24 or 32 bytes, got {len(key)}"
-            )
+        key = _checked_key(key)
         self._key = key
-        self._round_keys = expand_key(key)
+        self._round_keys = _expand_key(key)
         self.rounds = _KEY_ROUNDS[len(key)]
 
     @property
@@ -183,7 +206,7 @@ class AES:
     @property
     def round_keys(self) -> Tuple[bytes, ...]:
         """All ``rounds + 1`` round keys."""
-        return tuple(self._round_keys)
+        return self._round_keys
 
     def encrypt(self, plaintext: BlockLike) -> bytes:
         """Encrypt one 16-byte block."""

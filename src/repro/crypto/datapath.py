@@ -19,7 +19,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.crypto.aes import AES, BlockLike, _as_block, batch_expand_key
+from repro.crypto.aes import (
+    AES,
+    BlockLike,
+    _as_block,
+    _round_key_array,
+    batch_expand_key,
+)
 from repro.crypto.aes_tables import MUL2, MUL3, SBOX, SHIFT_ROWS_MAP
 from repro.errors import ConfigurationError
 from repro.utils.bitops import HW8
@@ -65,7 +71,8 @@ def batch_round_states(keys: np.ndarray, plaintexts: np.ndarray) -> np.ndarray:
     ----------
     keys:
         Either a single 16-byte key (shape ``(16,)``, applied to every
-        plaintext) or per-trace keys of shape ``(n, 16)``.
+        plaintext; its schedule is memoized per key) or per-trace keys
+        of shape ``(n, 16)``.
     plaintexts:
         ``(n, 16)`` uint8 array.
 
@@ -82,7 +89,9 @@ def batch_round_states(keys: np.ndarray, plaintexts: np.ndarray) -> np.ndarray:
     if keys.ndim == 1:
         if keys.shape[0] != 16:
             raise ConfigurationError("key must be 16 bytes")
-        rk_batch = np.broadcast_to(batch_expand_key(keys), (n, 11, 16))
+        rk_batch = np.broadcast_to(
+            _round_key_array(keys.tobytes()), (n, 11, 16)
+        )
     elif keys.ndim == 2 and keys.shape == (n, 16):
         rk_batch = batch_expand_key(keys)
     else:

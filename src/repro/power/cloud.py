@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.errors import ConfigurationError
+from repro.utils.iir import rc_lowpass
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,21 @@ class CloudSensor:
     def capture(
         self, analog: np.ndarray, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
-        """Filter, decimate, add tenant + thermal noise, quantize."""
+        """Filter, decimate, add tenant + thermal noise, quantize.
+
+        Returns C-contiguous ``(n, ceil(S / decimation))`` readings in the
+        capture dtype, whatever the memory layout of ``analog``.
+        """
         out_dtype = np.dtype(self.dtype)
         traces = np.asarray(analog, dtype=out_dtype)
         if traces.ndim != 2:
             raise ConfigurationError("analog traces must be a 2-D matrix")
-        traces = self._lowpass(traces)
-        if self.decimation > 1:
-            traces = np.ascontiguousarray(traces[:, :: self.decimation])
+        filtered = rc_lowpass(traces, self.sample_rate_msps, self.bandwidth_mhz)
+        # Decimate the samples-major rows, then the one copy back to C
+        # order, narrowing to the capture dtype.
+        traces = np.ascontiguousarray(
+            filtered[:: self.decimation].T, dtype=out_dtype
+        )
         needs_rng = self.noise_std > 0 or self.tenant_noise_std > 0
         if needs_rng and rng is None:
             raise ConfigurationError("an rng is required when noise is enabled")
@@ -125,15 +132,6 @@ class CloudSensor:
         if self.tdc_bits > 0:
             traces = self._quantize(traces)
         return traces
-
-    def _lowpass(self, traces: np.ndarray) -> np.ndarray:
-        """Single-pole IIR at the sensor bandwidth (float64 recursion)."""
-        dt_s = 1e-6 / self.sample_rate_msps
-        rc = 1.0 / (2.0 * np.pi * self.bandwidth_mhz * 1e6)
-        alpha = dt_s / (rc + dt_s)
-        b = np.array([alpha])
-        a = np.array([1.0, alpha - 1.0])
-        return lfilter(b, a, traces, axis=1).astype(traces.dtype, copy=False)
 
     def _tenant_interference(
         self, shape: "tuple[int, ...]", rng: np.random.Generator

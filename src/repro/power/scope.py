@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.errors import ConfigurationError
+from repro.utils.iir import rc_lowpass
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,11 @@ class Oscilloscope:
         The noise draws always come from the float64 RNG stream (so the
         randomness consumed is identical either way) and are cast before
         the add; the bandwidth filter recursion runs in float64 (see
-        :meth:`_lowpass`) and the noise add and quantizer then run in the
-        output dtype.  Near a quantizer decision boundary the float32
-        rounding can land one LSB off the float64 result — that is part
-        of the opt-in, bounded end to end by the float32 drift budgets.
+        :func:`~repro.utils.iir.rc_lowpass`) and the noise add and
+        quantizer then run in the output dtype.  Near a quantizer
+        decision boundary the float32 rounding can land one LSB off the
+        float64 result — that is part of the opt-in, bounded end to end
+        by the float32 drift budgets.
     """
 
     sample_rate_msps: float = 250.0
@@ -71,13 +72,25 @@ class Oscilloscope:
     def capture(
         self, analog: np.ndarray, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
-        """Apply bandwidth, noise and quantization to ``(n, S)`` traces."""
+        """Apply bandwidth, noise and quantization to ``(n, S)`` traces.
+
+        Returns C-contiguous ``(n, S)`` traces in the capture dtype,
+        whatever the memory layout of ``analog``: the store writes them
+        with ``np.save``, whose header records the layout.
+        """
         out_dtype = np.dtype(self.dtype)
         traces = np.asarray(analog, dtype=out_dtype)
         if traces.ndim != 2:
             raise ConfigurationError("analog traces must be a 2-D matrix")
         if self.bandwidth_mhz > 0:
-            traces = self._lowpass(traces)
+            # float64, Fortran-ordered (n, S) view of the samples-major
+            # filter output.
+            traces = rc_lowpass(
+                traces, self.sample_rate_msps, self.bandwidth_mhz
+            ).T
+        # Exactly one conversion back to C order, narrowing to the
+        # capture dtype on the way (``dtype=`` casts before the add,
+        # as ``astype`` would).
         if self.noise_std > 0:
             if rng is None:
                 raise ConfigurationError(
@@ -85,28 +98,15 @@ class Oscilloscope:
                 )
             noise = rng.normal(0.0, self.noise_std, traces.shape)
             noise = noise.astype(out_dtype, copy=False)
-            # The freshly-drawn noise buffer is ours: add into it rather
-            # than allocating a third (n, S) array per chunk.
-            np.add(traces, noise, out=noise)
+            # The freshly-drawn C-ordered noise buffer is ours: add into
+            # it rather than allocating another (n, S) array per chunk.
+            np.add(traces, noise, out=noise, dtype=out_dtype)
             traces = noise
+        else:
+            traces = np.ascontiguousarray(traces, dtype=out_dtype)
         if self.adc_bits > 0:
             traces = self._quantize(traces)
         return traces
-
-    def _lowpass(self, traces: np.ndarray) -> np.ndarray:
-        """Single-pole IIR low-pass at the -3 dB bandwidth.
-
-        The recursion runs in float64 regardless of the capture dtype:
-        the pre-noise analog tail decays exponentially and would underflow
-        a float32 recursion into denormals (microcoded arithmetic, ~3x the
-        filter cost).  The result is narrowed back afterwards.
-        """
-        dt_s = 1e-6 / self.sample_rate_msps
-        rc = 1.0 / (2.0 * np.pi * self.bandwidth_mhz * 1e6)
-        alpha = dt_s / (rc + dt_s)
-        b = np.array([alpha])
-        a = np.array([1.0, alpha - 1.0])
-        return lfilter(b, a, traces, axis=1).astype(traces.dtype, copy=False)
 
     def _quantize(self, traces: np.ndarray) -> np.ndarray:
         """Mid-rise quantization onto ``2**adc_bits`` levels over the range."""

@@ -17,9 +17,12 @@ exact O(n·S) recursive-decay algorithm: each edge is scattered onto the
 sample grid as one impulse pre-decayed to its first covered sample, then a
 single-pole recursion ``y[s] = x[s] + y[s-1]·exp(-dt/τ)`` propagates every
 pulse tail — exact for the exponential kernel, never materializing the
-(traces × cycles × samples) broadcast.  The original broadcast kernel is
-kept as :meth:`TraceSynthesizer.synthesize_reference` for equivalence tests
-and benchmarking (see ``docs/performance.md``).
+(traces × cycles × samples) broadcast.  The impulses are laid out
+samples-major, ``(S, n)``, so the recursion is ``S`` vectorized row
+updates over all traces (:func:`repro.utils.iir.decay_rows`).  The
+original broadcast kernel is kept as
+:meth:`TraceSynthesizer.synthesize_reference` for equivalence tests and
+benchmarking (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -28,13 +31,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly on hosts with scipy
-    from scipy.signal import lfilter as _lfilter
-except ImportError:  # pragma: no cover
-    _lfilter = None
-
 from repro.errors import ConfigurationError
 from repro.hw.clock import ClockSchedule
+from repro.utils.iir import decay_rows
 from repro.utils.validation import check_positive, check_positive_int
 
 
@@ -178,8 +177,11 @@ class TraceSynthesizer:
 
         Returns
         -------
-        ``(n, n_samples)`` float64 analog traces (pre-scope: no noise, no
-        bandwidth limit, no quantization).
+        ``(n, n_samples)`` analog traces in the configured dtype
+        (pre-scope: no noise, no bandwidth limit, no quantization).  The
+        array is the transpose of the samples-major recursion buffer, so
+        it is Fortran-ordered; the scope's ``capture`` filters it in that
+        layout and hands back C order.
         """
         edge_times, amplitudes = self._validated_edges(schedule, amplitudes, rng)
         n = edge_times.shape[0]
@@ -188,10 +190,10 @@ class TraceSynthesizer:
         # One extra grid point so out-of-window edges index safely before
         # being dropped.
         grid = np.arange(s_count + 1) * dt
-        impulses = np.zeros(n * s_count, dtype=np.float64)
-        row_base = np.broadcast_to(
-            (np.arange(n) * s_count)[:, None], edge_times.shape
-        )
+        # Samples-major scatter: bin s·n + row is sample s of trace row,
+        # so the decay recursion below runs over contiguous rows.
+        impulses = None
+        rows = np.broadcast_to(np.arange(n)[:, None], edge_times.shape)
         for delay_ns, fraction in self.taps:
             e = edge_times + delay_ns  # (n, C)
             # First sample at or after the edge.  ceil(e/dt) is correct in
@@ -208,27 +210,30 @@ class TraceSynthesizer:
             if not np.any(keep):
                 continue
             pre_decay = np.exp(-(grid[s0[keep]] - e[keep]) / self.tau_ns)
-            impulses += np.bincount(
-                row_base[keep] + s0[keep],
+            scattered = np.bincount(
+                s0[keep] * n + rows[keep],
                 weights=fraction * amplitudes[keep] * pre_decay,
-                minlength=n * s_count,
+                minlength=s_count * n,
             )
-        out_dtype = np.dtype(self.dtype)
-        traces = impulses.reshape(n, s_count)
-        decay = np.exp(-dt / self.tau_ns)
+            # The first tap's scatter is the buffer: adding it to zeros
+            # would be an exact no-op (bincount never yields -0.0) that
+            # costs a pass over, and the page faults of, n·S floats.
+            if impulses is None:
+                impulses = scattered
+            else:
+                impulses += scattered
+        if impulses is None:
+            impulses = np.zeros(s_count * n)
         # The decay recursion always runs in float64 and narrows at the
         # end: the pulse tail shrinks exponentially, and in a float32
         # recursion it underflows into denormals (sub-1.2e-38 values whose
         # arithmetic is microcoded, ~3x the filter cost).  float64 keeps
         # every intermediate normal, so the filter runs at full speed and
         # the float32 output is just the correctly-rounded float64 result.
-        if _lfilter is not None:
-            b = np.array([1.0])
-            a = np.array([1.0, -decay])
-            return _lfilter(b, a, traces, axis=1).astype(out_dtype, copy=False)
-        for s in range(1, s_count):
-            traces[:, s] += decay * traces[:, s - 1]
-        return traces.astype(out_dtype, copy=False)
+        traces = decay_rows(
+            impulses.reshape(s_count, n), np.exp(-dt / self.tau_ns)
+        )
+        return traces.T.astype(np.dtype(self.dtype), copy=False)
 
     def synthesize_reference(
         self,

@@ -11,12 +11,28 @@ from typing import Optional
 
 import numpy as np
 
-try:  # scipy's sizing helper makes the FFT lengths friendly; optional.
-    from scipy.fft import next_fast_len as _next_fast_len
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _next_fast_len = None
-
 from repro.errors import AttackError, ConfigurationError
+
+
+def next_fast_len(target: int) -> int:
+    """Smallest 2·3·5·7·11-smooth integer ``>= target``, for ``target >= 1``.
+
+    Those are the lengths pocketfft transforms fastest; this is the rule
+    of ``scipy.fft.next_fast_len(target)`` (its complex-transform
+    default), without importing scipy.  Smooth numbers are dense: below
+    20000 the scan never tests more than 192 candidates.
+    """
+    if target < 1:
+        raise ConfigurationError(f"target must be >= 1, got {target}")
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def normalize_traces(traces: np.ndarray) -> np.ndarray:
@@ -63,7 +79,7 @@ def best_shifts(
             "max_shift must be within [0, reference length)"
         )
     length = traces.shape[1] + reference.size - 1
-    fft_len = _next_fast_len(length) if _next_fast_len is not None else length
+    fft_len = next_fast_len(length)
     spectrum = np.fft.rfft(traces, fft_len, axis=1)
     spectrum *= np.fft.rfft(reference[::-1], fft_len)[None, :]
     corr = np.fft.irfft(spectrum, fft_len, axis=1)[:, :length]
