@@ -168,18 +168,16 @@ class CpaEngine:
         Prediction model (default: last-round Hamming distance).
     sample_window:
         Restrict the attack to a slice of samples (a windowed attack).
-    tile_samples:
-        Row-tile width of the covariance GEMM.  At paper-scale trace
-        counts the centered trace matrix dwarfs every cache level, so the
-        GEMM is blocked over samples: each tile reads a ``(tile, n)``
-        slab of traces against the whole prediction block, keeping the
-        prediction operand resident across tiles.  The default
-        ``"auto"`` tiles by 128 once the trace matrix outgrows cache
-        (n ≥ 16384, measured ~20% faster there, break-even below);
-        an int forces that width, ``None`` disables tiling.  Tiling
-        never changes results — BLAS keeps the reduction dimension
-        whole, so every output element is the same dot product either
-        way (asserted array-equal by ``tests/attacks/test_cpa_engine.py``).
+
+    At paper-scale trace counts the centered trace matrix dwarfs every
+    cache level, so from n ≥ 16384 traces (measured ~20% faster there,
+    break-even below) the covariance GEMM is blocked over samples: each
+    128-row tile reads a ``(128, n)`` slab of traces against the whole
+    prediction block, keeping the prediction operand resident across
+    tiles.  BLAS may sum a tile's dot products in a different order than
+    the whole matrix's, so tiled and untiled correlations agree to a few
+    1e-16, not bit for bit (``tests/attacks/test_cpa_engine.py`` holds
+    them within 1e-12 with the same best guesses).
     """
 
     _AUTO_TILE_WIDTH = 128
@@ -191,13 +189,7 @@ class CpaEngine:
         data: np.ndarray,
         model: PredictionModel = last_round_hd_predictions,
         sample_window: Optional[slice] = None,
-        tile_samples="auto",
     ):
-        if tile_samples is not None and tile_samples != "auto":
-            tile_samples = int(tile_samples)
-            if tile_samples < 1:
-                raise AttackError("tile_samples must be >= 1, None, or 'auto'")
-        self.tile_samples = tile_samples
         traces = np.asarray(traces, dtype=np.float64)
         if traces.ndim != 2:
             raise AttackError("traces must be a 2-D matrix")
@@ -268,15 +260,7 @@ class CpaEngine:
                 np.einsum("nk,nk->k", self._p_buf, self._p_buf)
             )
         s = self.n_samples
-        if self.tile_samples == "auto":
-            tile = (
-                self._AUTO_TILE_WIDTH
-                if n >= self._AUTO_TILE_MIN_TRACES
-                else s
-            )
-        else:
-            tile = self.tile_samples if self.tile_samples is not None else s
-        tile = max(int(tile), 1)
+        tile = self._AUTO_TILE_WIDTH if n >= self._AUTO_TILE_MIN_TRACES else s
         t_centered_t = self._t_centered.T
         for lo in range(0, s, tile):
             hi = min(lo + tile, s)

@@ -309,12 +309,7 @@ class IncrementalCpaBank:
         Prediction model mapping ``(data, byte_index) -> (n, 256)``.
         Custom models fall back to the reference update path.
     engine:
-        ``"fast"`` (gather + augmented tiled GEMM) or ``"reference"``.
-    tile_samples:
-        Output-column tile width for the fast engine's GEMM (``None``
-        disables tiling).  Tiling never changes results: BLAS keeps the
-        reduction dimension whole, so each output element is the same
-        dot product either way.
+        ``"fast"`` (gather + augmented GEMM) or ``"reference"``.
     """
 
     def __init__(
@@ -322,7 +317,6 @@ class IncrementalCpaBank:
         byte_indices: Sequence[int] = tuple(range(16)),
         model: PredictionModel = last_round_hd_predictions,
         engine: str = "fast",
-        tile_samples: Optional[int] = None,
     ):
         if not byte_indices:
             raise AttackError("at least one byte index is required")
@@ -335,12 +329,9 @@ class IncrementalCpaBank:
             raise AttackError(
                 f"engine must be 'fast' or 'reference', got {engine!r}"
             )
-        if tile_samples is not None and tile_samples < 1:
-            raise AttackError("tile_samples must be >= 1 (or None)")
         self.byte_indices = tuple(int(b) for b in byte_indices)
         self.model = model
         self.engine = engine
-        self.tile_samples = tile_samples
         self.n_traces = 0
         self._metrics = NULL_METRICS
         self._n_hyp = 256 * len(self.byte_indices)
@@ -378,8 +369,8 @@ class IncrementalCpaBank:
     ) -> Optional[CpaChunkSummary]:
         """The batch's addends to the running sums (``None`` if empty).
 
-        Reads only the construction-time config (bytes, model, engine,
-        tiling) and the bank's scratch buffers, never the sums, so a
+        Reads only the construction-time config (bytes, model, engine)
+        and the bank's scratch buffers, never the sums, so a
         pool worker holding a fresh bank of the same config computes
         exactly what :meth:`update` would have added here.
         """
@@ -412,13 +403,13 @@ class IncrementalCpaBank:
         )
 
     def _fast_sums(self, traces: np.ndarray, data: np.ndarray) -> tuple:
-        """Pair-table gather + augmented tiled GEMM (see class docstring).
+        """Pair-table gather + augmented GEMM (see class docstring).
 
         float64 batches are bit-identical to :meth:`_reference_sums`:
         the prediction-side sums are integer-valued and every addend is
         exactly representable, so both computations land on the same
-        integers, and the augmented / tiled GEMM keeps the reduction
-        dimension whole so each ``Σpt`` element is the same dot product
+        integers, and the augmented GEMM keeps the reduction dimension
+        whole so each ``Σpt`` element is the same dot product
         (``tests/attacks/test_incremental_fast.py`` pins both claims).
         """
         ct = np.asarray(data, dtype=np.uint8)
@@ -447,11 +438,7 @@ class IncrementalCpaBank:
         augmented[:, s] = 1.0
         # Not scratch: the summary holds views of it after this returns.
         cross = np.empty((self._n_hyp, s + 1), dtype=compute)
-        tile = self.tile_samples if self.tile_samples is not None else s + 1
-        preds_t = preds.T
-        for lo in range(0, s + 1, tile):
-            hi = min(lo + tile, s + 1)
-            np.matmul(preds_t, augmented[:, lo:hi], out=cross[:, lo:hi])
+        np.matmul(preds.T, augmented, out=cross)
         if compute == np.float32:
             sum_t = traces.sum(axis=0, dtype=np.float64)
             sum_t2 = np.einsum("ns,ns->s", traces, traces, dtype=np.float64)

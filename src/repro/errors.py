@@ -60,7 +60,7 @@ class StorageExhaustedError(AcquisitionError):
 
 
 class PoolBrokenError(AcquisitionError):
-    """The acquisition worker pool died or stopped responding."""
+    """The worker pool died, stopped responding, or could not ship a chunk."""
 
 
 class InjectedFaultError(AcquisitionError):

@@ -196,7 +196,7 @@ class CpaBankConsumer(SummarizingConsumer):
         bank = self._bank
         twin = copy.copy(self)
         twin._bank = IncrementalCpaBank(
-            bank.byte_indices, bank.model, bank.engine, bank.tile_samples
+            bank.byte_indices, bank.model, bank.engine
         )
         return twin
 

@@ -28,9 +28,10 @@ The same purity is what makes multi-hour campaigns *restartable*:
 * each chunk's acquisition is retried per the engine's
   :class:`~repro.pipeline.retry.RetryPolicy` (inside the worker, from
   the same spawned seeds, so a retried chunk is bit-identical);
-* if the pool dies or a chunk times out, the engine **degrades** to
-  inline single-process execution for the remaining chunks instead of
-  aborting (``PipelineReport.degraded``);
+* if the pool dies, a chunk times out, or a chunk cannot be published
+  to shared memory, the engine **degrades** to inline single-process
+  execution for the remaining chunks instead of aborting
+  (``PipelineReport.degraded``);
 * with ``checkpoint=...`` the engine writes an atomic
   :class:`~repro.pipeline.checkpoint.CampaignCheckpoint` after every
   folded chunk, and :meth:`StreamingCampaign.resume` continues a killed
@@ -162,11 +163,12 @@ def _abandon_pool(pool, prompt: bool = False) -> None:
     hanging a multi-hour campaign.
 
     With ``prompt=True`` — the shared-memory transport, whose results
-    are tiny handles — teardown is instead ``terminate()``/``join()``
-    waited for in place: no SIGKILL, no leaked pool, and the caller may
-    sweep the ring's segments the moment this returns (asserted prompt
-    by ``tests/pipeline/test_transport.py``).  A worker whose ring broke
-    pickles whole chunks again and can wedge that teardown too, so the
+    are tiny handles (the chunk and its summaries stay in the ring) —
+    teardown is instead ``terminate()``/``join()`` waited for in place:
+    no SIGKILL, no leaked pool, and the caller may sweep the ring's
+    segments the moment this returns (asserted prompt by
+    ``tests/pipeline/test_transport.py``).  A respawned worker that got
+    no ring pipes whole chunks and can wedge that teardown too, so the
     wait is bounded by :data:`_PROMPT_TEARDOWN_S`; past it the workers
     are SIGKILLed and the wedged teardown is left to finish, or not, on
     its daemon thread.
@@ -248,8 +250,11 @@ def _acquire_chunk(
 
     In a pool whose initializer armed the shared-memory ring, the chunk
     comes home as a :class:`~repro.pipeline.shm.ShmChunkHandle` parked
-    in this worker's ring slot; otherwise (inline, or the pickle
-    fallback transport) the :class:`TraceSet` itself is returned.
+    in this worker's ring slot; otherwise (inline, the pickle transport,
+    or a respawned worker that got no ring) the :class:`TraceSet` itself
+    is returned.  A failed publish raises
+    :class:`~repro.errors.PoolBrokenError`: the parent's one recovery
+    path for a chunk that cannot get home.
 
     Runs in the parent when ``workers == 1`` (or after pool degradation)
     and in pool processes otherwise; either way the chunk's randomness
@@ -266,9 +271,10 @@ def _acquire_chunk(
     tuple slot for the parent to fold.  Observation reads clocks only —
     the chunk's RNG streams and bytes are untouched.
 
-    In a pool worker the last slot carries the chunk's summaries, one
-    per summarizer the pool initializer installed, computed once the
-    acquisition (retries included) has succeeded.  A summarizer that
+    In a pool worker the chunk's summaries, one per summarizer the pool
+    initializer installed, are computed once the acquisition (retries
+    included) has succeeded; they ride in the ring slot with a published
+    chunk, and in the last tuple slot otherwise.  A summarizer that
     raises is not retried: its error is the consumer's own, and it
     reaches the parent in place of the chunk.
     """
@@ -319,21 +325,19 @@ def _acquire_chunk(
             "events": obs.tracer.drain(),
         }
     ring = shm_transport.worker_ring()
-    if ring is not None and not ring.broken:
+    if ring is not None:
         try:
             if faults is not None:
                 faults.check_shm_publish(index)
-            handle = ring.publish(chunk)
-        except OSError:
-            # /dev/shm exhausted mid-run (or injected): this worker's
-            # ring is done — fall back to pickling the chunk through
-            # the result pipe.  The transport only moves bytes, so the
-            # campaign's results are unchanged; the parent records the
-            # downgrade when a plain TraceSet arrives on a shm run.
-            ring.broken = True
-            ring.close()
-        else:
-            return index, handle, acquire_s, attempt, payload, summaries
+            chunk = ring.publish(chunk, summaries)
+        except OSError as exc:
+            # /dev/shm exhausted mid-run (or injected): the chunk cannot
+            # get home, which the parent treats like a dead pool — it
+            # abandons the pool and acquires the rest inline.
+            raise PoolBrokenError(
+                f"shared-memory publish of chunk {index} failed: {exc}"
+            ) from exc
+        summaries = []  # they ride in the ring slot with the chunk
     return index, chunk, acquire_s, attempt, payload, summaries
 
 
@@ -391,10 +395,7 @@ class PipelineReport:
     retried_chunks: int = 0
     #: Extra attempts beyond the first, summed over all chunks.
     total_retries: int = 0
-    #: True when the worker pool died and the engine fell back to
-    #: inline single-process acquisition for the remaining chunks.
-    degraded: bool = False
-    #: Chunks acquired inline after the pool failure.
+    #: Chunks acquired inline after the pool failed (see ``degraded``).
     degraded_chunks: int = 0
     #: First chunk index acquired by this run when resuming (``None``
     #: for a fresh campaign).
@@ -405,10 +406,15 @@ class PipelineReport:
     #: segments), ``"pickle"`` (the pool's result pipe), or ``"inline"``
     #: (no pool — single worker or nothing fresh to acquire).
     transport: str = "inline"
-    #: True when shared-memory ring allocation failed (at startup or
-    #: mid-run) and chunks fell back to the pickle result pipe.  Results
-    #: are unaffected — the transport only moves bytes.
-    transport_degraded: bool = False
+
+    @property
+    def degraded(self) -> bool:
+        """True when the pool failed and the engine finished inline.
+
+        Every pool failure inlines at least the chunk it was awaiting,
+        so this is exactly ``degraded_chunks > 0``.
+        """
+        return self.degraded_chunks > 0
 
     @property
     def traces_per_second(self) -> float:
@@ -425,10 +431,7 @@ class PipelineReport:
             f"  consume : {self.consume_seconds:.2f} s",
         ]
         if self.transport != "inline":
-            line = f"  chunks  : {self.transport} transport"
-            if self.transport_degraded:
-                line += " (shm exhausted -> DEGRADED to pickle)"
-            lines.append(line)
+            lines.append(f"  chunks  : {self.transport} transport")
         if self.stage_seconds:
             split = ", ".join(
                 f"{stage} {seconds:.2f} s"
@@ -453,7 +456,7 @@ class PipelineReport:
                 )
             if self.degraded:
                 parts.append(
-                    "pool died -> DEGRADED to inline execution for "
+                    "pool failed -> DEGRADED to inline execution for "
                     f"{self.degraded_chunks} chunk(s)"
                 )
             lines.append(f"  recovery: {'; '.join(parts)}")
@@ -725,8 +728,6 @@ class StreamingCampaign:
         stage_s: Dict[str, float] = {}
         done = sum(task[1] for task in tasks[:folded_chunks])
         retried_chunks = total_retries = degraded_chunks = 0
-        degraded = False
-        transport_degraded = False
 
         def _store_chunk(chunk: TraceSet) -> None:
             # Deferred-creation dance: the store is created lazily from
@@ -843,37 +844,29 @@ class StreamingCampaign:
             # Phase 2: acquire the remaining chunks.
             async_results = None
             if self.workers > 1 and len(fresh) > 0:
-                use_shm = shm_transport.shm_available()
                 ctx = (
                     multiprocessing.get_context(self.start_method)
                     if self.start_method
                     else multiprocessing.get_context()
                 )
                 n_procs = min(self.workers, len(fresh))
-                if use_shm:
+                if shm_transport.shm_available():
                     try:
                         ring = shm_transport.ChunkTransportRing(ctx, n_procs)
                     except OSError:
-                        # Ring allocation failed at startup (semaphores /
-                        # /dev/shm exhausted): degrade to the pickle
-                        # transport rather than aborting the campaign.
+                        # The host has no room for a ring (semaphores or
+                        # /dev/shm exhausted): chunks use the pickle pipe.
                         ring = None
-                        use_shm = False
-                        transport_degraded = True
-                        obs.metrics.inc("campaign_transport_degraded_total")
-                        obs.tracer.instant(
-                            "transport_degraded", phase="startup"
-                        )
                 offered = _summarizers(consumers)
                 pool = ctx.Pool(
                     processes=n_procs,
                     initializer=_init_pool_worker,
                     initargs=(
                         tuple(offered.values()),
-                        ring.initargs() if use_shm else None,
+                        ring.initargs() if ring is not None else None,
                     ),
                 )
-                transport_used = "shm-ring" if use_shm else "pickle"
+                transport_used = "shm-ring" if ring is not None else "pickle"
                 pool_workers = list(getattr(pool, "_pool", ()))
                 async_results = [
                     pool.apply_async(_acquire_chunk, (task,)) for task in fresh
@@ -890,26 +883,15 @@ class StreamingCampaign:
                             async_results[position], pool_workers,
                             self.chunk_timeout_s,
                         )
-                        summaries = dict(zip(offered, shipped))
                         if isinstance(chunk, shm_transport.ShmChunkHandle):
-                            chunk = ring.receive(chunk, key=self.spec.key)
+                            chunk, shipped = ring.receive(
+                                chunk, key=self.spec.key
+                            )
                             obs.metrics.inc("campaign_shm_chunks_total")
-                        elif ring is not None and not transport_degraded:
-                            # A plain TraceSet on a shm run: the worker's
-                            # ring broke mid-campaign and it downgraded
-                            # itself to the pickle result pipe.
-                            transport_degraded = True
-                            obs.metrics.inc(
-                                "campaign_transport_degraded_total"
-                            )
-                            obs.tracer.instant(
-                                "transport_degraded", phase="mid-run",
-                                chunk=task[0],
-                            )
+                        summaries = dict(zip(offered, shipped))
                     except _POOL_FAILURES:
                         # The pool (not the chunk) failed: abandon it and
                         # limp home inline rather than losing the campaign.
-                        degraded = True
                         obs.metrics.inc("campaign_pool_failures_total")
                         obs.tracer.instant(
                             "pool_degraded", chunk=task[0],
@@ -922,7 +904,7 @@ class StreamingCampaign:
                         _acquire_chunk(task)
                     )
                     summaries = {}
-                    if degraded:
+                    if async_results is not None:  # the pool was abandoned
                         degraded_chunks += 1
                         obs.metrics.inc("campaign_degraded_chunks_total")
                 if payload is not None:
@@ -975,10 +957,8 @@ class StreamingCampaign:
             stage_seconds=stage_s,
             retried_chunks=retried_chunks,
             total_retries=total_retries,
-            degraded=degraded,
             degraded_chunks=degraded_chunks,
             resumed_from_chunk=resumed_from,
             replayed_chunks=max(0, replay_until - folded_chunks),
             transport=transport_used,
-            transport_degraded=transport_degraded,
         )

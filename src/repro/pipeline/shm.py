@@ -10,11 +10,16 @@ which is the deadlock that forced the SIGKILL teardown documented on
 
 This module moves the arrays through POSIX shared memory instead.  Each
 worker owns a small **ring** of reusable segments
-(``{prefix}-w{worker}-s{slot}``); publishing a chunk packs its arrays
-into the next free slot and ships only a tiny picklable
-:class:`ShmChunkHandle` (segment name + dtype/shape/offset per field)
-through the pipe.  The parent attaches, copies the arrays out, closes
-its mapping, and releases that worker's slot semaphore.  Flow control is
+(``{prefix}-w{worker}-s{slot}``); publishing a chunk packs its arrays,
+and those of the worker-side summaries computed from it, into the next
+free slot and ships only a tiny picklable :class:`ShmChunkHandle`
+(segment name + dtype/shape/offset per field) through the pipe.  The
+parent attaches, copies the arrays out, closes its mapping, and releases
+that worker's slot semaphore.  Keeping the megabytes out of the pipe
+also keeps them off the pool's result-reader thread: its allocations
+land in a separate malloc arena, and when a full-key CPA bank's 4 MB
+summaries were unpickled there the parent's peak RSS wandered by tens
+of MB from run to run.  Flow control is
 the per-worker semaphore initialised to the ring depth: a worker more
 than :data:`RING_SLOTS` chunks ahead of the parent blocks in
 ``publish`` — bounded memory, and deadlock-free because the parent folds
@@ -44,8 +49,10 @@ manual sweeping.
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -104,8 +111,9 @@ def ring_segment_name(prefix: str, worker_id: int, slot: int) -> str:
 class ShmChunkHandle:
     """Picklable description of one chunk parked in a shared segment.
 
-    ``fields`` maps every array — the four :class:`TraceSet` fields plus
-    ``meta:<key>`` entries for array-valued chunk metadata — to its
+    ``fields`` maps every array — the four :class:`TraceSet` fields,
+    ``meta:<key>`` entries for array-valued chunk metadata and
+    ``summary:<i>`` byte buffers of the summaries — to its
     ``(name, dtype, shape, offset)`` inside ``segment``.  Everything
     else a :class:`TraceSet` needs (the key) the parent already knows
     from the campaign spec.
@@ -117,6 +125,41 @@ class ShmChunkHandle:
     sample_period_ns: float
     fields: Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
     metadata: dict
+    #: The chunk's worker-side summaries, pickled (protocol 5) with every
+    #: array out of band: each ``summary:<i>`` field is buffer ``i``.
+    summaries: bytes
+
+
+class _OutOfBandPickler(pickle.Pickler):
+    """Protocol-5 pickler that sends every array's bytes out of band.
+
+    numpy ships only contiguous arrays out of band; a strided view (a
+    CPA bank's ``Σpt`` is a column slice of its GEMM output) is made
+    contiguous first, here in the worker, instead of being copied into
+    the pickle stream.
+    """
+
+    def reducer_override(self, obj):
+        if (
+            isinstance(obj, np.ndarray)
+            and not (obj.flags.c_contiguous or obj.flags.f_contiguous)
+            and not obj.dtype.hasobject
+        ):
+            return np.ascontiguousarray(obj).__reduce_ex__(5)
+        return NotImplemented
+
+
+def _pickle_summaries(summaries) -> "Tuple[bytes, Dict[str, np.ndarray]]":
+    """The summaries' pickle stream and their arrays' bytes as fields."""
+    buffers: list = []
+    stream = io.BytesIO()
+    _OutOfBandPickler(
+        stream, protocol=5, buffer_callback=buffers.append
+    ).dump(summaries)
+    return stream.getvalue(), {
+        f"summary:{i}": np.frombuffer(buffer.raw(), dtype=np.uint8)
+        for i, buffer in enumerate(buffers)
+    }
 
 
 def _pack_layout(
@@ -165,10 +208,6 @@ class WorkerRing:
         self.semaphore = semaphore
         self._segments: dict = {}
         self._cursor = 0
-        #: Set after a publish failed (``/dev/shm`` exhausted): the
-        #: worker entry point stops publishing and falls back to
-        #: returning chunks through the pickle result pipe.
-        self.broken = False
 
     def _ensure_segment(self, slot: int, size: int):
         segment = self._segments.get(slot)
@@ -192,16 +231,21 @@ class WorkerRing:
         self._segments[slot] = segment
         return segment
 
-    def publish(self, chunk: TraceSet) -> ShmChunkHandle:
-        """Park ``chunk`` in the next free slot; blocks when ring is full.
+    def publish(self, chunk: TraceSet, summaries: list) -> ShmChunkHandle:
+        """Park ``chunk`` and its summaries in the next free slot.
+
+        Blocks while the ring is full.  The summaries' arrays share the
+        slot with the chunk's, so the result pipe only carries the handle.
 
         A failure to (re)allocate the slot's segment — ``/dev/shm`` full
         mid-campaign — releases the just-acquired semaphore (so the
-        ring's flow-control accounting stays balanced), marks the ring
-        :attr:`broken`, and re-raises the ``OSError`` for the caller to
-        fall back to the pickle transport.
+        ring's flow-control accounting stays balanced) and re-raises the
+        ``OSError``; the engine then abandons the pool and finishes the
+        campaign inline.
         """
         arrays, plain_meta = _chunk_arrays(chunk)
+        stream, summary_arrays = _pickle_summaries(summaries)
+        arrays.update(summary_arrays)
         fields, size = _pack_layout(arrays)
         self.semaphore.acquire()
         slot = self._cursor
@@ -217,8 +261,6 @@ class WorkerRing:
                 dest[...] = array
         except OSError:
             self.semaphore.release()
-            self.broken = True
-            self.close()
             raise
         return ShmChunkHandle(
             segment=segment.name,
@@ -227,12 +269,8 @@ class WorkerRing:
             sample_period_ns=chunk.sample_period_ns,
             fields=fields,
             metadata=plain_meta,
+            summaries=stream,
         )
-
-    def close(self) -> None:  # pragma: no cover - worker exit path
-        for segment in self._segments.values():
-            segment.close()
-        self._segments.clear()
 
 
 #: The pool-process ring, set by :func:`_init_worker_ring`; ``None`` in
@@ -245,28 +283,32 @@ def _init_worker_ring(prefix: str, slots: int, semaphores, counter) -> None:
     """Pool initializer: claim a worker id and build this process's ring.
 
     Ids come from a shared counter so they are dense regardless of fork
-    order.  Should the pool ever respawn a worker (a genuinely killed
-    process), the replacement wraps onto the dead worker's semaphore —
-    slot accounting stays consistent because the dead worker's
-    unreleased slots are exactly the ones whose results never arrive.
+    order.  A worker the pool respawns after one died draws an id past
+    the ring and gets no ring: its chunks come home through the result
+    pipe, and it can never share a live worker's semaphore or segments.
     """
     global _WORKER_RING
     with counter.get_lock():
         worker_id = counter.value
         counter.value += 1
-    worker_id %= len(semaphores)
-    _WORKER_RING = WorkerRing(prefix, worker_id, slots, semaphores[worker_id])
+    if worker_id < len(semaphores):
+        _WORKER_RING = WorkerRing(
+            prefix, worker_id, slots, semaphores[worker_id]
+        )
 
 
 def worker_ring() -> Optional[WorkerRing]:
     return _WORKER_RING
 
 
-def receive_chunk(handle: ShmChunkHandle, key: bytes) -> TraceSet:
-    """Copy a published chunk out of shared memory into a fresh TraceSet.
+def receive_chunk(
+    handle: ShmChunkHandle, key: bytes
+) -> "Tuple[TraceSet, list]":
+    """Copy a published chunk and its summaries out of shared memory.
 
-    The returned arrays are plain private copies — the segment can be
-    rewritten or unlinked the moment this returns.  Callers must release
+    Returns a fresh :class:`TraceSet` and the list of summaries.  Their
+    arrays are plain private copies — the segment can be rewritten or
+    unlinked the moment this returns.  Callers must release
     the worker's slot afterwards (:meth:`ChunkTransportRing.receive`
     does both).
     """
@@ -285,10 +327,14 @@ def receive_chunk(handle: ShmChunkHandle, key: bytes) -> TraceSet:
     finally:
         segment.close()
     metadata = dict(handle.metadata)
+    buffers = []
     for name in list(arrays):
         if name.startswith("meta:"):
             metadata[name[len("meta:"):]] = arrays.pop(name)
-    return TraceSet(
+        elif name.startswith("summary:"):
+            buffers.append(arrays.pop(name))
+    summaries = pickle.loads(handle.summaries, buffers=buffers)
+    chunk = TraceSet(
         traces=arrays["traces"],
         plaintexts=arrays["plaintexts"],
         ciphertexts=arrays["ciphertexts"],
@@ -297,6 +343,7 @@ def receive_chunk(handle: ShmChunkHandle, key: bytes) -> TraceSet:
         sample_period_ns=handle.sample_period_ns,
         metadata=metadata,
     )
+    return chunk, summaries
 
 
 class ChunkTransportRing:
@@ -319,11 +366,13 @@ class ChunkTransportRing:
     def initargs(self) -> tuple:
         return (self.prefix, self.slots, self._semaphores, self._counter)
 
-    def receive(self, handle: ShmChunkHandle, key: bytes) -> TraceSet:
-        """Materialise a handle and free its worker's slot."""
-        chunk = receive_chunk(handle, key)
+    def receive(
+        self, handle: ShmChunkHandle, key: bytes
+    ) -> "Tuple[TraceSet, list]":
+        """Materialise a handle's chunk and summaries; free the slot."""
+        received = receive_chunk(handle, key)
         self._semaphores[handle.worker_id].release()
-        return chunk
+        return received
 
     def segment_names(self) -> "list[str]":
         return [

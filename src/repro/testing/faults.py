@@ -15,7 +15,7 @@ demand:
   ``ENOSPC`` while persisting chunk *K* (mid-append: the first field
   file lands, the second raises), ``shm-alloc-fail@K`` makes the
   shared-memory ring's allocation fail when publishing chunk *K*
-  (the transport must degrade to pickle, not abort), and
+  (the engine must abandon the pool and finish inline, not abort), and
   ``journal-torn@N`` tears the service job journal mid-append of
   record *N* (a trailing fragment, exactly the footprint of a daemon
   killed between ``write`` and ``flush``).  ``slow-client`` and
@@ -87,8 +87,8 @@ class FaultPlan:
     shm_alloc_failures:
         Chunk indices whose shared-memory publish fails with
         ``OSError(ENOSPC)`` inside the worker, as a full ``/dev/shm``
-        would; the engine must fall back to the pickle transport for
-        that worker and keep the campaign alive.
+        would; the engine must abandon the pool, acquire that chunk and
+        every later one inline, and keep the campaign alive.
     journal_torn_record:
         1-based journal record index after which the service job journal
         is torn mid-append (the line is half-written and the process

@@ -103,6 +103,22 @@ class TestEngineEquivalence:
         got = CpaEngine(traces, cts, model=constant_model).attack_byte(0)
         np.testing.assert_array_equal(got.peak_corr, np.zeros(256))
 
+    def test_tiled_gemm_matches_untiled(self, monkeypatch):
+        # S = 257 splits into 128-sample tiles plus a 1-sample tail.
+        rng = np.random.default_rng(7)
+        traces = rng.normal(size=(2000, 257))
+        cts = rng.integers(0, 256, size=(2000, 16), dtype=np.uint8)
+        untiled = CpaEngine(traces, cts)
+        monkeypatch.setattr(CpaEngine, "_AUTO_TILE_MIN_TRACES", 1)
+        tiled = CpaEngine(traces, cts)
+        for b in (0, 7, 15):
+            ref = untiled.attack_byte(b, keep_corr_matrix=True)
+            got = tiled.attack_byte(b, keep_corr_matrix=True)
+            np.testing.assert_allclose(
+                got.corr_matrix, ref.corr_matrix, atol=1e-12, rtol=0.0
+            )
+            assert got.best_guess == ref.best_guess
+
     def test_validation(self, dataset):
         traces, cts = dataset
         with pytest.raises(AttackError):

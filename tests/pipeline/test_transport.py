@@ -5,22 +5,30 @@ it and through the pickle pipe otherwise; the tests force the pickle
 path by patching ``shm_available``.  Campaign results must be
 bit-identical across {pickle, shm} transports and any worker count,
 shared-memory segments must never outlive the campaign (normal exit,
-pool death, chunk timeout), and the shm teardown path must be the
-prompt synchronous one (no SIGKILL reaper thread — that workaround
-exists only for the pickle pipe deadlock).
+pool death, chunk timeout, a failed publish), and the shm teardown path
+must be the prompt synchronous one (no SIGKILL reaper thread — that
+workaround is for the pickle pipe deadlock).  The prompt teardown is
+still bounded: a worker the pool respawned gets no ring and pipes whole
+chunks, so a worker mid-write of one can wedge it the same way.
 """
 
 import itertools
+import multiprocessing
 import os
+import pickle
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.attacks import IncrementalCpaBank
 from repro.obs import Observability
 from repro.pipeline import CampaignSpec, CpaStreamConsumer, StreamingCampaign
 from repro.pipeline import engine as engine_module
 from repro.pipeline import shm as shm_transport
+from repro.power import TraceSet
 from repro.testing.faults import FaultPlan
 
 TRACES = 1600
@@ -92,6 +100,44 @@ def test_shm_transport_reported_counted_and_swept():
     assert _ring_segments() <= before
 
 
+@requires_shm
+def test_summaries_ride_in_the_ring_slot_not_the_pipe():
+    """A published chunk's summaries come back equal from the slot, a
+    strided array among them, while the handle the result pipe carries
+    stays a few kB next to a 4 MB full-key CPA summary."""
+    rng = np.random.default_rng(4)
+    chunk = TraceSet(
+        traces=rng.normal(size=(CHUNK, 256)).astype(np.float32),
+        plaintexts=rng.integers(0, 256, (CHUNK, 16), dtype=np.uint8),
+        ciphertexts=rng.integers(0, 256, (CHUNK, 16), dtype=np.uint8),
+        key=bytes(16),
+        completion_times_ns=rng.uniform(size=CHUNK),
+        sample_period_ns=1.0,
+        metadata={"chunk_index": 0},
+    )
+    summary = IncrementalCpaBank().chunk_summary(
+        chunk.traces, chunk.ciphertexts
+    )
+    assert not summary.sum_pt.flags.c_contiguous  # a GEMM column slice
+    assert summary.sum_pt.nbytes > 4_000_000
+    ring = shm_transport.ChunkTransportRing(multiprocessing.get_context(), 1)
+    prefix, slots, semaphores, _ = ring.initargs()
+    publisher = shm_transport.WorkerRing(prefix, 0, slots, semaphores[0])
+    try:
+        handle = publisher.publish(chunk, [summary, ("tag", 7)])
+        assert len(pickle.dumps(handle)) < 8192
+        received, (shipped, extra) = ring.receive(handle, key=chunk.key)
+    finally:
+        ring.unlink_all()
+    np.testing.assert_array_equal(received.traces, chunk.traces)
+    assert extra == ("tag", 7)
+    for name in ("sum_t", "sum_t2", "sum_p", "sum_p2", "sum_pt"):
+        np.testing.assert_array_equal(
+            getattr(shipped, name), getattr(summary, name)
+        )
+    assert shipped.n_traces == summary.n_traces
+
+
 def test_auto_transport_falls_back_to_pickle(monkeypatch):
     _force_pickle(monkeypatch)
     report = _run(workers=2)
@@ -118,18 +164,25 @@ def test_pool_death_under_shm_degrades_bit_identical_and_sweeps():
 
 
 @requires_shm
-def test_midrun_shm_alloc_failure_degrades_to_pickle_bit_identical():
+@pytest.mark.parametrize("failing_chunk", [0, 1, 3])
+def test_midrun_shm_alloc_failure_finishes_inline_bit_identical(
+    failing_chunk,
+):
+    """A chunk that cannot be published takes the dead-pool path: the
+    chunks before it arrive through the ring, it and every later chunk
+    are acquired inline."""
     baseline = _run(workers=1)
     before = _ring_segments()
     obs = Observability.create()
     report = _run(
-        workers=2, faults=FaultPlan.parse("shm-alloc-fail@1"), obs=obs
+        workers=2,
+        faults=FaultPlan.parse(f"shm-alloc-fail@{failing_chunk}"),
+        obs=obs,
     )
-    # The campaign survives on pickle transport, not aborts.
-    assert report.transport_degraded
-    assert not report.degraded  # the *pool* stayed up
-    assert "DEGRADED to pickle" in report.summary()
-    assert obs.metrics.counter_value("campaign_transport_degraded_total") == 1
+    assert report.degraded
+    assert report.degraded_chunks == N_CHUNKS - failing_chunk
+    assert "DEGRADED to inline" in report.summary()
+    assert obs.metrics.counter_value("campaign_pool_failures_total") == 1
     np.testing.assert_array_equal(
         report.results["cpa[0]"].peak_corr,
         baseline.results["cpa[0]"].peak_corr,
@@ -137,7 +190,7 @@ def test_midrun_shm_alloc_failure_degrades_to_pickle_bit_identical():
     assert _ring_segments() <= before
 
 
-def test_startup_ring_failure_degrades_instead_of_aborting(monkeypatch):
+def test_startup_ring_failure_uses_pickle_without_degrading(monkeypatch):
     baseline = _run(workers=1)
 
     def _explode(*args, **kwargs):
@@ -145,21 +198,18 @@ def test_startup_ring_failure_degrades_instead_of_aborting(monkeypatch):
 
     monkeypatch.setattr(shm_transport, "shm_available", lambda: True)
     monkeypatch.setattr(shm_transport, "ChunkTransportRing", _explode)
-    obs = Observability.create()
-    report = _run(workers=2, obs=obs)
-    assert report.transport_degraded
+    report = _run(workers=2)
     assert report.transport == "pickle"
-    assert obs.metrics.counter_value("campaign_transport_degraded_total") == 1
+    assert not report.degraded
     np.testing.assert_array_equal(
         report.results["cpa[0]"].peak_corr,
         baseline.results["cpa[0]"].peak_corr,
     )
 
 
-def test_healthy_run_reports_no_transport_degradation(monkeypatch):
-    _force_pickle(monkeypatch)
+def test_healthy_run_reports_no_transport_degradation():
     report = _run(workers=2)
-    assert not report.transport_degraded
+    assert not report.degraded
     assert "DEGRADED" not in report.summary()
 
 
@@ -234,6 +284,60 @@ def test_stale_empty_segment_under_ring_name_is_reclaimed(monkeypatch):
             os.unlink(os.path.join("/dev/shm", name))
 
 
+def _ring_id(delay_s):
+    """Pool task: this worker's pid and ring id (``None``: no ring)."""
+    time.sleep(delay_s)
+    ring = shm_transport.worker_ring()
+    return os.getpid(), None if ring is None else ring.worker_id
+
+
+@requires_shm
+def test_respawned_worker_never_shares_a_live_workers_ring():
+    """The pool replaces a SIGKILLed worker; the replacement must not
+    claim the ring id (semaphore, segment names) of a live worker."""
+    ctx = multiprocessing.get_context("spawn")
+    ring = shm_transport.ChunkTransportRing(ctx, 2)
+    pool = ctx.Pool(
+        2, initializer=shm_transport._init_worker_ring,
+        initargs=ring.initargs(),
+    )
+
+    def ring_ids(pids):
+        seen = {}
+        for _ in range(50):
+            batch = pool.map_async(_ring_id, [0.02] * 8, chunksize=1)
+            seen.update(batch.get(timeout=30))
+            if set(pids) <= set(seen):
+                return {pid: seen[pid] for pid in pids}
+        pytest.fail(f"workers {set(pids) - set(seen)} never ran a task")
+
+    try:
+        ids = ring_ids([proc.pid for proc in pool._pool])
+        assert sorted(ids.values()) == [0, 1]
+        victim = next(pid for pid, worker_id in ids.items() if worker_id == 1)
+        survivor = next(pid for pid in ids if pid != victim)
+        for _ in range(2):  # one slow task per worker
+            pool.apply_async(_ring_id, (1.0,))
+        time.sleep(0.3)
+        os.kill(victim, signal.SIGKILL)  # mid-task; its result is lost
+        deadline = time.monotonic() + 30
+        while True:
+            live = [p.pid for p in pool._pool if p.exitcode is None]
+            if victim not in live and len(live) == 2:
+                break
+            assert time.monotonic() < deadline, "pool never respawned"
+            time.sleep(0.05)
+        ids = ring_ids(live)
+        claimed = [wid for wid in ids.values() if wid is not None]
+        assert len(claimed) == len(set(claimed))
+        (replacement,) = set(live) - {survivor}
+        assert ids[replacement] is None
+    finally:
+        pool.terminate()
+        pool.join()
+        ring.unlink_all()
+
+
 class _FakeWorker:
     exitcode = None
 
@@ -268,8 +372,9 @@ def test_prompt_teardown_never_kills_a_pool_that_terminates():
 
 
 def test_prompt_teardown_is_bounded(monkeypatch):
-    """A wedged terminate() (a worker whose ring broke, mid-write of a
-    pickled chunk) must cost the bound, then SIGKILL, never a hang."""
+    """A wedged terminate() (a worker mid-write of a result larger than
+    the pipe buffer: a ringless respawned worker's whole chunk) must
+    cost the bound, then SIGKILL, never a hang."""
     monkeypatch.setattr(engine_module, "_PROMPT_TEARDOWN_S", 0.05)
     pool = _FakePool(terminate_blocks=True)
     engine_module._abandon_pool(pool, prompt=True)

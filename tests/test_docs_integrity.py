@@ -105,6 +105,21 @@ def test_readme_examples_exist():
         assert hits, f"README references missing file {name}.py"
 
 
+def test_observability_catalogue_metrics_exist():
+    """Every metric in docs/observability.md's tables is emitted by name."""
+    text = (ROOT / "docs" / "observability.md").read_text()
+    names = re.findall(r"^\| `(\w+)` \|", text, re.MULTILINE)
+    assert len(names) >= 30, f"found only {len(names)} catalogue rows"
+    source = "\n".join(
+        p.read_text() for p in (ROOT / "src" / "repro").rglob("*.py")
+    )
+    missing = [
+        name for name in names
+        if f'"{name}"' not in source and f"'{name}'" not in source
+    ]
+    assert not missing, f"catalogued but never emitted: {missing}"
+
+
 def _cli_lines(text):
     """Yield the argv of every CLI command line in fenced code blocks.
 
