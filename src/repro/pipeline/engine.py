@@ -20,6 +20,9 @@ is identical for 1 or N workers (asserted by the test suite).  The same
 holds for a :class:`~repro.pipeline.consumers.SummarizingConsumer`,
 whose per-chunk summary a pooled run computes in the worker that
 acquired the chunk: the parent folds the summaries in index order.
+Store writes split the same way: the process that acquired a chunk
+writes and hashes its files, and the parent commits the manifest
+entries in index order, so store bytes are identical too.
 
 Fault tolerance
 ---------------
@@ -60,7 +63,16 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -69,6 +81,7 @@ from repro.errors import (
     CheckpointError,
     ConfigurationError,
     PoolBrokenError,
+    StorageExhaustedError,
 )
 from repro.obs import NULL_OBS, Observability
 from repro.pipeline import shm as shm_transport
@@ -77,24 +90,33 @@ from repro.pipeline.consumers import SummarizingConsumer, TraceConsumer
 from repro.pipeline.retry import RetryPolicy
 from repro.pipeline.spec import CampaignSpec
 from repro.power.acquisition import TraceSet
-from repro.store import ChunkedTraceStore
+from repro.store import (
+    ChunkedTraceStore,
+    WrittenChunk,
+    count_write_failure,
+    discard_chunk_files,
+    write_chunk_files,
+)
 from repro.testing.faults import FaultPlan
 from repro.utils.blas import set_blas_threads
 
-#: A unit of worker work: (chunk index, trace count, chunk seed, spec,
-#: retry policy, fault plan, observe flag, absolute trace offset).
-#: The offset is the campaign index of the chunk's first trace — what
-#: environment-drift models key on (see :mod:`repro.power.drift`).
-_ChunkTask = Tuple[
-    int,
-    int,
-    np.random.SeedSequence,
-    CampaignSpec,
-    RetryPolicy,
-    Optional[FaultPlan],
-    bool,
-    int,
-]
+class _ChunkTask(NamedTuple):
+    """A unit of worker work: everything needed to acquire one chunk."""
+
+    index: int
+    n_traces: int
+    seed: np.random.SeedSequence
+    spec: CampaignSpec
+    retry: RetryPolicy
+    faults: Optional[FaultPlan]
+    observe: bool
+    #: Campaign index of the chunk's first trace — what
+    #: environment-drift models key on (see :mod:`repro.power.drift`).
+    trace_offset: int
+    #: Where the acquiring process writes the chunk's files: (store
+    #: directory, compression, store chunk index); ``None`` without a
+    #: store.
+    store: Optional[Tuple[Path, str, int]] = None
 
 #: What a worker ships home besides the chunk: its private metrics
 #: snapshot and drained trace events (``None`` when not observing).
@@ -172,11 +194,23 @@ def _abandon_pool(pool, prompt: bool = False) -> None:
     wait is bounded by :data:`_PROMPT_TEARDOWN_S`; past it the workers
     are SIGKILLed and the wedged teardown is left to finish, or not, on
     its daemon thread.
+
+    Either way no worker the pool had is still running when this returns
+    (a SIGKILLed one is waited for, up to :data:`_PROMPT_TEARDOWN_S`), so
+    none is still writing chunk files when the inline fallback rewrites
+    them or the engine deletes the files of chunks it never committed.
     """
+    killed: list = []
+    kills_sent = threading.Event()
 
     def reap() -> None:
         if not prompt:
-            _kill_workers(pool)
+            # Kill and terminate back to back in one thread: a worker the
+            # pool respawns in between would go on acquiring chunks.
+            try:
+                killed.extend(_kill_workers(pool))
+            finally:
+                kills_sent.set()
         pool.terminate()
         pool.join()
 
@@ -188,13 +222,24 @@ def _abandon_pool(pool, prompt: bool = False) -> None:
     if prompt:
         reaper.join(_PROMPT_TEARDOWN_S)
         if reaper.is_alive():
-            _kill_workers(pool)
+            killed = _kill_workers(pool)
+    else:
+        kills_sent.wait()
+    deadline = time.perf_counter() + _PROMPT_TEARDOWN_S
+    while any(proc.exitcode is None for proc in killed):
+        if time.perf_counter() >= deadline:
+            break
+        time.sleep(0.01)
 
 
-def _kill_workers(pool) -> None:
-    for proc in getattr(pool, "_pool", ()):
-        if proc.exitcode is None:
-            proc.kill()
+def _kill_workers(pool) -> list:
+    """SIGKILL the pool's live workers; returns the processes killed."""
+    killed = [
+        proc for proc in getattr(pool, "_pool", ()) if proc.exitcode is None
+    ]
+    for proc in killed:
+        proc.kill()
+    return killed
 
 
 def _summarizers(consumers: Sequence[TraceConsumer]) -> Dict[int, object]:
@@ -245,6 +290,7 @@ def _acquire_chunk(
     int,
     _ObsPayload,
     list,
+    Optional[WrittenChunk],
 ]:
     """Worker entry point: build a fresh device and acquire one chunk.
 
@@ -277,8 +323,18 @@ def _acquire_chunk(
     chunk, and in the last tuple slot otherwise.  A summarizer that
     raises is not retried: its error is the consumer's own, and it
     reaches the parent in place of the chunk.
+
+    When the task names a store, this process then writes the chunk's
+    files into it (:func:`~repro.store.write_chunk_files`, under a
+    ``store_write`` span) and ships home only their checksums and byte
+    counts, in the last tuple slot; the parent commits them in chunk
+    order.  A failed write is not retried: it raises, like a failed
+    append in the parent would.
     """
-    index, n, chunk_seed, spec, retry, faults, observe, trace_offset = task
+    (
+        index, n, chunk_seed, spec, retry, faults, observe, trace_offset,
+        store_target,
+    ) = task
     obs = Observability.create(origin=f"worker:chunk-{index}") if observe else NULL_OBS
     started = time.perf_counter()
     device_seq, data_seq = chunk_seed.spawn(2)
@@ -318,6 +374,13 @@ def _acquire_chunk(
     for summarizer in _WORKER_SUMMARIZERS:
         with obs.tracer.span("summarize", chunk=index, consumer=summarizer.name):
             summaries.append(summarizer.summarize(chunk))
+    written = None
+    if store_target is not None:
+        directory, compression, store_index = store_target
+        with obs.tracer.span("store_write", chunk=index):
+            written = write_chunk_files(
+                directory, store_index, chunk, compression, faults
+            )
     payload: _ObsPayload = None
     if observe:
         payload = {
@@ -338,7 +401,7 @@ def _acquire_chunk(
                 f"shared-memory publish of chunk {index} failed: {exc}"
             ) from exc
         summaries = []  # they ride in the ring slot with the chunk
-    return index, chunk, acquire_s, attempt, payload, summaries
+    return index, chunk, acquire_s, attempt, payload, summaries, written
 
 
 @dataclass
@@ -365,8 +428,11 @@ class PipelineReport:
     """Outcome + per-stage wall-clock accounting of one pipeline run.
 
     ``acquire_seconds`` sums per-chunk worker time (it exceeds the wall
-    clock when workers overlap); ``consume_seconds`` and
-    ``store_seconds`` are parent-side folding and persistence time.
+    clock when workers overlap); ``consume_seconds`` is parent-side
+    folding time.  ``store_seconds`` is the parent-side commit only
+    (checks, disk budget, manifest rewrite): a chunk's files are
+    written and hashed by the process that acquired it, a pool worker
+    on a pooled run, and that time is part of ``acquire_seconds``.
 
     The recovery fields tell an operator whether the run limped home:
     ``retried_chunks``/``total_retries`` count worker-side retries,
@@ -496,9 +562,11 @@ class StreamingCampaign:
         forever.
     store_budget_bytes:
         Optional disk budget applied to the campaign's store
-        (:attr:`ChunkedTraceStore.disk_budget_bytes`): an append that
-        would breach it fails with
-        :class:`~repro.errors.StorageExhaustedError` before any I/O.
+        (:attr:`ChunkedTraceStore.disk_budget_bytes`).  It is checked
+        when the parent commits a chunk, after the acquiring process
+        wrote the chunk's files: a chunk that would breach it fails
+        with :class:`~repro.errors.StorageExhaustedError` and its files
+        are deleted.
     faults:
         Optional :class:`~repro.testing.faults.FaultPlan` driving the
         deterministic fault-injection harness (tests / ``--inject-fault``).
@@ -558,7 +626,7 @@ class StreamingCampaign:
         for index in range(1, len(sizes)):
             offsets[index] = offsets[index - 1] + sizes[index - 1]
         return [
-            (
+            _ChunkTask(
                 index, size, seeds[index], self.spec, self.retry, self.faults,
                 observe, offsets[index],
             )
@@ -653,7 +721,7 @@ class StreamingCampaign:
             store = ChunkedTraceStore.open(store)
         replay_until = ckpt.chunks_done
         if store is not None:
-            layout = [task[1] for task in tasks]
+            layout = [task.n_traces for task in tasks]
             if store.n_chunks > len(tasks):
                 raise CheckpointError(
                     f"store holds {store.n_chunks} chunks; the campaign has "
@@ -700,8 +768,9 @@ class StreamingCampaign:
     ) -> PipelineReport:
         store_path: Optional[Path] = None
         if store is not None and not isinstance(store, ChunkedTraceStore):
-            # Deferred: created from the first chunk, which knows the
-            # sample period without building a throwaway device here.
+            # Deferred: created at the first commit, from the first chunk,
+            # which knows the sample period without building a throwaway
+            # device here.
             store_path, store = Path(store), None
         if checkpoint_path is not None:
             checkpoint_path = Path(checkpoint_path)
@@ -710,6 +779,9 @@ class StreamingCampaign:
                 self.spec, self.seed, self.chunk_size, n_traces,
                 folded_chunks, consumers,
             )
+        if store_path is not None:
+            # Chunk files are written before that first commit.
+            ChunkedTraceStore.prepare(store_path)
         self.spec.warm_caches()
 
         obs = self.obs
@@ -726,10 +798,10 @@ class StreamingCampaign:
         started = time.perf_counter()
         acquire_s = consume_s = store_s = 0.0
         stage_s: Dict[str, float] = {}
-        done = sum(task[1] for task in tasks[:folded_chunks])
+        done = sum(task.n_traces for task in tasks[:folded_chunks])
         retried_chunks = total_retries = degraded_chunks = 0
 
-        def _store_chunk(chunk: TraceSet) -> None:
+        def _store_chunk(chunk: TraceSet, written: WrittenChunk) -> None:
             # Deferred-creation dance: the store is created lazily from
             # the first persisted chunk, which knows the sample period.
             nonlocal store
@@ -749,16 +821,19 @@ class StreamingCampaign:
             store.faults = self.faults
             if self.store_budget_bytes is not None:
                 store.disk_budget_bytes = self.store_budget_bytes
-            store.append(chunk)
+            store.append(chunk, written)
 
         def fold(
             index: int, chunk: TraceSet, persist: bool,
             summaries: Dict[int, object],
+            written: Optional[WrittenChunk] = None,
         ) -> None:
             """Stream one chunk (replayed or fresh) through store/consumers.
 
             ``summaries`` holds the worker-computed summary of each
-            consumer (by position) that folds one instead of the chunk.
+            consumer (by position) that folds one instead of the chunk;
+            ``written`` describes the chunk's files, already written by
+            the process that acquired it, for the store to commit.
             """
             nonlocal consume_s, store_s, done
             # Pop, don't get: wall-clock stage timings must never reach
@@ -772,10 +847,10 @@ class StreamingCampaign:
                 "fold_chunk", chunk=index, traces=chunk.n_traces,
                 replayed=not persist,
             ):
-                if persist and (store is not None or store_path is not None):
+                if written is not None:
                     t0 = time.perf_counter()
                     with obs.tracer.span("store_append", chunk=index):
-                        _store_chunk(chunk)
+                        _store_chunk(chunk, written)
                     elapsed = time.perf_counter() - t0
                     store_s += elapsed
                     obs.metrics.observe("campaign_store_append_seconds", elapsed)
@@ -825,6 +900,18 @@ class StreamingCampaign:
                 self.faults.check_crash(index)
 
         fresh = tasks[max(folded_chunks, replay_until):]
+        # Fresh chunk k is written as store chunk store_base + k, so the
+        # parent's in-order commits meet exactly the files written.
+        store_dir = store.path if store is not None else store_path
+        store_base = store.n_chunks if store is not None else 0
+        if store_dir is not None:
+            compression = (
+                store.compression if store is not None else self.spec.compression
+            )
+            fresh = [
+                task._replace(store=(store_dir, compression, store_base + k))
+                for k, task in enumerate(fresh)
+            ]
         pool = None
         ring = None
         transport_used = "inline"
@@ -834,10 +921,10 @@ class StreamingCampaign:
             # untouched and consumer folds see the exact same data.
             for index in range(folded_chunks, replay_until):
                 chunk = store.chunk(index)
-                if chunk.n_traces != tasks[index][1]:
+                if chunk.n_traces != tasks[index].n_traces:
                     raise CheckpointError(
                         f"stored chunk {index} holds {chunk.n_traces} traces; "
-                        f"the campaign layout expects {tasks[index][1]}"
+                        f"the campaign layout expects {tasks[index].n_traces}"
                     )
                 fold(index, chunk, persist=False, summaries={})
 
@@ -872,41 +959,50 @@ class StreamingCampaign:
                     pool.apply_async(_acquire_chunk, (task,)) for task in fresh
                 ]
             for position, task in enumerate(fresh):
-                if pool is not None:
-                    try:
-                        if self.faults is not None:
-                            self.faults.check_pool(task[0])
+                try:
+                    if pool is not None:
+                        try:
+                            if self.faults is not None:
+                                self.faults.check_pool(task.index)
+                            (
+                                index, chunk, chunk_acquire_s, attempts,
+                                payload, shipped, written,
+                            ) = _await_chunk(
+                                async_results[position], pool_workers,
+                                self.chunk_timeout_s,
+                            )
+                            if isinstance(chunk, shm_transport.ShmChunkHandle):
+                                chunk, shipped = ring.receive(
+                                    chunk, key=self.spec.key
+                                )
+                                obs.metrics.inc("campaign_shm_chunks_total")
+                            summaries = dict(zip(offered, shipped))
+                        except _POOL_FAILURES:
+                            # The pool (not the chunk) failed: abandon it
+                            # and limp home inline rather than losing the
+                            # campaign.
+                            obs.metrics.inc("campaign_pool_failures_total")
+                            obs.tracer.instant(
+                                "pool_degraded", chunk=task.index,
+                                remaining=len(fresh) - position,
+                            )
+                            _abandon_pool(pool, prompt=ring is not None)
+                            pool = None
+                    if pool is None:
                         (
                             index, chunk, chunk_acquire_s, attempts, payload,
-                            shipped,
-                        ) = _await_chunk(
-                            async_results[position], pool_workers,
-                            self.chunk_timeout_s,
-                        )
-                        if isinstance(chunk, shm_transport.ShmChunkHandle):
-                            chunk, shipped = ring.receive(
-                                chunk, key=self.spec.key
-                            )
-                            obs.metrics.inc("campaign_shm_chunks_total")
-                        summaries = dict(zip(offered, shipped))
-                    except _POOL_FAILURES:
-                        # The pool (not the chunk) failed: abandon it and
-                        # limp home inline rather than losing the campaign.
-                        obs.metrics.inc("campaign_pool_failures_total")
-                        obs.tracer.instant(
-                            "pool_degraded", chunk=task[0],
-                            remaining=len(fresh) - position,
-                        )
-                        _abandon_pool(pool, prompt=ring is not None)
-                        pool = None
-                if pool is None:
-                    index, chunk, chunk_acquire_s, attempts, payload, _ = (
-                        _acquire_chunk(task)
-                    )
-                    summaries = {}
-                    if async_results is not None:  # the pool was abandoned
-                        degraded_chunks += 1
-                        obs.metrics.inc("campaign_degraded_chunks_total")
+                            _, written,
+                        ) = _acquire_chunk(task)
+                        summaries = {}
+                        if async_results is not None:  # the pool was abandoned
+                            degraded_chunks += 1
+                            obs.metrics.inc("campaign_degraded_chunks_total")
+                except (StorageExhaustedError, OSError) as exc:
+                    # The chunk's file write failed where it was acquired;
+                    # a failing worker ships no metrics, so count it here.
+                    if task.store is not None:
+                        count_write_failure(obs.metrics, exc)
+                    raise
                 if payload is not None:
                     obs.metrics.merge_snapshot(payload["metrics"])
                     obs.tracer.extend(payload["events"])
@@ -919,7 +1015,10 @@ class StreamingCampaign:
                     total_retries += attempts - 1
                     obs.metrics.inc("campaign_retried_chunks_total")
                     obs.metrics.inc("campaign_retries_total", attempts - 1)
-                fold(index, chunk, persist=True, summaries=summaries)
+                fold(
+                    index, chunk, persist=True, summaries=summaries,
+                    written=written,
+                )
         except BaseException:
             # Workers may still be mid-chunk; close()+join() would block
             # on them while the campaign is already dead.  Kill the pool,
@@ -937,6 +1036,16 @@ class StreamingCampaign:
                 # degrade, timeout, crash, SIGINT — so no segment can
                 # outlive the campaign.
                 ring.unlink_all()
+            if store_dir is not None:
+                # Workers run ahead of the commits: on a pause, cancel or
+                # failure, delete the files of every store chunk this run
+                # was to write and did not commit.  The pool is gone, so
+                # no worker writes behind this sweep.
+                committed = store.n_chunks if store is not None else 0
+                discard_chunk_files(
+                    store_dir, range(committed, store_base + len(fresh)),
+                    compression,
+                )
 
         obs.metrics.set_gauge(
             "campaign_wall_seconds", time.perf_counter() - started

@@ -15,6 +15,10 @@ from repro.store.chunked import (
     STORE_FORMAT_VERSION,
     ChunkedTraceStore,
     StoreVerification,
+    WrittenChunk,
+    count_write_failure,
+    discard_chunk_files,
+    write_chunk_files,
 )
 
 __all__ = [
@@ -23,4 +27,8 @@ __all__ = [
     "QUARANTINE_DIR",
     "STORE_FORMAT_VERSION",
     "StoreVerification",
+    "WrittenChunk",
+    "count_write_failure",
+    "discard_chunk_files",
+    "write_chunk_files",
 ]

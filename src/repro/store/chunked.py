@@ -45,22 +45,33 @@ cover the stored (compressed) bytes — and :meth:`verify` additionally
 round-trip decompresses compressed chunk files.  v1/v2 stores still
 open; they read as ``compression="none"`` with an unrecorded dtype.
 
+Writing and committing are two steps.  :func:`write_chunk_files` writes
+one chunk's files under their final names and hashes the bytes as it
+writes them; :meth:`ChunkedTraceStore.append` commits the chunk's
+manifest entry.  A direct ``append(chunk)`` does both; the campaign
+engine runs the writer in whichever process acquired the chunk (a pool
+worker, or the parent when inline) and the parent only commits, in
+chunk order.
+
 Resource exhaustion: every chunk file is written to a ``.tmp`` sibling
-and atomically renamed into place, so a full disk mid-append can never
+and atomically renamed into place, so a full disk mid-write can never
 leave a half-written chunk file behind — on any write failure the
-append deletes its temporaries *and* the files it already renamed, then
+writer deletes its temporaries *and* the files it already renamed, then
 re-raises ``ENOSPC``-family errors as the typed
 :class:`~repro.errors.StorageExhaustedError` (the store stays loadable
 and ``verify`` stays clean, the failed chunk simply absent).  Setting
-:attr:`ChunkedTraceStore.disk_budget_bytes` preflights each append
-against a byte budget, failing *before* any I/O once stored bytes plus
-the incoming chunk's raw size would breach it.
+:attr:`ChunkedTraceStore.disk_budget_bytes` checks each append against
+a byte budget, failing once stored bytes plus the incoming chunk's raw
+size would breach it: before any I/O on a direct ``append(chunk)``, and
+at commit (deleting the chunk's written files) when the files were
+written ahead.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
+import io
 import json
 import os
 import time
@@ -68,7 +79,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -115,6 +126,187 @@ def _sha256(path: Path) -> str:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def _stem(index: int) -> str:
+    return f"chunk-{index:05d}"
+
+
+def _field_name(stem: str, suffix: str, compression: str) -> str:
+    ext = "npz" if compression == "zstd-npz" else "npy"
+    return f"{stem}.{suffix}.{ext}"
+
+
+def _chunk_file_names(stem: str, compression: str) -> List[str]:
+    """Every final file name a chunk can have (fields, then sidecar)."""
+    names = [_field_name(stem, suffix, compression) for suffix, _ in _CHUNK_FIELDS]
+    return names + [f"{stem}.meta.npz"]
+
+
+def _npy_parts(array: np.ndarray) -> list:
+    """The bytes ``np.save`` writes for a C-contiguous ``array``.
+
+    The version 1.0 header ``np.save`` picks for every array a chunk
+    holds, then the array's own buffer (no copy).
+    """
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(array)
+    )
+    return [header.getvalue(), array.reshape(-1).view(np.uint8)]
+
+
+def _npz_parts(**arrays: np.ndarray) -> list:
+    """The bytes ``np.savez_compressed`` writes to a seekable file.
+
+    Built in memory: ``zipfile`` writes other bytes (data descriptors)
+    to a stream it cannot seek, so the archive cannot be hashed on its
+    way to the disk.
+    """
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    return [buffer.getbuffer()]
+
+
+def _write_hashed(file: Path, parts: list) -> "tuple[str, int]":
+    """Write ``parts`` to ``file``; return the SHA-256 and size written.
+
+    The bytes go to a ``.tmp`` sibling named after this process, are
+    fsynced and renamed into place: a crash (or ``ENOSPC``) mid-write
+    leaves only the temporary, which quarantine-on-open sweeps aside,
+    and two processes writing the same chunk never share a temporary.
+    """
+    tmp = file.with_name(f"{file.name}.{os.getpid()}.tmp")
+    digest = hashlib.sha256()
+    size = 0
+    try:
+        with open(tmp, "wb") as handle:
+            for part in parts:
+                handle.write(part)
+                digest.update(part)
+                size += memoryview(part).nbytes
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, file)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:  # pragma: no cover - cleanup best-effort
+            pass
+        raise
+    return digest.hexdigest(), size
+
+
+def _chunk_payloads(stem: str, chunk: TraceSet, compression: str):
+    """Yield (file name, raw bytes, parts to write) per file, in write order."""
+    for suffix, attr in _CHUNK_FIELDS:
+        array = np.ascontiguousarray(getattr(chunk, attr))
+        parts = (
+            _npz_parts(data=array)
+            if compression == "zstd-npz"
+            else _npy_parts(array)
+        )
+        yield _field_name(stem, suffix, compression), array.nbytes, parts
+    _, array_meta = _split_metadata(chunk.metadata)
+    if array_meta:
+        raw = sum(a.nbytes for a in array_meta.values())
+        yield f"{stem}.meta.npz", raw, _npz_parts(**array_meta)
+
+
+@dataclass(frozen=True)
+class WrittenChunk:
+    """What :func:`write_chunk_files` reports: all a commit needs of the files.
+
+    ``files`` maps each file name to the SHA-256 of the bytes written;
+    the files themselves stay on disk under their final names.
+    """
+
+    index: int
+    files: Dict[str, str]
+    raw_bytes: int
+    stored_bytes: int
+
+
+def write_chunk_files(
+    directory: Union[str, Path],
+    index: int,
+    chunk: TraceSet,
+    compression: str = "none",
+    faults=None,
+) -> WrittenChunk:
+    """Write chunk ``index``'s files into a store directory, hashed as written.
+
+    The four field files and, when the chunk carries array-valued
+    metadata, its ``.meta.npz`` sidecar land under their final names
+    (see :func:`_write_hashed`).  On any write failure the files already
+    renamed are deleted again; ``ENOSPC``/quota errors re-raise as
+    :class:`~repro.errors.StorageExhaustedError`, other ``OSError`` as
+    is.  ``faults`` is an optional
+    :class:`~repro.testing.faults.FaultPlan` whose ``enospc@K``
+    directives fire here.  Nothing is committed: the chunk belongs to a
+    store once :meth:`ChunkedTraceStore.append` records the returned
+    :class:`WrittenChunk` in the manifest.
+    """
+    directory = Path(directory)
+    files: Dict[str, str] = {}
+    raw_bytes = stored_bytes = 0
+    try:
+        for position, (name, raw, parts) in enumerate(
+            _chunk_payloads(_stem(index), chunk, compression)
+        ):
+            if faults is not None:
+                faults.check_store_write(index, position)
+            files[name], size = _write_hashed(directory / name, parts)
+            raw_bytes += raw
+            stored_bytes += size
+    except OSError as exc:
+        for name in files:
+            try:
+                (directory / name).unlink()
+            except OSError:  # pragma: no cover - cleanup best-effort
+                pass
+        if exc.errno in (errno.ENOSPC, errno.EDQUOT, errno.EFBIG):
+            raise StorageExhaustedError(
+                f"out of disk space writing chunk {index}: {exc}"
+            ) from exc
+        raise
+    return WrittenChunk(index, files, raw_bytes, stored_bytes)
+
+
+def discard_chunk_files(
+    directory: Union[str, Path], indices: range, compression: str = "none"
+) -> None:
+    """Delete whatever :func:`write_chunk_files` left of the chunks ``indices``.
+
+    Their finished files and the temporaries of any writer process; other
+    files, even those that merely share a chunk's stem, are left alone.
+    """
+    names = {
+        name
+        for index in indices
+        for name in _chunk_file_names(_stem(index), compression)
+    }
+    if not names:
+        return
+    for file in Path(directory).glob("chunk-*"):
+        name = file.name
+        if name in names or (
+            name.endswith(".tmp") and name.rsplit(".", 2)[0] in names
+        ):
+            try:
+                file.unlink()
+            except FileNotFoundError:  # pragma: no cover - raced a writer
+                pass
+
+
+def count_write_failure(metrics, exc: BaseException) -> None:
+    """Count a failed :func:`write_chunk_files` on ``store_append_failures_total``."""
+    if metrics.enabled:
+        exhausted = isinstance(exc, StorageExhaustedError)
+        metrics.inc(
+            "store_append_failures_total",
+            reason="enospc" if exhausted else "io",
+        )
 
 
 def _validate_manifest(path: Path, manifest: dict) -> None:
@@ -220,8 +412,8 @@ class ChunkedTraceStore:
         self.metrics = NULL_METRICS
         #: Optional byte budget for the whole store; appends that would
         #: push recorded stored bytes past it raise
-        #: :class:`~repro.errors.StorageExhaustedError` before touching
-        #: the disk.  ``None`` (default) disables the preflight.
+        #: :class:`~repro.errors.StorageExhaustedError` (see
+        #: :meth:`append`).  ``None`` (default) disables the check.
         self.disk_budget_bytes: Optional[int] = None
         #: Optional :class:`~repro.testing.faults.FaultPlan`; the engine
         #: wires its plan in so ``enospc@K`` directives fire inside the
@@ -249,12 +441,7 @@ class ChunkedTraceStore:
                 f"compression must be one of {STORE_COMPRESSIONS}, "
                 f"got {compression!r}"
             )
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
-        if (path / MANIFEST_NAME).exists():
-            raise AcquisitionError(
-                f"{path} already holds a trace store; open() it instead"
-            )
+        path = cls.prepare(path)
         manifest = {
             "version": STORE_FORMAT_VERSION,
             "key": key.hex(),
@@ -268,6 +455,22 @@ class ChunkedTraceStore:
         store = cls(path, manifest)
         store._write_manifest()
         return store
+
+    @staticmethod
+    def prepare(path: Union[str, Path]) -> Path:
+        """Create the directory for a new store; refuse one that holds a store.
+
+        :meth:`create` starts here.  The campaign engine calls it before
+        its first chunk files are written, since the store itself is
+        created at the first commit, from that chunk's sample period.
+        """
+        path = Path(path)
+        path.mkdir(parents=True, exist_ok=True)
+        if (path / MANIFEST_NAME).exists():
+            raise AcquisitionError(
+                f"{path} already holds a trace store; open() it instead"
+            )
+        return path
 
     @classmethod
     def open(
@@ -385,146 +588,104 @@ class ChunkedTraceStore:
     # -- writing -------------------------------------------------------
 
     def _field_file(self, stem: str, suffix: str) -> Path:
-        ext = "npz" if self.compression == "zstd-npz" else "npy"
-        return self.path / f"{stem}.{suffix}.{ext}"
+        return self.path / _field_name(stem, suffix, self.compression)
 
-    def _write_atomic(self, file: Path, save) -> None:
-        """Write via a ``.tmp`` sibling and rename into place.
-
-        A crash (or ``ENOSPC``) mid-write leaves only the temporary,
-        which quarantine-on-open sweeps aside; the final name exists
-        only when its bytes are complete and flushed.
-        """
-        tmp = file.with_name(file.name + ".tmp")
-        try:
-            with open(tmp, "wb") as handle:
-                save(handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, file)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - cleanup best-effort
-                pass
-            raise
-
-    def append(self, chunk: TraceSet) -> int:
-        """Persist one finished chunk; returns its index in the store.
-
-        The append is atomic at chunk granularity: every file lands via
-        temp-file + rename, and on *any* write failure the files this
-        chunk already renamed are deleted again before the error
-        surfaces — the manifest never references them, so the store
-        stays loadable and :meth:`verify` stays clean with the chunk
-        simply absent.  ``ENOSPC``/quota errors (and a configured
-        :attr:`disk_budget_bytes` breach, which fails before any I/O)
-        raise :class:`~repro.errors.StorageExhaustedError`.
-        """
+    def _check_chunk(self, chunk: TraceSet, index: int, raw_bytes: int) -> None:
+        """Refuse a chunk that does not fit the store or its disk budget."""
         if chunk.key != self.key:
             raise AcquisitionError("chunk key does not match the store key")
         if abs(chunk.sample_period_ns - self.sample_period_ns) > 1e-12:
             raise AcquisitionError(
                 "chunk sample period does not match the store"
             )
-        if self.n_samples is None:
-            self._manifest["n_samples"] = chunk.n_samples
-        elif chunk.n_samples != self.n_samples:
+        if self.n_samples is not None and chunk.n_samples != self.n_samples:
             raise AcquisitionError(
                 f"chunk has {chunk.n_samples} samples, store has {self.n_samples}"
             )
         trace_dtype = str(np.asarray(chunk.traces).dtype)
-        if self.dtype is None:
-            self._manifest["dtype"] = trace_dtype
-        elif trace_dtype != self.dtype:
+        if self.dtype is not None and trace_dtype != self.dtype:
             raise AcquisitionError(
                 f"chunk traces are {trace_dtype}, store is pinned to "
                 f"{self.dtype}"
             )
-        started = time.perf_counter()
-        index = self.n_chunks
-        stem = f"chunk-{index:05d}"
-        compressed = self.compression == "zstd-npz"
-        plain_meta, array_meta = _split_metadata(chunk.metadata)
-        incoming_raw = sum(
-            np.asarray(getattr(chunk, attr)).nbytes for _, attr in _CHUNK_FIELDS
-        ) + sum(a.nbytes for a in array_meta.values())
         if self.disk_budget_bytes is not None:
             stored_so_far = self.byte_counts()[1]
-            if stored_so_far + incoming_raw > self.disk_budget_bytes:
+            if stored_so_far + raw_bytes > self.disk_budget_bytes:
                 if self.metrics.enabled:
                     self.metrics.inc(
                         "store_append_failures_total", reason="budget"
                     )
                 raise StorageExhaustedError(
                     f"chunk {index} would exceed the store disk budget: "
-                    f"{stored_so_far} bytes stored + {incoming_raw} incoming "
+                    f"{stored_so_far} bytes stored + {raw_bytes} incoming "
                     f"> {self.disk_budget_bytes} budgeted"
                 )
-        checksums = {}
-        raw_bytes = 0
-        stored_bytes = 0
-        renamed: List[Path] = []
+
+    def append(
+        self, chunk: TraceSet, written: Optional[WrittenChunk] = None
+    ) -> int:
+        """Commit one finished chunk; returns its index in the store.
+
+        Without ``written``, the chunk's files are written here by
+        :func:`write_chunk_files`, after the checks, so a refused chunk
+        costs no I/O.  With ``written``, the files of this store's next
+        chunk were already written by that function (the campaign engine
+        writes them in the process that acquired the chunk), and a
+        refusal deletes them.  Either way the manifest entry is the
+        commit: until it is rewritten the store does not own the files.
+
+        The append is atomic at chunk granularity, so the store stays
+        loadable and :meth:`verify` stays clean with a failed chunk
+        simply absent.  ``ENOSPC``/quota errors and a configured
+        :attr:`disk_budget_bytes` breach raise
+        :class:`~repro.errors.StorageExhaustedError`.
+        """
+        started = time.perf_counter()
+        index = self.n_chunks
+        if written is not None and written.index != index:
+            raise AcquisitionError(
+                f"chunk files were written as chunk {written.index}; the "
+                f"store's next chunk is {index}"
+            )
+        plain_meta, array_meta = _split_metadata(chunk.metadata)
+        raw_bytes = sum(
+            np.asarray(getattr(chunk, attr)).nbytes for _, attr in _CHUNK_FIELDS
+        ) + sum(a.nbytes for a in array_meta.values())
         try:
-            for position, (suffix, attr) in enumerate(_CHUNK_FIELDS):
-                array = np.ascontiguousarray(getattr(chunk, attr))
-                if self.faults is not None:
-                    self.faults.check_store_write(index, position)
-                file = self._field_file(stem, suffix)
-                if compressed:
-                    self._write_atomic(
-                        file, lambda fh, a=array: np.savez_compressed(fh, data=a)
-                    )
-                else:
-                    self._write_atomic(file, lambda fh, a=array: np.save(fh, a))
-                renamed.append(file)
-                checksums[file.name] = _sha256(file)
-                raw_bytes += array.nbytes
-                stored_bytes += file.stat().st_size
-            if array_meta:
-                if self.faults is not None:
-                    self.faults.check_store_write(index, len(_CHUNK_FIELDS))
-                sidecar = self.path / f"{stem}.meta.npz"
-                self._write_atomic(
-                    sidecar, lambda fh: np.savez_compressed(fh, **array_meta)
+            self._check_chunk(chunk, index, raw_bytes)
+        except AcquisitionError:
+            if written is not None:
+                discard_chunk_files(
+                    self.path, range(index, index + 1), self.compression
                 )
-                renamed.append(sidecar)
-                checksums[sidecar.name] = _sha256(sidecar)
-                raw_bytes += sum(a.nbytes for a in array_meta.values())
-                stored_bytes += sidecar.stat().st_size
-        except OSError as exc:
-            for file in renamed:
-                try:
-                    file.unlink()
-                except OSError:  # pragma: no cover - cleanup best-effort
-                    pass
-            exhausted = exc.errno in (errno.ENOSPC, errno.EDQUOT, errno.EFBIG)
-            if self.metrics.enabled:
-                self.metrics.inc(
-                    "store_append_failures_total",
-                    reason="enospc" if exhausted else "io",
-                )
-            if exhausted:
-                raise StorageExhaustedError(
-                    f"out of disk space writing chunk {index}: {exc}"
-                ) from exc
             raise
+        if written is None:
+            try:
+                written = write_chunk_files(
+                    self.path, index, chunk, self.compression, self.faults
+                )
+            except (StorageExhaustedError, OSError) as exc:
+                count_write_failure(self.metrics, exc)
+                raise
+        stem = _stem(index)
+        self._manifest["n_samples"] = chunk.n_samples
+        self._manifest["dtype"] = str(np.asarray(chunk.traces).dtype)
         self._manifest["chunks"].append(
             {
                 "index": index,
                 "stem": stem,
                 "n_traces": chunk.n_traces,
                 "metadata": plain_meta,
-                "has_array_metadata": bool(array_meta),
-                "raw_bytes": raw_bytes,
-                "stored_bytes": stored_bytes,
-                "files": checksums,
+                "has_array_metadata": f"{stem}.meta.npz" in written.files,
+                "raw_bytes": written.raw_bytes,
+                "stored_bytes": written.stored_bytes,
+                "files": dict(written.files),
             }
         )
         self._write_manifest()
         if self.metrics.enabled:
             self.metrics.inc("store_chunks_written_total")
-            self.metrics.inc("store_bytes_written_total", stored_bytes)
+            self.metrics.inc("store_bytes_written_total", written.stored_bytes)
             self.metrics.observe(
                 "store_append_seconds", time.perf_counter() - started
             )
@@ -535,13 +696,8 @@ class ChunkedTraceStore:
     def expected_files(self, index: int) -> List[str]:
         """File names one chunk entry must have on disk."""
         entry = self._entry(index)
-        names = [
-            self._field_file(entry["stem"], suffix).name
-            for suffix, _ in _CHUNK_FIELDS
-        ]
-        if entry.get("has_array_metadata"):
-            names.append(f"{entry['stem']}.meta.npz")
-        return names
+        names = _chunk_file_names(entry["stem"], self.compression)
+        return names if entry.get("has_array_metadata") else names[:-1]
 
     def verify(self) -> StoreVerification:
         """Re-hash every chunk file against the manifest checksums.

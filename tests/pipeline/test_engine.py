@@ -1,5 +1,7 @@
 """Streaming campaign engine: determinism, chunking, store integration."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from repro.pipeline import (
     StreamingCampaign,
     TvlaStreamConsumer,
 )
-from repro.store import ChunkedTraceStore
+from repro.pipeline import shm as shm_transport
+from repro.store import MANIFEST_NAME, ChunkedTraceStore
 
 FIXED_PT = bytes(range(16))
 
@@ -81,14 +84,36 @@ class TestDeterminism:
         np.testing.assert_array_equal(results[0].t_values, results[1].t_values)
         assert results[0].n_fixed == results[1].n_fixed == 400
 
-    def test_same_seed_same_traces_in_store(self, tmp_path):
-        spec = CampaignSpec(target="unprotected")
-        for name, workers in (("a", 1), ("b", 2)):
-            StreamingCampaign(spec, chunk_size=100, workers=workers, seed=4).run(
-                300, store=tmp_path / name
-            )
-        a = ChunkedTraceStore.open(tmp_path / "a").load_all()
-        b = ChunkedTraceStore.open(tmp_path / "b").load_all()
+    def test_same_seed_same_traces_in_store(self, tmp_path, monkeypatch):
+        """Same stems and file checksums, whoever writes the chunk files.
+
+        RFTC chunks carry a ``.meta.npz`` sidecar; the store is written
+        inline (1 worker), by pool workers shipping chunks through the
+        shared-memory ring, and by pool workers on the pickle pipe.
+        """
+        spec = CampaignSpec(target="rftc", m_outputs=1, p_configs=8)
+        runs = {"inline": (1, "inline"), "pooled": (2, "pickle")}
+        if shm_transport.shm_available():
+            runs["ring"] = (2, "shm-ring")
+        for name, (workers, transport) in runs.items():
+            with monkeypatch.context() as patch:
+                if transport != "shm-ring":
+                    patch.setattr(shm_transport, "shm_available", lambda: False)
+                report = StreamingCampaign(
+                    spec, chunk_size=100, workers=workers, seed=4
+                ).run(300, store=tmp_path / name)
+            assert report.transport == transport
+        files = {}
+        for name in runs:
+            manifest = json.loads((tmp_path / name / MANIFEST_NAME).read_text())
+            files[name] = [(c["stem"], c["files"]) for c in manifest["chunks"]]
+        assert any(
+            file.endswith(".meta.npz") for file in files["inline"][0][1]
+        )
+        for name in runs:
+            assert files[name] == files["inline"], name
+        a = ChunkedTraceStore.open(tmp_path / "inline").load_all()
+        b = ChunkedTraceStore.open(tmp_path / "pooled").load_all()
         np.testing.assert_array_equal(a.traces, b.traces)
         np.testing.assert_array_equal(a.plaintexts, b.plaintexts)
 
@@ -183,14 +208,27 @@ class TestPipelineRun:
         assert not (chunk.plaintexts[1::2] == fixed).all(axis=1).any()
 
     def test_appends_to_open_store(self, tmp_path, key):
-        store = ChunkedTraceStore.create(
-            tmp_path / "s", key=key, sample_period_ns=4.0
-        )
         spec = CampaignSpec(target="unprotected", key=key)
-        StreamingCampaign(spec, chunk_size=50, workers=1, seed=2).run(
-            100, store=store
-        )
-        assert store.n_traces == 100
+        for workers in (1, 2):
+            store = ChunkedTraceStore.create(
+                tmp_path / f"w{workers}", key=key, sample_period_ns=4.0
+            )
+            StreamingCampaign(spec, chunk_size=50, workers=1, seed=2).run(
+                50, store=store
+            )
+            # A run on a store that already holds a chunk writes its
+            # files from the store's next index on.
+            StreamingCampaign(spec, chunk_size=50, workers=workers, seed=2).run(
+                100, store=store
+            )
+            assert store.n_chunks == 3 and store.n_traces == 150
+            outcome = ChunkedTraceStore.open(
+                store.path, quarantine=False
+            ).verify()
+            assert outcome.ok and outcome.orphaned == []
+            np.testing.assert_array_equal(
+                store.chunk(1).traces, store.chunk(0).traces
+            )
 
     def test_baseline_target_runs(self):
         spec = CampaignSpec(target="clock-rand")

@@ -153,26 +153,56 @@ class TestAtomicWrites:
             store.append(_chunk(seed=0))
 
 
+def _assert_failed_cleanly(store_path, n_committed, n_chunks):
+    """Committed chunks verify clean; no file of a later chunk remains."""
+    store = ChunkedTraceStore.open(store_path, quarantine=False)
+    assert store.n_chunks == n_committed
+    outcome = store.verify()
+    assert outcome.ok and outcome.orphaned == []
+    assert not list(store_path.glob("*.tmp"))
+    for index in range(n_committed, n_chunks):
+        assert not list(store_path.glob(f"chunk-{index:05d}*"))
+
+
 class TestEngineIntegration:
-    def test_campaign_fails_cleanly_on_enospc(self, tmp_path):
+    """The same failure, cleanup and count whichever process wrote the chunk."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_fails_cleanly_on_enospc(self, tmp_path, workers):
         from repro.pipeline import CampaignSpec, StreamingCampaign
 
+        obs = Observability.create()
         spec = CampaignSpec(target="unprotected", noise_std=2.0)
         engine = StreamingCampaign(
-            spec, chunk_size=50, seed=3, faults=FaultPlan.parse("enospc@2")
+            spec, chunk_size=50, seed=3, workers=workers, obs=obs,
+            faults=FaultPlan.parse("enospc@2"),
         )
         with pytest.raises(StorageExhaustedError):
             engine.run(200, store=str(tmp_path / "campaign"))
-        store = ChunkedTraceStore.open(tmp_path / "campaign")
-        assert store.n_chunks == 2
-        assert store.verify().ok
+        _assert_failed_cleanly(tmp_path / "campaign", 2, 4)
+        assert (
+            obs.metrics.counter_value(
+                "store_append_failures_total", reason="enospc"
+            )
+            == 1
+        )
 
-    def test_campaign_store_budget_plumbed(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_store_budget_plumbed(self, tmp_path, workers):
         from repro.pipeline import CampaignSpec, StreamingCampaign
 
+        obs = Observability.create()
         spec = CampaignSpec(target="unprotected", noise_std=2.0)
         engine = StreamingCampaign(
-            spec, chunk_size=50, seed=3, store_budget_bytes=1
+            spec, chunk_size=50, seed=3, workers=workers, obs=obs,
+            store_budget_bytes=1,
         )
         with pytest.raises(StorageExhaustedError, match="disk budget"):
             engine.run(200, store=str(tmp_path / "campaign"))
+        _assert_failed_cleanly(tmp_path / "campaign", 0, 4)
+        assert (
+            obs.metrics.counter_value(
+                "store_append_failures_total", reason="budget"
+            )
+            == 1
+        )
