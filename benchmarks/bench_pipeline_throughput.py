@@ -62,11 +62,19 @@ def _best_wall(workers: int, n: int, rounds: int, obs_factory=None):
 def _per_chunk_obs_seconds(reps: int = 200) -> float:
     """Best-of-5 cost of one chunk's worth of observability work.
 
-    Replays the exact per-chunk sequence the instrumented engine and
-    worker run — worker bundle, five stage spans with latency observes,
-    snapshot + drain, parent fold/consume spans, snapshot merge and the
-    per-chunk counters — in a tight loop.  Unlike an end-to-end A/B of
-    two campaign walls, this stays stable on noisy shared runners, so
+    Replays, in a tight loop, the per-chunk sequence of an observed
+    campaign with a store, a checkpoint and one summarizing consumer.
+    In the acquiring process: a private bundle, the ``acquire_chunk``
+    span around the five ``acquire_stage`` spans, the ``summarize`` and
+    ``store_write`` spans (each feeding its histogram through
+    ``SPAN_HISTOGRAMS``), the worker counters, snapshot and drain.  In
+    the parent: the ``await_chunk`` span, snapshot merge and ``extend``
+    of the worker's events, the ``fold_chunk`` span around
+    ``store_append``/``consume``/``checkpoint``, and the per-chunk
+    counters.  An unobserved run does the same worker half and a
+    subset of the parent half (no histograms, no buffering), so this
+    bounds the always-on cost too.  Unlike an end-to-end A/B of two
+    campaign walls, the replay stays stable on noisy shared runners, so
     it is what ``--check-obs-overhead`` gates.
     """
     from repro.obs import Observability
@@ -75,30 +83,42 @@ def _per_chunk_obs_seconds(reps: int = 200) -> float:
     best = float("inf")
     for _ in range(5):
         parent = Observability.create()
-        t0 = time.perf_counter()
+        tracer, metrics = parent.tracer, parent.metrics
+        started = time.perf_counter()
         for index in range(reps):
-            worker = Observability.create(origin=f"worker:chunk-{index}")
-            for stage in stages:
-                with worker.tracer.span("acquire_stage", stage=stage):
+            with tracer.span("await_chunk", chunk=index):
+                worker = Observability.create(origin=f"worker:chunk-{index}")
+                with worker.tracer.span(
+                    "acquire_chunk", chunk=index, traces=CHUNK
+                ):
+                    for stage in stages:
+                        with worker.tracer.span("acquire_stage", stage=stage):
+                            pass
+                    worker.metrics.inc("acquisition_traces_total", CHUNK)
+                with worker.tracer.span(
+                    "summarize", chunk=index, consumer="cpa[0]"
+                ):
                     pass
-                worker.metrics.observe(
-                    "acquisition_stage_seconds", 1e-3, stage=stage
-                )
-            worker.metrics.inc("acquisition_traces_total", CHUNK)
-            payload = {"metrics": worker.metrics.snapshot(),
-                       "events": worker.tracer.drain()}
-            with parent.tracer.span("fold_chunk", chunk=index,
-                                    traces=CHUNK, replayed=False):
-                with parent.tracer.span("consume", consumer="cpa[0]"):
+                with worker.tracer.span("store_write", chunk=index):
                     pass
-                parent.metrics.observe("campaign_consume_seconds", 1e-3)
-            parent.metrics.merge_snapshot(payload["metrics"])
-            parent.tracer.extend(payload["events"])
-            parent.metrics.inc("campaign_chunks_total", phase="fresh")
-            parent.metrics.inc("campaign_traces_total", CHUNK)
-            parent.metrics.observe("campaign_chunk_acquire_seconds", 1e-2)
-            parent.metrics.set_gauge("campaign_done_traces", CHUNK * index)
-        best = min(best, (time.perf_counter() - t0) / reps)
+                shipped = (worker.metrics.snapshot(), worker.tracer.drain())
+            metrics.merge_snapshot(shipped[0])
+            tracer.extend(shipped[1])
+            with tracer.span("fold_chunk", chunk=index, traces=CHUNK,
+                             replayed=False):
+                with tracer.span("store_append", chunk=index):
+                    metrics.inc("store_chunks_written_total")
+                    metrics.inc("store_bytes_written_total", 1)
+                with tracer.span("consume", chunk=index, consumer="cpa[0]"):
+                    metrics.inc("cpa_traces_folded_total", CHUNK,
+                                accumulator="cpa[0]")
+                with tracer.span("checkpoint", chunk=index):
+                    pass
+                metrics.inc("campaign_checkpoints_total")
+            metrics.inc("campaign_chunks_total", phase="fresh")
+            metrics.inc("campaign_traces_total", CHUNK)
+            metrics.set_gauge("campaign_done_traces", CHUNK * index)
+        best = min(best, (time.perf_counter() - started) / reps)
     return best
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Observed campaign: metrics, span traces, and kernel profiles.
+"""Observed campaign: metrics and span traces.
 
 Runs the same streaming CPA campaign twice — once bare, once carrying a
 live ``repro.obs`` bundle — and demonstrates the three claims the
@@ -13,9 +13,6 @@ observability layer makes:
 3. watching changes *nothing*: the observed run's CPA ranking is
    bit-identical to the bare run's.
 
-Also shows ``KernelProfiler`` wrapping the documented hot kernels for a
-per-kernel call/latency table without touching library code.
-
 Run:  python examples/observability_campaign.py
 """
 
@@ -26,9 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs import (
-    KernelProfiler,
     Observability,
-    attach_kernels,
     read_trace_jsonl,
     render_metrics,
     span_tree,
@@ -40,12 +35,11 @@ N_TRACES = 8000
 CHUNK = 2000
 
 
-def _run(obs=None, workers=2, store=None):
+def _run(obs=None):
     spec = CampaignSpec(target="rftc", m_outputs=1, p_configs=16, plan_seed=7)
-    engine = StreamingCampaign(spec, chunk_size=CHUNK, workers=workers,
+    engine = StreamingCampaign(spec, chunk_size=CHUNK, workers=2,
                                seed=42, obs=obs)
-    return engine.run(N_TRACES, consumers=[CpaStreamConsumer(byte_index=0)],
-                      store=store)
+    return engine.run(N_TRACES, consumers=[CpaStreamConsumer(byte_index=0)])
 
 
 def main():
@@ -90,6 +84,10 @@ def main():
     ))
     origins = {e["origin"] for e in events}
     print(f"origins seen: {sorted(origins)}")
+    waited = sum(e["dur_s"] for e in events if e["name"] == "await_chunk")
+    print(f"parent busy fraction: {1 - waited / observed.wall_seconds:.0%} "
+          f"(1 - await_chunk / wall; wall {observed.wall_seconds:.2f} s "
+          "is the campaign span)")
 
     print("\n=== Observation changes nothing ===")
     bare = _run(obs=None)
@@ -97,16 +95,6 @@ def main():
                           observed.results["cpa[0]"].peak_corr)
     print(f"bare rerun matches the observed ranking exactly: {same}")
     assert same
-
-    print("\n=== Kernel profiler ===")
-    # The hooks wrap in-process calls, so run inline (1 worker) with a
-    # store so synthesize and store_append both execute here.
-    profiler = KernelProfiler()
-    store_dir = trace_path.parent / "profiled_store"
-    with attach_kernels(profiler):
-        _run(workers=1, store=store_dir)
-    print(profiler.summary())
-    assert profiler.stats["synthesize"].calls > 0
 
     shutil.rmtree(trace_path.parent)
 

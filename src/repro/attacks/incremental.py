@@ -11,7 +11,6 @@ test suite checks.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -45,7 +44,7 @@ class CpaChunkSummary:
     the chunk; ``fold_summary`` adds it in chunk order.  The five arrays
     are exactly the addends the accumulator's ``+=`` lines would have
     computed in place, so summarizing and folding is bit-identical to
-    updating.  ``seconds`` is the time computing the summary took.
+    updating.
     """
 
     n_traces: int
@@ -54,7 +53,6 @@ class CpaChunkSummary:
     sum_p: np.ndarray
     sum_p2: np.ndarray
     sum_pt: np.ndarray
-    seconds: float
 
 
 def _as_batch(traces, data, keep_float32: bool) -> np.ndarray:
@@ -91,10 +89,9 @@ def _add_sums(acc, n_traces: int, sums: list, n_hyp: int, mismatch: str) -> None
 
 def _fold_summary(acc, summary: Optional[CpaChunkSummary], n_hyp: int,
                   label: str) -> None:
-    """Fold one chunk summary into ``acc`` and report its cost."""
+    """Fold one chunk summary into ``acc`` and count its traces."""
     if summary is None:
         return  # zero-trace chunk: exact no-op
-    started = time.perf_counter() if acc._metrics.enabled else 0.0
     _add_sums(
         acc,
         summary.n_traces,
@@ -102,15 +99,9 @@ def _fold_summary(acc, summary: Optional[CpaChunkSummary], n_hyp: int,
         n_hyp,
         "batch sample count does not match accumulator",
     )
-    if acc._metrics.enabled:
-        acc._metrics.observe(
-            "cpa_update_seconds",
-            summary.seconds + time.perf_counter() - started,
-            accumulator=label,
-        )
-        acc._metrics.inc(
-            "cpa_traces_folded_total", summary.n_traces, accumulator=label
-        )
+    acc._metrics.inc(
+        "cpa_traces_folded_total", summary.n_traces, accumulator=label
+    )
 
 
 def _merge_sums(acc, other, n_hyp: int) -> None:
@@ -172,7 +163,7 @@ class IncrementalCpa:
         self._sum_pt: Optional[np.ndarray] = None  # (256, S)
 
     def set_metrics(self, metrics) -> None:
-        """Report fold cost into ``metrics`` (a MetricsRegistry)."""
+        """Count folded traces into ``metrics`` (a MetricsRegistry)."""
         self._metrics = metrics
 
     def update(self, traces: np.ndarray, data: np.ndarray) -> None:
@@ -191,7 +182,6 @@ class IncrementalCpa:
 
         Reads only ``byte_index`` and ``model``, never the sums.
         """
-        started = time.perf_counter()
         traces = _as_batch(traces, data, keep_float32=True)
         if traces.shape[0] == 0:
             return None  # zero traces: nothing to allocate or fold
@@ -212,7 +202,7 @@ class IncrementalCpa:
             sum_p2 = (predictions * predictions).sum(axis=0)
         return CpaChunkSummary(
             traces.shape[0], sum_t, sum_t2, sum_p, sum_p2,
-            predictions.T @ traces, time.perf_counter() - started,
+            predictions.T @ traces,
         )
 
     def fold_summary(self, summary: Optional[CpaChunkSummary]) -> None:
@@ -343,7 +333,7 @@ class IncrementalCpaBank:
         self._sum_pt: Optional[np.ndarray] = None  # (B*256, S)
 
     def set_metrics(self, metrics) -> None:
-        """Report fold cost into ``metrics`` (a MetricsRegistry)."""
+        """Count folded traces into ``metrics`` (a MetricsRegistry)."""
         self._metrics = metrics
 
     def _predictions(self, data: np.ndarray) -> np.ndarray:
@@ -374,7 +364,6 @@ class IncrementalCpaBank:
         pool worker holding a fresh bank of the same config computes
         exactly what :meth:`update` would have added here.
         """
-        started = time.perf_counter()
         traces = _as_batch(traces, data, keep_float32=self.engine == "fast")
         if traces.shape[0] == 0:
             return None  # zero traces: nothing to allocate or fold
@@ -382,9 +371,7 @@ class IncrementalCpaBank:
             sums = self._fast_sums(traces, data)
         else:
             sums = self._reference_sums(traces, data)
-        return CpaChunkSummary(
-            traces.shape[0], *sums, time.perf_counter() - started
-        )
+        return CpaChunkSummary(traces.shape[0], *sums)
 
     def fold_summary(self, summary: Optional[CpaChunkSummary]) -> None:
         """Add a :meth:`chunk_summary` into the running sums."""

@@ -204,6 +204,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         from repro.obs import Observability
 
         obs = Observability.create()
+        obs.tracer.enabled = bool(args.trace_out)  # buffer only to export
     retry = RetryPolicy(max_attempts=args.retries)
 
     def build_consumers(mode: str) -> list:
@@ -379,6 +380,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         from repro.obs import Observability
 
         obs = Observability.create()
+        obs.tracer.enabled = False  # spans feed the histograms; no trace
     runner = MatrixRunner(
         matrix,
         args.out,

@@ -1,19 +1,19 @@
-"""Observability for paper-scale campaigns: metrics, tracing, profiling.
+"""Observability for paper-scale campaigns: metrics and span tracing.
 
 ``repro.obs`` is the operations layer the ROADMAP's production system
 needs: a multi-hour, multi-million-trace campaign must be *watchable*
 (throughput, retry storms, checkpoint cadence) without perturbing the
-science.  Three dependency-free pieces:
+science.  Two dependency-free pieces:
 
 * :class:`MetricsRegistry` — counters, gauges and fixed-bucket
   histograms with labeled series; snapshots merge deterministically like
   the pipeline's incremental accumulators, and export as Prometheus text
   or JSON (``campaign --metrics-out``, ``repro-rftc obs render``).
-* :class:`Tracer` — nestable spans over monotonic clocks, buffered
-  per process and drained across the multiprocessing boundary with each
-  chunk result; serialised as JSON Lines (``campaign --trace-out``).
-* :class:`KernelProfiler` / :func:`attach_kernels` — opt-in
-  cProfile/perf_counter wrappers over the documented hot kernels.
+* :class:`Tracer` — nestable spans, the one clock campaign code
+  reads: a closed span adds to the tracer's totals and feeds the
+  histogram :data:`SPAN_HISTOGRAMS` maps it to; events are buffered
+  per process, drained across the multiprocessing boundary with each
+  chunk result, and serialised as JSON Lines (``campaign --trace-out``).
 
 The whole layer honours one invariant, enforced by
 ``tests/pipeline/test_observability.py``: campaign results and store
@@ -35,10 +35,10 @@ from repro.obs.metrics import (
     NullMetricsRegistry,
     quantile_from_histogram,
 )
-from repro.obs.profiling import KernelProfiler, KernelStats, attach_kernels
 from repro.obs.render import render_metrics
 from repro.obs.tracing import (
     NULL_TRACER,
+    SPAN_HISTOGRAMS,
     NullTracer,
     Tracer,
     read_trace_jsonl,
@@ -54,16 +54,18 @@ class Observability:
     Instrumented code receives an ``Observability`` and calls
     ``obs.metrics.inc(...)`` / ``obs.tracer.span(...)`` unconditionally;
     the disabled bundle (:data:`NULL_OBS`, the default everywhere) makes
-    every such call a no-op.  ``enabled`` gates work done *only* to feed
-    observability (extra ``perf_counter`` pairs, snapshotting).
+    every such call a no-op.  A live tracer that feeds no registry yet
+    is bound to the bundle's, so its spans feed the bundle's histograms.
     """
 
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     tracer: Tracer = field(default_factory=Tracer)
 
-    @property
-    def enabled(self) -> bool:
-        return self.metrics.enabled or self.tracer.enabled
+    def __post_init__(self) -> None:
+        if self.tracer.metrics is NULL_METRICS and not isinstance(
+            self.tracer, NullTracer
+        ):
+            self.tracer.metrics = self.metrics
 
     @classmethod
     def create(cls, origin: str = "parent") -> "Observability":
@@ -81,8 +83,6 @@ NULL_OBS = Observability(metrics=NULL_METRICS, tracer=NULL_TRACER)
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "KernelProfiler",
-    "KernelStats",
     "MetricsRegistry",
     "MetricsSnapshot",
     "NULL_METRICS",
@@ -91,8 +91,8 @@ __all__ = [
     "NullMetricsRegistry",
     "NullTracer",
     "Observability",
+    "SPAN_HISTOGRAMS",
     "Tracer",
-    "attach_kernels",
     "quantile_from_histogram",
     "read_trace_jsonl",
     "render_metrics",

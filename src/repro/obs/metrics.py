@@ -17,8 +17,8 @@ Design constraints (shared with the rest of the pipeline):
   workers snapshot their private registry and ship it back with the
   chunk result, exactly like the CPA running sums.
 * **Zero cost when disabled.**  :data:`NULL_METRICS` is a registry whose
-  mutators are no-ops and whose ``enabled`` flag lets hot paths skip
-  even the timing calls that would feed an observation.
+  mutators are no-ops and whose ``enabled`` flag lets callers skip work
+  that would only feed it.
 """
 
 from __future__ import annotations
@@ -286,8 +286,8 @@ class MetricsRegistry:
     later observation and merge.
     """
 
-    #: Hot paths test this before doing any work that only feeds metrics
-    #: (e.g. ``time.perf_counter()`` pairs) — the null registry is False.
+    #: Callers test this before doing work that only feeds metrics (e.g.
+    #: wiring a registry into consumers) — the null registry is False.
     enabled: bool = True
 
     def __init__(self) -> None:
@@ -441,7 +441,7 @@ class NullMetricsRegistry(MetricsRegistry):
     Instrumented code holds a registry unconditionally and calls it per
     chunk; with observability off it holds this one, whose calls cost a
     single dynamic dispatch and allocate nothing.  ``enabled`` is False
-    so code can skip timing work entirely.
+    so code can skip work that only feeds metrics.
     """
 
     enabled = False

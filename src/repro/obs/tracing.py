@@ -1,12 +1,22 @@
-"""Span tracing: where a campaign's wall-clock time actually goes.
+"""Span tracing: the one clock of a campaign.
 
 A :class:`Tracer` records *spans* — named, attributed, nestable
-intervals measured with :func:`time.perf_counter` — into an in-memory
-buffer that serialises to JSON Lines::
+intervals measured with :func:`time.perf_counter`::
 
     with tracer.span("fold_chunk", chunk=3):
         with tracer.span("store_append", chunk=3):
             ...
+
+This module is the only place campaign code reads that clock (the
+``one-clock`` rule of ``repro verify --suite lint``).  Closing a span
+does three things:
+
+* its duration joins the tracer's per-name totals (:meth:`Tracer.totals`),
+  which the timing fields of ``PipelineReport`` are sums over;
+* it feeds the histogram :data:`SPAN_HISTOGRAMS` maps its name to, in
+  the tracer's metrics registry;
+* it is buffered as a trace event, but only when the tracer records
+  (``enabled``: a trace is being exported).
 
 Multiprocessing contract
 ------------------------
@@ -14,9 +24,9 @@ Multiprocessing contract
 events never share a timebase with the parent.  Each worker therefore
 traces into its own buffer (timestamps relative to that tracer's epoch),
 and the buffer rides back to the parent with the chunk result where
-:meth:`Tracer.extend` folds it into the campaign stream.  Events carry
-an ``origin`` string (``"parent"`` or ``"worker:chunk-K"``) so a reader
-can partition timelines by clock domain.
+:meth:`Tracer.extend` folds it into the campaign's totals and stream.
+Events carry an ``origin`` string (``"parent"`` or ``"worker:chunk-K"``)
+so a reader can partition timelines by clock domain.
 
 Trace event schema (one JSON object per line, after a header line)::
 
@@ -36,20 +46,55 @@ import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 TRACE_SCHEMA = "rftc-obs-trace/1"
 
 #: Keys every trace event line must carry.
 EVENT_FIELDS = ("name", "span_id", "parent_id", "start_s", "dur_s", "origin", "attrs")
 
+#: Span name -> (histogram its durations feed, span attribute that labels
+#: the histogram series and the tracer's totals, or ``None``).
+SPAN_HISTOGRAMS: Dict[str, Tuple[str, Optional[str]]] = {
+    "acquire_chunk": ("campaign_chunk_acquire_seconds", None),
+    "acquire_stage": ("acquisition_stage_seconds", "stage"),
+    "summarize": ("campaign_summarize_seconds", "consumer"),
+    "store_write": ("store_write_seconds", None),
+    "await_chunk": ("campaign_await_chunk_seconds", None),
+    "store_append": ("store_append_seconds", None),
+    "consume": ("campaign_consume_seconds", "consumer"),
+    "checkpoint": ("campaign_checkpoint_seconds", None),
+    "scenario_cell": ("scenario_cell_seconds", None),
+}
+
+#: The ``time`` functions only this module may read (the ``one-clock``
+#: lint rule); deadlines elsewhere use ``time.monotonic``.
+SPAN_CLOCKS = frozenset(
+    {"perf_counter", "perf_counter_ns", "process_time", "process_time_ns"}
+)
+
+_UNMAPPED: Tuple[Optional[str], Optional[str]] = (None, None)
+
+#: A totals key: (span name, value of its labelling attribute or None).
+SpanKey = Tuple[str, Optional[object]]
+
+
+def _span_key(name: str, attrs: dict) -> SpanKey:
+    label = SPAN_HISTOGRAMS.get(name, _UNMAPPED)[1]
+    return name, attrs.get(label) if label is not None else None
+
 
 class Tracer:
-    """Buffered span recorder for one clock domain (process)."""
+    """Span clock for one clock domain (process)."""
 
+    #: Whether closed spans are buffered as events; a tracer that buffers
+    #: nothing still keeps the totals and feeds the histograms.
     enabled: bool = True
+    #: The registry closed spans feed through :data:`SPAN_HISTOGRAMS`.
+    metrics: MetricsRegistry = NULL_METRICS
 
     def __init__(self, origin: str = "parent") -> None:
         self.origin = str(origin)
@@ -57,16 +102,23 @@ class Tracer:
         self._events: List[dict] = []
         self._stack: List[int] = []
         self._next_id = 1
+        self._totals: Dict[SpanKey, float] = {}
 
     @property
     def events(self) -> List[dict]:
         """The buffered events recorded so far (in completion order)."""
         return list(self._events)
 
-    @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[None]:
-        """Record a nestable timed interval around the ``with`` body.
+    def totals(self) -> Dict[SpanKey, float]:
+        """Seconds per span name (and label) over every span closed here
+        or folded in by :meth:`extend`, in first-seen order."""
+        return dict(self._totals)
 
+    @contextmanager
+    def span(self, name: str, **attrs: object) -> Iterator[Callable[[], float]]:
+        """Time the ``with`` body as a nestable span.
+
+        Yields a function returning the seconds since the span opened.
         The event is appended when the span *closes* (completion order),
         which keeps buffering O(1) per span; readers re-nest via
         ``parent_id``.  Spans are recorded even when the body raises, with
@@ -78,27 +130,37 @@ class Tracer:
         self._stack.append(span_id)
         started = time.perf_counter()
         try:
-            yield
+            yield lambda: time.perf_counter() - started
         except BaseException as exc:
             attrs = dict(attrs)
             attrs["error"] = type(exc).__name__
             raise
         finally:
+            duration = time.perf_counter() - started
             self._stack.pop()
-            self._events.append(
-                {
-                    "name": str(name),
-                    "span_id": span_id,
-                    "parent_id": parent_id,
-                    "start_s": started - self._epoch,
-                    "dur_s": time.perf_counter() - started,
-                    "origin": self.origin,
-                    "attrs": {str(k): v for k, v in attrs.items()},
-                }
-            )
+            histogram, label = SPAN_HISTOGRAMS.get(name, _UNMAPPED)
+            key = _span_key(name, attrs)
+            self._totals[key] = self._totals.get(key, 0.0) + duration
+            if histogram is not None:
+                labels = {label: key[1]} if label is not None else {}
+                self.metrics.observe(histogram, duration, **labels)
+            if self.enabled:
+                self._events.append(
+                    {
+                        "name": str(name),
+                        "span_id": span_id,
+                        "parent_id": parent_id,
+                        "start_s": started - self._epoch,
+                        "dur_s": duration,
+                        "origin": self.origin,
+                        "attrs": {str(k): v for k, v in attrs.items()},
+                    }
+                )
 
     def instant(self, name: str, **attrs: object) -> None:
         """Record a zero-duration marker event (checkpoint written, ...)."""
+        if not self.enabled:
+            return
         span_id = self._next_id
         self._next_id += 1
         self._events.append(
@@ -119,12 +181,20 @@ class Tracer:
         return events
 
     def extend(self, events: List[dict]) -> None:
-        """Fold drained events from another tracer (worker) into this one."""
-        self._events.extend(events)
+        """Fold drained events from another tracer (a worker) into this one.
+
+        Their durations join the totals, and the events are buffered if
+        this tracer records.  Their histograms were fed where they closed.
+        """
+        for event in events:
+            key = _span_key(event["name"], event["attrs"])
+            self._totals[key] = self._totals.get(key, 0.0) + event["dur_s"]
+        if self.enabled:
+            self._events.extend(events)
 
 
 class NullTracer(Tracer):
-    """The disabled fast path: spans are free context switches, no buffer."""
+    """The do-nothing tracer: spans read no clock and buffer nothing."""
 
     enabled = False
 
@@ -132,14 +202,15 @@ class NullTracer(Tracer):
         super().__init__(origin="null")
 
     @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[None]:
-        yield
-
-    def instant(self, name: str, **attrs: object) -> None:
-        pass
+    def span(self, name: str, **attrs: object) -> Iterator[Callable[[], float]]:
+        yield _no_clock
 
     def extend(self, events: List[dict]) -> None:
         pass
+
+
+def _no_clock() -> float:
+    return 0.0
 
 
 #: Shared do-nothing tracer for un-observed runs.

@@ -14,7 +14,6 @@ results are bit-identical across worker counts and checkpoint resume.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional
 
 import numpy as np
@@ -114,11 +113,10 @@ class TemplateAttackConsumer:
         return self._byte_index
 
     def set_metrics(self, metrics) -> None:
-        """Report per-chunk fold cost into an observed campaign's registry."""
+        """Report per-chunk counters into an observed campaign's registry."""
         self._metrics = metrics
 
     def consume(self, chunk: TraceSet) -> None:
-        started = time.perf_counter() if self._metrics.enabled else 0.0
         self._scores += template_attack(
             self._model, chunk.traces, chunk.ciphertexts, self._byte_index
         )
@@ -126,18 +124,10 @@ class TemplateAttackConsumer:
         rank = _rank_of(self._scores, self._true_byte)
         self._trace_counts.append(self.n_traces)
         self._ranks.append(rank)
-        if self._metrics.enabled:
-            self._metrics.observe_seconds(
-                "attack_fold_seconds",
-                time.perf_counter() - started,
-                attack=self.name,
-            )
-            self._metrics.inc(
-                "attack_traces_total", chunk.n_traces, attack=self.name
-            )
-            self._metrics.set_gauge(
-                "attack_true_byte_rank", rank, attack=self.name
-            )
+        self._metrics.inc(
+            "attack_traces_total", chunk.n_traces, attack=self.name
+        )
+        self._metrics.set_gauge("attack_true_byte_rank", rank, attack=self.name)
 
     def result(self) -> dict:
         if self.n_traces == 0:
@@ -213,28 +203,19 @@ class MlpAttackConsumer:
         return self._inc.n_traces
 
     def set_metrics(self, metrics) -> None:
-        """Report per-chunk fold cost into an observed campaign's registry."""
+        """Report per-chunk counters into an observed campaign's registry."""
         self._metrics = metrics
 
     def consume(self, chunk: TraceSet) -> None:
-        started = time.perf_counter() if self._metrics.enabled else 0.0
         feature = mlp_expected_hd(self._model, chunk.traces)
         self._inc.update(feature[:, None], chunk.ciphertexts)
         rank = self._inc.result().rank_of(self._true_byte)
         self._trace_counts.append(int(self._inc.n_traces))
         self._ranks.append(rank)
-        if self._metrics.enabled:
-            self._metrics.observe_seconds(
-                "attack_fold_seconds",
-                time.perf_counter() - started,
-                attack=self.name,
-            )
-            self._metrics.inc(
-                "attack_traces_total", chunk.n_traces, attack=self.name
-            )
-            self._metrics.set_gauge(
-                "attack_true_byte_rank", rank, attack=self.name
-            )
+        self._metrics.inc(
+            "attack_traces_total", chunk.n_traces, attack=self.name
+        )
+        self._metrics.set_gauge("attack_true_byte_rank", rank, attack=self.name)
 
     def result(self) -> dict:
         outcome = self._inc.result()
@@ -310,11 +291,10 @@ class LatticeCpaConsumer:
         return self._inc.n_traces
 
     def set_metrics(self, metrics) -> None:
-        """Report per-chunk fold cost into an observed campaign's registry."""
+        """Report per-chunk counters into an observed campaign's registry."""
         self._metrics = metrics
 
     def consume(self, chunk: TraceSet) -> None:
-        started = time.perf_counter() if self._metrics.enabled else 0.0
         aligned = lattice_align(
             chunk.traces,
             chunk.completion_times_ns,
@@ -326,18 +306,10 @@ class LatticeCpaConsumer:
         rank = self._inc.result().rank_of(self._true_byte)
         self._trace_counts.append(int(self._inc.n_traces))
         self._ranks.append(rank)
-        if self._metrics.enabled:
-            self._metrics.observe_seconds(
-                "attack_fold_seconds",
-                time.perf_counter() - started,
-                attack=self.name,
-            )
-            self._metrics.inc(
-                "attack_traces_total", chunk.n_traces, attack=self.name
-            )
-            self._metrics.set_gauge(
-                "attack_true_byte_rank", rank, attack=self.name
-            )
+        self._metrics.inc(
+            "attack_traces_total", chunk.n_traces, attack=self.name
+        )
+        self._metrics.set_gauge("attack_true_byte_rank", rank, attack=self.name)
 
     def result(self) -> dict:
         outcome = self._inc.result()
@@ -434,7 +406,7 @@ class MiaStreamConsumer:
         return self._byte_index
 
     def set_metrics(self, metrics) -> None:
-        """Report per-chunk fold cost into an observed campaign's registry."""
+        """Report per-chunk counters into an observed campaign's registry."""
         self._metrics = metrics
 
     def _quantize(self, values: np.ndarray) -> np.ndarray:
@@ -443,7 +415,6 @@ class MiaStreamConsumer:
         return np.clip(bins, 0, self.n_bins - 1)
 
     def consume(self, chunk: TraceSet) -> None:
-        started = time.perf_counter() if self._metrics.enabled else 0.0
         selected = np.asarray(chunk.traces)[:, :: self.sample_stride]
         n, n_sel = selected.shape
         if self.n_traces + n > _MIA_MAX_TRACES:
@@ -479,15 +450,9 @@ class MiaStreamConsumer:
             )
             self._counts += joint.transpose(2, 0, 1, 3).astype(np.int32)
         self.n_traces += n
-        if self._metrics.enabled:
-            self._metrics.observe_seconds(
-                "attack_fold_seconds",
-                time.perf_counter() - started,
-                attack=self.name,
-            )
-            self._metrics.inc(
-                "attack_traces_total", chunk.n_traces, attack=self.name
-            )
+        self._metrics.inc(
+            "attack_traces_total", chunk.n_traces, attack=self.name
+        )
 
     def _mutual_information(self) -> np.ndarray:
         """MI in bits per (strided sample, guess), shape ``(n_sel, 256)``."""
@@ -637,11 +602,10 @@ class SuccessRateConsumer:
         return self._byte_index
 
     def set_metrics(self, metrics) -> None:
-        """Report per-chunk fold cost into an observed campaign's registry."""
+        """Report per-chunk counters into an observed campaign's registry."""
         self._metrics = metrics
 
     def consume(self, chunk: TraceSet) -> None:
-        started = time.perf_counter() if self._metrics.enabled else 0.0
         n = chunk.n_traces
         indices = np.arange(self.n_traces, self.n_traces + n, dtype=np.int64)
         for replica, inc in enumerate(self._replicas):
@@ -659,20 +623,12 @@ class SuccessRateConsumer:
         )
         self._trace_counts.append(self.n_traces)
         self._successes.append(successes)
-        if self._metrics.enabled:
-            self._metrics.observe_seconds(
-                "attack_fold_seconds",
-                time.perf_counter() - started,
-                attack=self.name,
-            )
-            self._metrics.inc(
-                "attack_traces_total", n, attack=self.name
-            )
-            self._metrics.set_gauge(
-                "attack_success_rate",
-                successes / self.n_replicas,
-                attack=self.name,
-            )
+        self._metrics.inc("attack_traces_total", n, attack=self.name)
+        self._metrics.set_gauge(
+            "attack_success_rate",
+            successes / self.n_replicas,
+            attack=self.name,
+        )
 
     def result(self) -> dict:
         if not self._trace_counts:

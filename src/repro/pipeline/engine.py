@@ -45,14 +45,19 @@ See ``docs/robustness.md`` for the guarantees and their tests.
 
 Observability
 -------------
-Pass an :class:`~repro.obs.Observability` bundle and the engine reports
-itself while running: per-chunk acquire/fold/store/checkpoint spans,
-retry and degradation counters, throughput gauges (see
-``docs/observability.md`` for the full catalogue).  Workers trace into
-per-chunk buffers that ride home with each chunk result, so one JSONL
-file covers both sides of the pool.  Instrumentation never touches the
-chunk RNG streams or persisted bytes: results are bit-identical with
-observability on or off (``tests/pipeline/test_observability.py``).
+Every interval the engine times is a :class:`~repro.obs.Tracer` span:
+per-chunk acquire/await/fold/store/checkpoint spans in the parent, and
+acquisition-stage, summarize and store-write spans in whichever process
+acquired the chunk.  Workers trace into per-chunk buffers that ride home
+with each chunk result, and the timing fields of :class:`PipelineReport`
+are sums over the run's spans.  Pass an
+:class:`~repro.obs.Observability` bundle and the same spans also feed
+its histograms and, when its tracer records, one JSONL trace covering
+both sides of the pool; retry and degradation counters and throughput
+gauges join them (see ``docs/observability.md`` for the catalogue).
+Instrumentation never touches the chunk RNG streams or persisted bytes:
+results are bit-identical with observability on or off
+(``tests/pipeline/test_observability.py``).
 """
 
 from __future__ import annotations
@@ -83,7 +88,8 @@ from repro.errors import (
     PoolBrokenError,
     StorageExhaustedError,
 )
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, NullTracer, Observability, Tracer
+from repro.obs.metrics import MetricsSnapshot
 from repro.pipeline import shm as shm_transport
 from repro.pipeline.checkpoint import CampaignCheckpoint
 from repro.pipeline.consumers import SummarizingConsumer, TraceConsumer
@@ -109,7 +115,6 @@ class _ChunkTask(NamedTuple):
     spec: CampaignSpec
     retry: RetryPolicy
     faults: Optional[FaultPlan]
-    observe: bool
     #: Campaign index of the chunk's first trace — what
     #: environment-drift models key on (see :mod:`repro.power.drift`).
     trace_offset: int
@@ -117,10 +122,6 @@ class _ChunkTask(NamedTuple):
     #: directory, compression, store chunk index); ``None`` without a
     #: store.
     store: Optional[Tuple[Path, str, int]] = None
-
-#: What a worker ships home besides the chunk: its private metrics
-#: snapshot and drained trace events (``None`` when not observing).
-_ObsPayload = Optional[dict]
 
 #: Exceptions from collecting a pool result that mean "the pool is gone",
 #: not "the chunk is bad" — the engine degrades to inline execution on
@@ -152,15 +153,15 @@ def _await_chunk(result, workers: Sequence, timeout_s: Optional[float]):
     :class:`~repro.errors.PoolBrokenError`.  ``timeout_s`` (the engine's
     ``chunk_timeout_s``) still caps the whole wait for this chunk.
     """
-    deadline = None if timeout_s is None else time.perf_counter() + timeout_s
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
     while True:
         wait = _POOL_POLL_S
         if deadline is not None:
-            wait = max(0.0, min(wait, deadline - time.perf_counter()))
+            wait = max(0.0, min(wait, deadline - time.monotonic()))
         result.wait(wait)
         if result.ready():
             return result.get()
-        if deadline is not None and time.perf_counter() >= deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             raise multiprocessing.TimeoutError(
                 f"no chunk result within {timeout_s} s"
             )
@@ -225,9 +226,9 @@ def _abandon_pool(pool, prompt: bool = False) -> None:
             killed = _kill_workers(pool)
     else:
         kills_sent.wait()
-    deadline = time.perf_counter() + _PROMPT_TEARDOWN_S
+    deadline = time.monotonic() + _PROMPT_TEARDOWN_S
     while any(proc.exitcode is None for proc in killed):
-        if time.perf_counter() >= deadline:
+        if time.monotonic() >= deadline:
             break
         time.sleep(0.01)
 
@@ -286,9 +287,9 @@ def _acquire_chunk(
 ) -> Tuple[
     int,
     Union[TraceSet, shm_transport.ShmChunkHandle],
-    float,
     int,
-    _ObsPayload,
+    MetricsSnapshot,
+    List[dict],
     list,
     Optional[WrittenChunk],
 ]:
@@ -310,12 +311,13 @@ def _acquire_chunk(
     spawned once, before the first attempt — so a chunk that needed
     three attempts is bit-identical to one that succeeded immediately.
 
-    When the task's observe flag is set, the worker opens a *private*
-    observability bundle (perf_counter clocks are per-process, so worker
-    spans never share the parent timebase), instruments the device, and
-    ships the metrics snapshot + drained trace events home in the fifth
-    tuple slot for the parent to fold.  Observation reads clocks only —
-    the chunk's RNG streams and bytes are untouched.
+    The acquisition runs under an ``acquire_chunk`` span of a *private*
+    observability bundle (clocks are per-process, so worker spans never
+    share the parent timebase) that also instruments the device; its
+    metrics snapshot and drained trace events always ride home in the
+    fourth and fifth tuple slots, where the parent folds them into the
+    run's report and, when observed, its metrics and trace.  Observation
+    reads clocks only — the chunk's RNG streams and bytes are untouched.
 
     In a pool worker the chunk's summaries, one per summarizer the pool
     initializer installed, are computed once the acquisition (retries
@@ -331,12 +333,8 @@ def _acquire_chunk(
     order.  A failed write is not retried: it raises, like a failed
     append in the parent would.
     """
-    (
-        index, n, chunk_seed, spec, retry, faults, observe, trace_offset,
-        store_target,
-    ) = task
-    obs = Observability.create(origin=f"worker:chunk-{index}") if observe else NULL_OBS
-    started = time.perf_counter()
+    index, n, chunk_seed, spec, retry, faults, trace_offset, store_target = task
+    obs = Observability.create(origin=f"worker:chunk-{index}")
     device_seq, data_seq = chunk_seed.spawn(2)
     attempt = 0
     with obs.tracer.span("acquire_chunk", chunk=index, traces=n):
@@ -366,7 +364,6 @@ def _acquire_chunk(
                     time.sleep(delay)
                 continue
             break
-    acquire_s = time.perf_counter() - started
     chunk.metadata["chunk_index"] = index
     if spec.fixed_plaintext is not None:
         chunk.metadata["tvla_interleaved"] = True
@@ -381,12 +378,6 @@ def _acquire_chunk(
             written = write_chunk_files(
                 directory, store_index, chunk, compression, faults
             )
-    payload: _ObsPayload = None
-    if observe:
-        payload = {
-            "metrics": obs.metrics.snapshot(),
-            "events": obs.tracer.drain(),
-        }
     ring = shm_transport.worker_ring()
     if ring is not None:
         try:
@@ -401,7 +392,10 @@ def _acquire_chunk(
                 f"shared-memory publish of chunk {index} failed: {exc}"
             ) from exc
         summaries = []  # they ride in the ring slot with the chunk
-    return index, chunk, acquire_s, attempt, payload, summaries, written
+    return (
+        index, chunk, attempt, obs.metrics.snapshot(), obs.tracer.drain(),
+        summaries, written,
+    )
 
 
 @dataclass
@@ -427,12 +421,16 @@ ProgressCallback = Callable[[ChunkProgress], None]
 class PipelineReport:
     """Outcome + per-stage wall-clock accounting of one pipeline run.
 
-    ``acquire_seconds`` sums per-chunk worker time (it exceeds the wall
-    clock when workers overlap); ``consume_seconds`` is parent-side
-    folding time.  ``store_seconds`` is the parent-side commit only
-    (checks, disk budget, manifest rewrite): a chunk's files are
-    written and hashed by the process that acquired it, a pool worker
-    on a pooled run, and that time is part of ``acquire_seconds``.
+    Every timing field is a sum over the run's spans (see
+    :mod:`repro.obs.tracing`): ``wall_seconds`` is the ``campaign``
+    span; ``acquire_seconds`` sums the ``acquire_chunk`` spans of the
+    processes that acquired the chunks (it exceeds the wall clock when
+    workers overlap); ``consume_seconds`` sums the parent's ``consume``
+    spans.  ``store_seconds`` sums the parent's ``store_append`` spans
+    (checks, disk budget, manifest rewrite) and the ``store_write``
+    spans in which the acquiring process — a pool worker on a pooled
+    run — wrote and hashed each chunk's files; neither is part of
+    ``acquire_seconds``.
 
     The recovery fields tell an operator whether the run limped home:
     ``retried_chunks``/``total_retries`` count worker-side retries,
@@ -454,8 +452,8 @@ class PipelineReport:
     results: Dict[str, object] = field(default_factory=dict)
     store_path: Optional[Path] = None
     #: Acquisition time split by measurement-chain stage (schedule /
-    #: crypto / leakage / synth / capture), summed over chunks and workers
-    #: — the breakdown of ``acquire_seconds``.
+    #: crypto / leakage / synth / capture): the ``acquire_stage`` spans,
+    #: which nest inside ``acquire_chunk``, summed over chunks and workers.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: Chunks that needed more than one acquisition attempt.
     retried_chunks: int = 0
@@ -573,8 +571,9 @@ class StreamingCampaign:
     obs:
         Optional :class:`~repro.obs.Observability` bundle; when given,
         the engine records metrics and spans into it (CLI
-        ``--metrics-out``/``--trace-out``).  Defaults to the zero-cost
-        null bundle — instrumentation disabled.
+        ``--metrics-out``/``--trace-out``).  Defaults to the null
+        bundle: the run's spans then go to a private tracer that only
+        sums them for the report.
     """
 
     def __init__(
@@ -621,14 +620,13 @@ class StreamingCampaign:
     def _tasks(self, n_traces: int) -> List[_ChunkTask]:
         sizes = self.chunk_layout(n_traces)
         seeds = np.random.SeedSequence(self.seed).spawn(len(sizes))
-        observe = self.obs.enabled
         offsets = [0] * len(sizes)
         for index in range(1, len(sizes)):
             offsets[index] = offsets[index - 1] + sizes[index - 1]
         return [
             _ChunkTask(
                 index, size, seeds[index], self.spec, self.retry, self.faults,
-                observe, offsets[index],
+                offsets[index],
             )
             for index, size in enumerate(sizes)
         ]
@@ -785,19 +783,24 @@ class StreamingCampaign:
         self.spec.warm_caches()
 
         obs = self.obs
-        if obs.enabled:
-            # Consumers that expose a metrics hook report their own fold
-            # cost (e.g. the incremental CPA accumulators).
+        # The run's one clock: the caller's tracer, else a private one
+        # that buffers nothing and only sums the spans for the report.
+        tracer = obs.tracer
+        if isinstance(tracer, NullTracer):
+            tracer = Tracer()
+            tracer.enabled = False
+            tracer.metrics = obs.metrics
+        before = tracer.totals()
+        if obs.metrics.enabled:
+            # Consumers that expose a metrics hook report their own
+            # counters (e.g. the incremental CPA accumulators).
             for consumer in consumers:
                 set_metrics = getattr(consumer, "set_metrics", None)
                 if callable(set_metrics):
                     set_metrics(obs.metrics)
-            obs.metrics.set_gauge("campaign_total_traces", n_traces)
-            obs.metrics.set_gauge("campaign_workers", self.workers)
+        obs.metrics.set_gauge("campaign_total_traces", n_traces)
+        obs.metrics.set_gauge("campaign_workers", self.workers)
 
-        started = time.perf_counter()
-        acquire_s = consume_s = store_s = 0.0
-        stage_s: Dict[str, float] = {}
         done = sum(task.n_traces for task in tasks[:folded_chunks])
         retried_chunks = total_retries = degraded_chunks = 0
 
@@ -835,49 +838,29 @@ class StreamingCampaign:
             ``written`` describes the chunk's files, already written by
             the process that acquired it, for the store to commit.
             """
-            nonlocal consume_s, store_s, done
-            # Pop, don't get: wall-clock stage timings must never reach
-            # the store, or persisted chunk bytes stop being a pure
-            # function of (spec, seed, layout).
-            for stage, seconds in chunk.metadata.pop(
-                "stage_seconds", {}
-            ).items():
-                stage_s[stage] = stage_s.get(stage, 0.0) + float(seconds)
-            with obs.tracer.span(
+            nonlocal done
+            with tracer.span(
                 "fold_chunk", chunk=index, traces=chunk.n_traces,
                 replayed=not persist,
             ):
                 if written is not None:
-                    t0 = time.perf_counter()
-                    with obs.tracer.span("store_append", chunk=index):
+                    with tracer.span("store_append", chunk=index):
                         _store_chunk(chunk, written)
-                    elapsed = time.perf_counter() - t0
-                    store_s += elapsed
-                    obs.metrics.observe("campaign_store_append_seconds", elapsed)
-                t0 = time.perf_counter()
                 for position, consumer in enumerate(consumers):
-                    with obs.tracer.span(
+                    with tracer.span(
                         "consume", chunk=index, consumer=consumer.name
                     ):
                         if position in summaries:
                             consumer.fold(summaries[position])
                         else:
                             consumer.consume(chunk)
-                elapsed = time.perf_counter() - t0
-                consume_s += elapsed
-                obs.metrics.observe("campaign_consume_seconds", elapsed)
                 done += chunk.n_traces
                 if checkpoint_path is not None:
-                    t0 = time.perf_counter()
-                    with obs.tracer.span("checkpoint", chunk=index):
+                    with tracer.span("checkpoint", chunk=index):
                         CampaignCheckpoint.capture(
                             self.spec, self.seed, self.chunk_size, n_traces,
                             index + 1, consumers,
                         ).save(checkpoint_path)
-                    obs.metrics.observe(
-                        "campaign_checkpoint_seconds",
-                        time.perf_counter() - t0,
-                    )
                     obs.metrics.inc("campaign_checkpoints_total")
             obs.metrics.inc(
                 "campaign_chunks_total",
@@ -893,7 +876,7 @@ class StreamingCampaign:
                         chunk_traces=chunk.n_traces,
                         done_traces=done,
                         total_traces=n_traces,
-                        elapsed_seconds=time.perf_counter() - started,
+                        elapsed_seconds=elapsed(),
                     )
                 )
             if self.faults is not None:
@@ -915,141 +898,153 @@ class StreamingCampaign:
         pool = None
         ring = None
         transport_used = "inline"
-        try:
-            # Phase 1 (resume only): chunks the store already holds are
-            # folded from disk — never re-acquired, so store bytes are
-            # untouched and consumer folds see the exact same data.
-            for index in range(folded_chunks, replay_until):
-                chunk = store.chunk(index)
-                if chunk.n_traces != tasks[index].n_traces:
-                    raise CheckpointError(
-                        f"stored chunk {index} holds {chunk.n_traces} traces; "
-                        f"the campaign layout expects {tasks[index].n_traces}"
+        with tracer.span(
+            "campaign", traces=n_traces, workers=self.workers
+        ) as elapsed:
+            try:
+                # Phase 1 (resume only): chunks the store already holds
+                # are folded from disk — never re-acquired, so store bytes
+                # are untouched and consumer folds see the exact same data.
+                for index in range(folded_chunks, replay_until):
+                    chunk = store.chunk(index)
+                    if chunk.n_traces != tasks[index].n_traces:
+                        raise CheckpointError(
+                            f"stored chunk {index} holds {chunk.n_traces} "
+                            "traces; the campaign layout expects "
+                            f"{tasks[index].n_traces}"
+                        )
+                    fold(index, chunk, persist=False, summaries={})
+
+                # Phase 2: acquire the remaining chunks.
+                async_results = None
+                if self.workers > 1 and len(fresh) > 0:
+                    ctx = (
+                        multiprocessing.get_context(self.start_method)
+                        if self.start_method
+                        else multiprocessing.get_context()
                     )
-                fold(index, chunk, persist=False, summaries={})
-
-            # Phase 2: acquire the remaining chunks.
-            async_results = None
-            if self.workers > 1 and len(fresh) > 0:
-                ctx = (
-                    multiprocessing.get_context(self.start_method)
-                    if self.start_method
-                    else multiprocessing.get_context()
-                )
-                n_procs = min(self.workers, len(fresh))
-                if shm_transport.shm_available():
-                    try:
-                        ring = shm_transport.ChunkTransportRing(ctx, n_procs)
-                    except OSError:
-                        # The host has no room for a ring (semaphores or
-                        # /dev/shm exhausted): chunks use the pickle pipe.
-                        ring = None
-                offered = _summarizers(consumers)
-                pool = ctx.Pool(
-                    processes=n_procs,
-                    initializer=_init_pool_worker,
-                    initargs=(
-                        tuple(offered.values()),
-                        ring.initargs() if ring is not None else None,
-                    ),
-                )
-                transport_used = "shm-ring" if ring is not None else "pickle"
-                pool_workers = list(getattr(pool, "_pool", ()))
-                async_results = [
-                    pool.apply_async(_acquire_chunk, (task,)) for task in fresh
-                ]
-            for position, task in enumerate(fresh):
-                try:
-                    if pool is not None:
+                    n_procs = min(self.workers, len(fresh))
+                    if shm_transport.shm_available():
                         try:
-                            if self.faults is not None:
-                                self.faults.check_pool(task.index)
-                            (
-                                index, chunk, chunk_acquire_s, attempts,
-                                payload, shipped, written,
-                            ) = _await_chunk(
-                                async_results[position], pool_workers,
-                                self.chunk_timeout_s,
-                            )
-                            if isinstance(chunk, shm_transport.ShmChunkHandle):
-                                chunk, shipped = ring.receive(
-                                    chunk, key=self.spec.key
+                            ring = shm_transport.ChunkTransportRing(ctx, n_procs)
+                        except OSError:
+                            # The host has no room for a ring (semaphores
+                            # or /dev/shm exhausted): chunks use the pipe.
+                            ring = None
+                    offered = _summarizers(consumers)
+                    pool = ctx.Pool(
+                        processes=n_procs,
+                        initializer=_init_pool_worker,
+                        initargs=(
+                            tuple(offered.values()),
+                            ring.initargs() if ring is not None else None,
+                        ),
+                    )
+                    transport_used = "shm-ring" if ring is not None else "pickle"
+                    pool_workers = list(getattr(pool, "_pool", ()))
+                    async_results = [
+                        pool.apply_async(_acquire_chunk, (task,))
+                        for task in fresh
+                    ]
+                for position, task in enumerate(fresh):
+                    try:
+                        if pool is not None:
+                            try:
+                                if self.faults is not None:
+                                    self.faults.check_pool(task.index)
+                                with tracer.span("await_chunk", chunk=task.index):
+                                    (
+                                        index, chunk, attempts, worker_metrics,
+                                        events, shipped, written,
+                                    ) = _await_chunk(
+                                        async_results[position], pool_workers,
+                                        self.chunk_timeout_s,
+                                    )
+                                if isinstance(
+                                    chunk, shm_transport.ShmChunkHandle
+                                ):
+                                    chunk, shipped = ring.receive(
+                                        chunk, key=self.spec.key
+                                    )
+                                    obs.metrics.inc("campaign_shm_chunks_total")
+                                summaries = dict(zip(offered, shipped))
+                            except _POOL_FAILURES:
+                                # The pool (not the chunk) failed: abandon
+                                # it and limp home inline rather than
+                                # losing the campaign.
+                                obs.metrics.inc("campaign_pool_failures_total")
+                                tracer.instant(
+                                    "pool_degraded", chunk=task.index,
+                                    remaining=len(fresh) - position,
                                 )
-                                obs.metrics.inc("campaign_shm_chunks_total")
-                            summaries = dict(zip(offered, shipped))
-                        except _POOL_FAILURES:
-                            # The pool (not the chunk) failed: abandon it
-                            # and limp home inline rather than losing the
-                            # campaign.
-                            obs.metrics.inc("campaign_pool_failures_total")
-                            obs.tracer.instant(
-                                "pool_degraded", chunk=task.index,
-                                remaining=len(fresh) - position,
-                            )
-                            _abandon_pool(pool, prompt=ring is not None)
-                            pool = None
-                    if pool is None:
-                        (
-                            index, chunk, chunk_acquire_s, attempts, payload,
-                            _, written,
-                        ) = _acquire_chunk(task)
-                        summaries = {}
-                        if async_results is not None:  # the pool was abandoned
-                            degraded_chunks += 1
-                            obs.metrics.inc("campaign_degraded_chunks_total")
-                except (StorageExhaustedError, OSError) as exc:
-                    # The chunk's file write failed where it was acquired;
-                    # a failing worker ships no metrics, so count it here.
-                    if task.store is not None:
-                        count_write_failure(obs.metrics, exc)
-                    raise
-                if payload is not None:
-                    obs.metrics.merge_snapshot(payload["metrics"])
-                    obs.tracer.extend(payload["events"])
-                acquire_s += chunk_acquire_s
-                obs.metrics.observe(
-                    "campaign_chunk_acquire_seconds", chunk_acquire_s
-                )
-                if attempts > 1:
-                    retried_chunks += 1
-                    total_retries += attempts - 1
-                    obs.metrics.inc("campaign_retried_chunks_total")
-                    obs.metrics.inc("campaign_retries_total", attempts - 1)
-                fold(
-                    index, chunk, persist=True, summaries=summaries,
-                    written=written,
-                )
-        except BaseException:
-            # Workers may still be mid-chunk; close()+join() would block
-            # on them while the campaign is already dead.  Kill the pool,
-            # surface the original error.
-            if pool is not None:
-                _abandon_pool(pool, prompt=ring is not None)
-                pool = None
-            raise
-        finally:
-            if pool is not None:
-                pool.close()
-                pool.join()
-            if ring is not None:
-                # Sweep the ring on every exit path — normal completion,
-                # degrade, timeout, crash, SIGINT — so no segment can
-                # outlive the campaign.
-                ring.unlink_all()
-            if store_dir is not None:
-                # Workers run ahead of the commits: on a pause, cancel or
-                # failure, delete the files of every store chunk this run
-                # was to write and did not commit.  The pool is gone, so
-                # no worker writes behind this sweep.
-                committed = store.n_chunks if store is not None else 0
-                discard_chunk_files(
-                    store_dir, range(committed, store_base + len(fresh)),
-                    compression,
-                )
+                                _abandon_pool(pool, prompt=ring is not None)
+                                pool = None
+                        if pool is None:
+                            (
+                                index, chunk, attempts, worker_metrics, events,
+                                _, written,
+                            ) = _acquire_chunk(task)
+                            summaries = {}
+                            if async_results is not None:  # pool abandoned
+                                degraded_chunks += 1
+                                obs.metrics.inc("campaign_degraded_chunks_total")
+                    except (StorageExhaustedError, OSError) as exc:
+                        # The chunk's file write failed where it was
+                        # acquired; a failing worker ships no metrics, so
+                        # count it here.
+                        if task.store is not None:
+                            count_write_failure(obs.metrics, exc)
+                        raise
+                    obs.metrics.merge_snapshot(worker_metrics)
+                    tracer.extend(events)
+                    if attempts > 1:
+                        retried_chunks += 1
+                        total_retries += attempts - 1
+                        obs.metrics.inc("campaign_retried_chunks_total")
+                        obs.metrics.inc("campaign_retries_total", attempts - 1)
+                    fold(
+                        index, chunk, persist=True, summaries=summaries,
+                        written=written,
+                    )
+            except BaseException:
+                # Workers may still be mid-chunk; close()+join() would
+                # block on them while the campaign is already dead.  Kill
+                # the pool, surface the original error.
+                if pool is not None:
+                    _abandon_pool(pool, prompt=ring is not None)
+                    pool = None
+                raise
+            finally:
+                if pool is not None:
+                    pool.close()
+                    pool.join()
+                if ring is not None:
+                    # Sweep the ring on every exit path — normal
+                    # completion, degrade, timeout, crash, SIGINT — so no
+                    # segment can outlive the campaign.
+                    ring.unlink_all()
+                if store_dir is not None:
+                    # Workers run ahead of the commits: on a pause, cancel
+                    # or failure, delete the files of every store chunk
+                    # this run was to write and did not commit.  The pool
+                    # is gone, so no worker writes behind this sweep.
+                    committed = store.n_chunks if store is not None else 0
+                    discard_chunk_files(
+                        store_dir, range(committed, store_base + len(fresh)),
+                        compression,
+                    )
 
-        obs.metrics.set_gauge(
-            "campaign_wall_seconds", time.perf_counter() - started
-        )
+        # Every timing field is a sum over this run's spans.
+        spent = {
+            key: seconds - before.get(key, 0.0)
+            for key, seconds in tracer.totals().items()
+        }
+
+        def total(*names: str) -> float:
+            return sum(s for (name, _), s in spent.items() if name in names)
+
+        wall = total("campaign")
+        obs.metrics.set_gauge("campaign_wall_seconds", wall)
         return PipelineReport(
             spec=self.spec,
             n_traces=done,
@@ -1057,13 +1052,17 @@ class StreamingCampaign:
             n_chunks=len(tasks),
             workers=self.workers,
             seed=self.seed,
-            wall_seconds=time.perf_counter() - started,
-            acquire_seconds=acquire_s,
-            consume_seconds=consume_s,
-            store_seconds=store_s,
+            wall_seconds=wall,
+            acquire_seconds=total("acquire_chunk"),
+            consume_seconds=total("consume"),
+            store_seconds=total("store_append", "store_write"),
             results={c.name: c.result() for c in consumers},
             store_path=store.path if store is not None else None,
-            stage_seconds=stage_s,
+            stage_seconds={
+                stage: seconds
+                for (name, stage), seconds in spent.items()
+                if name == "acquire_stage"
+            },
             retried_chunks=retried_chunks,
             total_retries=total_retries,
             degraded_chunks=degraded_chunks,

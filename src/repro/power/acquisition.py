@@ -11,7 +11,6 @@ TVLA evaluation needs as a :class:`TraceSet`.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Protocol, Union
@@ -277,9 +276,9 @@ class ProtectedAesDevice:
         self.drift = drift
         #: Campaign index of the next trace acquired by :meth:`run`.
         self.trace_offset = 0
-        #: Optional :class:`~repro.obs.Observability` bundle; workers of
-        #: an observed campaign swap in their private one.  Observation
-        #: reads the stage clocks only — never the RNG streams.
+        #: Optional :class:`~repro.obs.Observability` bundle; campaign
+        #: workers swap in their private one.  Observation reads the
+        #: stage clocks only — never the RNG streams.
         self.obs = NULL_OBS
 
     @property
@@ -296,9 +295,9 @@ class ProtectedAesDevice:
     ) -> TraceSet:
         """Encrypt each plaintext once and capture the power trace.
 
-        The returned set's ``metadata["stage_seconds"]`` breaks the run
-        down by measurement-chain stage (schedule / crypto / leakage /
-        synth / capture) so pipelines and benchmarks can report where
+        Each measurement-chain stage (schedule / crypto / leakage /
+        synth / capture) runs under an ``acquire_stage`` span of the
+        device's tracer, so an observed campaign reports where
         acquisition time actually goes.
         """
         plaintexts = np.ascontiguousarray(plaintexts, dtype=np.uint8)
@@ -306,20 +305,17 @@ class ProtectedAesDevice:
             raise AcquisitionError("plaintexts must be (n, 16) uint8")
         n = plaintexts.shape[0]
         tracer = self.obs.tracer
-        t0 = time.perf_counter()
         with tracer.span("acquire_stage", stage="schedule"):
             schedule = self.countermeasure.schedule(n)
         if schedule.n_encryptions != n:
             raise AcquisitionError(
                 "countermeasure returned a schedule of the wrong length"
             )
-        t1 = time.perf_counter()
         with tracer.span("acquire_stage", stage="crypto"):
             # One datapath pass per chunk: the round states feed both the
             # ciphertexts and the leakage model's register transitions.
             states = self.datapath.batch_states(plaintexts)
             ciphertexts = states[:, -1]
-        t2 = time.perf_counter()
         # Back-to-back encryptions: the register holds the previous
         # ciphertext when the next plaintext loads (Fig. 2 timeline).
         with tracer.span("acquire_stage", stage="leakage"):
@@ -330,31 +326,14 @@ class ProtectedAesDevice:
                 schedule, self.datapath, plaintexts, previous, rng,
                 states=states,
             )
-        t3 = time.perf_counter()
         with tracer.span("acquire_stage", stage="synth"):
             analog = self.synthesizer.synthesize(schedule, amplitudes, rng=rng)
             if self.drift is not None:
                 analog = self.drift.apply(analog, self.trace_offset)
-        t4 = time.perf_counter()
         with tracer.span("acquire_stage", stage="capture"):
             traces = self.scope.capture(analog, rng)
-        t5 = time.perf_counter()
         self.trace_offset += n
-        metadata = dict(schedule.metadata)
-        metadata["stage_seconds"] = {
-            "schedule": t1 - t0,
-            "crypto": t2 - t1,
-            "leakage": t3 - t2,
-            "synth": t4 - t3,
-            "capture": t5 - t4,
-        }
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            for stage, seconds in metadata["stage_seconds"].items():
-                metrics.observe(
-                    "acquisition_stage_seconds", seconds, stage=stage
-                )
-            metrics.inc("acquisition_traces_total", n)
+        self.obs.metrics.inc("acquisition_traces_total", n)
         return TraceSet(
             traces=traces,
             plaintexts=plaintexts,
@@ -362,7 +341,7 @@ class ProtectedAesDevice:
             key=self.key,
             completion_times_ns=schedule.completion_times_ns(),
             sample_period_ns=self.sample_period_ns,
-            metadata=metadata,
+            metadata=dict(schedule.metadata),
         )
 
 

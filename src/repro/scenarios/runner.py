@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -445,11 +444,8 @@ class MatrixRunner:
                 if on_cell is not None:
                     on_cell(cell, "cached")
                 continue
-            started = time.perf_counter()
-            payload = self._run_one(cell, resume)
-            self.obs.metrics.observe_seconds(
-                "scenario_cell_seconds", time.perf_counter() - started
-            )
+            with self.obs.tracer.span("scenario_cell", cell=digest[:12]):
+                payload = self._run_one(cell, resume)
             self.obs.metrics.inc("scenario_cells_total")
             state.mark_done(digest, payload)
             payloads.append(payload)

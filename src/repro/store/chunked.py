@@ -74,7 +74,6 @@ import hashlib
 import io
 import json
 import os
-import time
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -301,12 +300,10 @@ def discard_chunk_files(
 
 def count_write_failure(metrics, exc: BaseException) -> None:
     """Count a failed :func:`write_chunk_files` on ``store_append_failures_total``."""
-    if metrics.enabled:
-        exhausted = isinstance(exc, StorageExhaustedError)
-        metrics.inc(
-            "store_append_failures_total",
-            reason="enospc" if exhausted else "io",
-        )
+    exhausted = isinstance(exc, StorageExhaustedError)
+    metrics.inc(
+        "store_append_failures_total", reason="enospc" if exhausted else "io"
+    )
 
 
 def _validate_manifest(path: Path, manifest: dict) -> None:
@@ -406,9 +403,9 @@ class ChunkedTraceStore:
         #: Files moved aside by quarantine-on-open (names under
         #: ``quarantine/``); empty for cleanly-closed stores.
         self.quarantined_files: List[str] = []
-        #: Where :meth:`append`/:meth:`verify` report their I/O cost; the
-        #: campaign engine swaps in its live registry.  Metrics read
-        #: clocks and file sizes only — persisted bytes are untouched.
+        #: Where :meth:`append`/:meth:`verify` count chunks, bytes and
+        #: failures; the campaign engine swaps in its live registry.
+        #: Counting never touches persisted bytes.
         self.metrics = NULL_METRICS
         #: Optional byte budget for the whole store; appends that would
         #: push recorded stored bytes past it raise
@@ -611,10 +608,7 @@ class ChunkedTraceStore:
         if self.disk_budget_bytes is not None:
             stored_so_far = self.byte_counts()[1]
             if stored_so_far + raw_bytes > self.disk_budget_bytes:
-                if self.metrics.enabled:
-                    self.metrics.inc(
-                        "store_append_failures_total", reason="budget"
-                    )
+                self.metrics.inc("store_append_failures_total", reason="budget")
                 raise StorageExhaustedError(
                     f"chunk {index} would exceed the store disk budget: "
                     f"{stored_so_far} bytes stored + {raw_bytes} incoming "
@@ -640,7 +634,6 @@ class ChunkedTraceStore:
         :attr:`disk_budget_bytes` breach raise
         :class:`~repro.errors.StorageExhaustedError`.
         """
-        started = time.perf_counter()
         index = self.n_chunks
         if written is not None and written.index != index:
             raise AcquisitionError(
@@ -683,12 +676,8 @@ class ChunkedTraceStore:
             }
         )
         self._write_manifest()
-        if self.metrics.enabled:
-            self.metrics.inc("store_chunks_written_total")
-            self.metrics.inc("store_bytes_written_total", written.stored_bytes)
-            self.metrics.observe(
-                "store_append_seconds", time.perf_counter() - started
-            )
+        self.metrics.inc("store_chunks_written_total")
+        self.metrics.inc("store_bytes_written_total", written.stored_bytes)
         return index
 
     # -- integrity -----------------------------------------------------
@@ -709,7 +698,6 @@ class ChunkedTraceStore:
         by pre-checksum stores land in ``unverified``.  Never raises on
         damage — operators want the full report, not the first failure.
         """
-        started = time.perf_counter()
         files_checked = 0
         outcome = StoreVerification(n_chunks=self.n_chunks)
         for position, entry in enumerate(self._manifest["chunks"]):
@@ -744,20 +732,16 @@ class ChunkedTraceStore:
                     ):
                         outcome.corrupt.append(name)
         outcome.orphaned.extend(file.name for file in self._stray_chunk_files())
-        if self.metrics.enabled:
-            self.metrics.observe(
-                "store_verify_seconds", time.perf_counter() - started
-            )
-            self.metrics.inc("store_files_verified_total", files_checked)
-            for kind, names in (
-                ("missing", outcome.missing),
-                ("corrupt", outcome.corrupt),
-                ("orphaned", outcome.orphaned),
-            ):
-                if names:
-                    self.metrics.inc(
-                        "store_verify_failures_total", len(names), kind=kind
-                    )
+        self.metrics.inc("store_files_verified_total", files_checked)
+        for kind, names in (
+            ("missing", outcome.missing),
+            ("corrupt", outcome.corrupt),
+            ("orphaned", outcome.orphaned),
+        ):
+            if names:
+                self.metrics.inc(
+                    "store_verify_failures_total", len(names), kind=kind
+                )
         return outcome
 
     def require_intact(self) -> None:

@@ -36,11 +36,11 @@ renders and CI gates on.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.obs.tracing import Tracer
 
 #: The six suites, in the order ``repro verify`` runs them.
 SUITE_NAMES = ("aes", "accumulators", "drp", "planner", "drift", "lint")
@@ -137,37 +137,34 @@ def run_suite(
         raise ConfigurationError(
             f"unknown verify suite {name!r}; expected one of {SUITE_NAMES}"
         )
-    started = time.perf_counter()
     checks = Checks()
-    if name == "aes":
-        from repro.verify.aes_oracle import run_aes_checks
+    with Tracer().span("verify_suite", suite=name) as elapsed:
+        if name == "aes":
+            from repro.verify.aes_oracle import run_aes_checks
 
-        run_aes_checks(checks, seed=seed)
-    elif name == "accumulators":
-        from repro.verify.accumulators import run_accumulator_checks
+            run_aes_checks(checks, seed=seed)
+        elif name == "accumulators":
+            from repro.verify.accumulators import run_accumulator_checks
 
-        run_accumulator_checks(checks, seed=seed, schedules=schedules)
-    elif name == "drp":
-        from repro.verify.drp_oracle import run_drp_checks
+            run_accumulator_checks(checks, seed=seed, schedules=schedules)
+        elif name == "drp":
+            from repro.verify.drp_oracle import run_drp_checks
 
-        run_drp_checks(checks, seed=seed, plan_sets=plan_sets)
-    elif name == "planner":
-        from repro.verify.drp_oracle import run_planner_checks
+            run_drp_checks(checks, seed=seed, plan_sets=plan_sets)
+        elif name == "planner":
+            from repro.verify.drp_oracle import run_planner_checks
 
-        run_planner_checks(checks, seed=seed)
-    elif name == "drift":
-        from repro.verify.drift import run_drift_checks
+            run_planner_checks(checks, seed=seed)
+        elif name == "drift":
+            from repro.verify.drift import run_drift_checks
 
-        run_drift_checks(checks, manifest_out=drift_out)
-    else:
-        from repro.verify.lint import run_lint_checks
+            run_drift_checks(checks, manifest_out=drift_out)
+        else:
+            from repro.verify.lint import run_lint_checks
 
-        run_lint_checks(checks)
-    return SuiteResult(
-        name=name,
-        checks=checks.results,
-        seconds=time.perf_counter() - started,
-    )
+            run_lint_checks(checks)
+        seconds = elapsed()
+    return SuiteResult(name=name, checks=checks.results, seconds=seconds)
 
 
 def run_suites(

@@ -1,6 +1,6 @@
 """AST-based repository invariants (`repro verify --suite lint`).
 
-Five mechanical rules that guard reproducibility and operability:
+Six mechanical rules that guard reproducibility and operability:
 
 * **no-global-np-random** — ``src/`` must never touch numpy's global
   random state (``np.random.seed``, ``np.random.normal``, ...); only the
@@ -17,7 +17,12 @@ Five mechanical rules that guard reproducibility and operability:
   checkpoint contract: ``snapshot`` and ``restore``.
 * **metrics-documented** — every metric name emitted through
   ``inc``/``observe``/``set_gauge``/``observe_seconds`` with a literal
-  name must be listed in ``docs/observability.md``.
+  name, and every histogram a span feeds through the literal
+  ``SPAN_HISTOGRAMS`` table, must be listed in ``docs/observability.md``.
+* **one-clock** — the span clocks (:data:`repro.obs.tracing.SPAN_CLOCKS`)
+  are read only in ``repro/obs/tracing.py``: every campaign timing is a
+  tracer span, so reports, histograms and traces cannot disagree.
+  Deadlines use ``time.monotonic``.
 * **cli-exit-codes** — every ``_cmd_*`` handler in ``repro.cli`` must
   return an explicit integer on every path (no bare ``return``, no
   falling off the end), so shell callers always get a real exit code.
@@ -32,6 +37,7 @@ import ast
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from repro.obs.tracing import SPAN_CLOCKS
 from repro.verify import Checks
 
 #: The only attributes of ``np.random`` the codebase may use: the modern
@@ -47,6 +53,12 @@ CONSUMER_REQUIRED_METHODS = ("snapshot", "restore")
 METRIC_CALL_ATTRS = frozenset(
     {"inc", "observe", "set_gauge", "observe_seconds"}
 )
+
+#: The module-level table mapping span names to the histograms they feed.
+SPAN_TABLE_NAME = "SPAN_HISTOGRAMS"
+
+#: The one module that reads the span clocks, relative to ``src/``.
+CLOCK_MODULE = "repro/obs/tracing.py"
 
 
 def _is_np_random(node: ast.AST) -> bool:
@@ -122,7 +134,8 @@ def find_incomplete_consumers(tree: ast.AST, filename: str) -> List[str]:
 
 
 def find_metric_names(tree: ast.AST) -> List[Tuple[str, int]]:
-    """Literal metric names passed to inc/observe/set_gauge calls."""
+    """Literal metric names passed to inc/observe/set_gauge calls, and
+    the literal histogram names of a ``SPAN_HISTOGRAMS`` table."""
     names = []
     for node in ast.walk(tree):
         if (
@@ -134,7 +147,42 @@ def find_metric_names(tree: ast.AST) -> List[Tuple[str, int]]:
             and isinstance(node.args[0].value, str)
         ):
             names.append((node.args[0].value, node.lineno))
+        elif (
+            isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Dict)
+            and SPAN_TABLE_NAME in _target_names(node)
+        ):
+            for entry in node.value.values:
+                first = entry.elts[0] if isinstance(entry, ast.Tuple) else entry
+                if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                    names.append((first.value, first.lineno))
     return names
+
+
+def _target_names(node: ast.stmt) -> List[str]:
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def find_clock_reads(tree: ast.AST, filename: str) -> List[str]:
+    """Reads of the span clocks (``time.<name>`` for a name in
+    :data:`~repro.obs.tracing.SPAN_CLOCKS`, or importing one)."""
+    violations = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in SPAN_CLOCKS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "time"
+        ):
+            violations.append(f"{filename}:{node.lineno} time.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            violations.extend(
+                f"{filename}:{node.lineno} from time import {alias.name}"
+                for alias in node.names
+                if alias.name in SPAN_CLOCKS
+            )
+    return violations
 
 
 def _always_returns_value(body: List[ast.stmt]) -> bool:
@@ -221,8 +269,11 @@ def run_lint_checks(checks: Checks, src_root: Optional[str] = None) -> None:
     consumer_violations: List[str] = []
     metric_names: List[Tuple[str, str, int]] = []
     cli_violations: List[str] = []
+    clock_violations: List[str] = []
     for path, tree in trees.items():
         rel = str(path.relative_to(repo_root))
+        if path.relative_to(root).as_posix() != CLOCK_MODULE:
+            clock_violations.extend(find_clock_reads(tree, rel))
         random_violations.extend(find_global_random(tree, rel))
         unseeded_violations.extend(find_unseeded_default_rng(tree, rel))
         consumer_violations.extend(find_incomplete_consumers(tree, rel))
@@ -269,6 +320,13 @@ def run_lint_checks(checks: Checks, src_root: Optional[str] = None) -> None:
             or f"{len(metric_names)} emitted metric names all listed in "
             "docs/observability.md",
         )
+
+    checks.record(
+        "lint:one-clock",
+        not clock_violations,
+        "; ".join(clock_violations[:5])
+        or f"span clocks are read only in {CLOCK_MODULE}",
+    )
 
     checks.record(
         "lint:cli-exit-codes",

@@ -90,9 +90,40 @@ def test_metrics_cover_every_chunk_across_the_pool(tmp_path):
     assert m.gauge_value("campaign_done_traces") == N_TRACES
     assert m.gauge_value("campaign_wall_seconds") > 0.0
     snap = m.snapshot()
-    key = ("campaign_consume_seconds", ())
+    key = ("campaign_consume_seconds", (("consumer", "cpa[0]"),))
     _, _, _, count = snap.histograms[key]
     assert count == N_CHUNKS
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_report_timings_are_sums_over_the_trace(tmp_path, workers):
+    """Every timing field of the report is the sum of its spans."""
+    obs = Observability.create()
+    report = _run(tmp_path, workers=workers, obs=obs)
+    events = obs.tracer.events
+
+    def spans(*names):
+        return sum(e["dur_s"] for e in events if e["name"] in names)
+
+    def assert_sum(field, expected):
+        assert abs(field - expected) <= 1e-12, (field, expected)
+
+    writes = [e for e in events if e["name"] == "store_write"]
+    assert len(writes) == N_CHUNKS
+    assert_sum(report.store_seconds, spans("store_append", "store_write"))
+    assert_sum(report.acquire_seconds, spans("acquire_chunk"))
+    assert_sum(report.consume_seconds, spans("consume"))
+    assert_sum(report.wall_seconds, spans("campaign"))
+    stages = {}
+    for event in events:
+        if event["name"] == "acquire_stage":
+            stage = event["attrs"]["stage"]
+            stages[stage] = stages.get(stage, 0.0) + event["dur_s"]
+    assert set(report.stage_seconds) == set(stages) == {
+        "schedule", "crypto", "leakage", "synth", "capture"
+    }
+    for stage, seconds in stages.items():
+        assert_sum(report.stage_seconds[stage], seconds)
 
 
 def test_trace_covers_every_chunk_and_both_clock_domains(tmp_path):

@@ -1,5 +1,7 @@
 """Pipeline stage accounting and the multi-byte streaming CPA consumer."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,20 +13,25 @@ from repro.pipeline import (
     CpaStreamConsumer,
     StreamingCampaign,
 )
+from repro.store import MANIFEST_NAME
 
 STAGES = ("schedule", "crypto", "leakage", "synth", "capture")
 
 
 class TestStageSeconds:
-    def test_chunks_carry_stage_seconds(self):
+    def test_chunks_carry_no_timing_key(self, tmp_path):
         spec = CampaignSpec(target="unprotected")
         device = spec.build_device(np.random.default_rng(0))
         rng = np.random.default_rng(1)
         pts = rng.integers(0, 256, size=(50, 16), dtype=np.uint8)
         chunk = device.run(pts, rng)
-        stage_seconds = chunk.metadata["stage_seconds"]
-        assert set(stage_seconds) == set(STAGES)
-        assert all(v >= 0.0 for v in stage_seconds.values())
+        assert not [key for key in chunk.metadata if "seconds" in key]
+        StreamingCampaign(spec, chunk_size=100, seed=3).run(
+            200, store=tmp_path / "store"
+        )
+        manifest = json.loads((tmp_path / "store" / MANIFEST_NAME).read_text())
+        for entry in manifest["chunks"]:
+            assert not [key for key in entry["metadata"] if "seconds" in key]
 
     def test_report_aggregates_stages(self):
         spec = CampaignSpec(target="unprotected")
@@ -33,8 +40,8 @@ class TestStageSeconds:
         assert set(report.stage_seconds) == set(STAGES)
         assert all(v >= 0.0 for v in report.stage_seconds.values())
         assert "stages" in report.summary()
-        # The stage split decomposes (a large part of) acquisition time.
-        assert sum(report.stage_seconds.values()) <= report.acquire_seconds * 1.5
+        # The stage spans nest inside the acquire_chunk spans.
+        assert sum(report.stage_seconds.values()) <= report.acquire_seconds
 
 
 class TestCpaBankConsumer:

@@ -412,7 +412,7 @@ def test_summaries_are_observed_on_both_sides(tmp_path):
     assert m.counter_value("cpa_traces_folded_total", accumulator="cpa_bank") == N_TRACES
     assert m.counter_value("cpa_traces_folded_total", accumulator="cpa[3]") == N_TRACES
     _, _, _, count = m.snapshot().histograms[
-        ("cpa_update_seconds", (("accumulator", "cpa_bank"),))
+        ("campaign_summarize_seconds", (("consumer", "cpa_bank"),))
     ]
     assert count == N_CHUNKS
     events = obs.tracer.events

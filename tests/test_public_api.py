@@ -22,7 +22,6 @@ PACKAGES = [
     "repro.obs",
     "repro.obs.metrics",
     "repro.obs.tracing",
-    "repro.obs.profiling",
     "repro.pipeline",
     "repro.pipeline.engine",
     "repro.pipeline.consumers",

@@ -2,13 +2,17 @@
 
 import ast
 import textwrap
+from pathlib import Path
 
+from repro.verify import Checks
 from repro.verify.lint import (
     find_cli_exit_violations,
+    find_clock_reads,
     find_global_random,
     find_incomplete_consumers,
     find_metric_names,
     find_unseeded_default_rng,
+    run_lint_checks,
 )
 
 
@@ -122,6 +126,78 @@ class TestMetricNamesRule:
         metrics.inc(name, 1)
         """
         assert find_metric_names(_tree(src)) == []
+
+    def test_collects_span_table_histograms(self):
+        src = """
+        SPAN_HISTOGRAMS: Dict[str, tuple] = {
+            "consume": ("campaign_consume_seconds", "consumer"),
+            "store_append": ("store_append_seconds", None),
+        }
+        OTHER = {"consume": ("not_a_metric", None)}
+        """
+        names = [n for n, _ in find_metric_names(_tree(src))]
+        assert names == ["campaign_consume_seconds", "store_append_seconds"]
+
+    def test_undocumented_span_histogram_fails_the_suite(self, tmp_path):
+        _write(tmp_path, "src/repro/obs/tracing.py", """
+            import time
+            SPAN_HISTOGRAMS = {"consume": ("hidden_seconds", None)}
+            started = time.perf_counter()
+        """)
+        _write(tmp_path, "docs/observability.md", "`other_seconds`\n")
+        verdicts = _lint(tmp_path)
+        assert verdicts["lint:metrics-documented"] is False
+        assert verdicts["lint:one-clock"] is True
+
+
+class TestOneClockRule:
+    def test_flags_span_clock_reads(self):
+        src = """
+        import time
+        from time import perf_counter
+        a = time.perf_counter()
+        b = time.process_time()
+        timer = time.perf_counter_ns
+        """
+        hits = find_clock_reads(_tree(src), "f.py")
+        assert len(hits) == 4
+        assert "f.py:4 time.perf_counter" in hits
+        assert "f.py:3 from time import perf_counter" in hits
+
+    def test_deadline_clocks_pass(self):
+        src = """
+        import time
+        deadline = time.monotonic() + 5.0
+        time.sleep(0.01)
+        stamp = time.time()
+        """
+        assert find_clock_reads(_tree(src), "f.py") == []
+
+    def test_only_the_tracing_module_may_read_the_clock(self, tmp_path):
+        _write(tmp_path, "src/repro/obs/tracing.py", """
+            import time
+            SPAN_HISTOGRAMS = {}
+            started = time.perf_counter()
+        """)
+        _write(tmp_path, "docs/observability.md", "")
+        assert _lint(tmp_path)["lint:one-clock"] is True
+        _write(tmp_path, "src/repro/pipeline/engine.py", """
+            import time
+            started = time.perf_counter()
+        """)
+        assert _lint(tmp_path)["lint:one-clock"] is False
+
+
+def _write(root: Path, rel: str, text: str) -> None:
+    path = root / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(textwrap.dedent(text))
+
+
+def _lint(root: Path) -> dict:
+    checks = Checks()
+    run_lint_checks(checks, src_root=str(root / "src"))
+    return {c.name: c.ok for c in checks.results}
 
 
 class TestCliExitRule:
