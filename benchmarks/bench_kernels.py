@@ -279,8 +279,8 @@ def bench_rftc_device_build(scale, rng):
     """
     spec = CampaignSpec(target="rftc", m_outputs=3, p_configs=256)
     spec.warm_caches()
-    key = (spec.m_outputs, spec.p_configs, spec.plan_seed, True)
-    plan = scenarios._PLAN_CACHE[key]
+    plan = scenarios.cached_plan(spec.m_outputs, spec.p_configs, spec.plan_seed)
+    key = scenarios._plan_key(plan.params, spec.plan_seed, True)
 
     def new():
         spec.build_device(np.random.default_rng(0))

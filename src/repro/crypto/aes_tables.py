@@ -12,21 +12,23 @@ from typing import List
 
 import numpy as np
 
-from repro.utils.bitops import gf_mul
+from repro.utils.bitops import gf_mul, xtime
 
 
 def _build_gf_inverse() -> List[int]:
-    """Multiplicative inverse table for GF(2^8); inverse of 0 is defined as 0."""
-    inverse = [0] * 256
-    for a in range(1, 256):
-        if inverse[a]:
-            continue
-        for b in range(1, 256):
-            if gf_mul(a, b) == 1:
-                inverse[a] = b
-                inverse[b] = a
-                break
-    return inverse
+    """Multiplicative inverse table for GF(2^8); inverse of 0 is defined as 0.
+
+    Walks the powers of the generator 0x03 once: ``a = 3^k`` has inverse
+    ``3^(255 - k)``, so no product search is needed.
+    """
+    exp = [0] * 255
+    log = [0] * 256
+    value = 1
+    for power in range(255):
+        exp[power] = value
+        log[value] = power
+        value ^= xtime(value)  # value * 3 = value * 2 + value
+    return [0] + [exp[(255 - log[a]) % 255] for a in range(1, 256)]
 
 
 def _affine(value: int) -> int:

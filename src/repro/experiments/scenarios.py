@@ -6,7 +6,7 @@ return a :class:`Scenario` bundling the countermeasure, the device and the
 provenance needed for reporting.
 
 Frequency plans for large P are expensive to compute, so they are memoized
-per (M, P, seed, hardware) within the process.
+per (RFTC parameters, seed, hardware) within the process.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.rftc import FrequencyPlan, RFTCController, RFTCParams, plan_frequenci
 #: The key used throughout the reproduction (the FIPS-197 Appendix B key).
 DEFAULT_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
-_PLAN_CACHE: Dict[Tuple[int, int, int, bool], FrequencyPlan] = {}
+_PLAN_CACHE: Dict[tuple, FrequencyPlan] = {}
 
 
 @dataclass
@@ -78,6 +78,12 @@ def build_unprotected(
     )
 
 
+def _plan_key(params: RFTCParams, seed: int, hardware: bool) -> tuple:
+    # ``RFTCParams.spec`` is left out of the dataclass's equality and hash,
+    # but the planner samples its lattice, so it is keyed explicitly.
+    return (params, params.spec, seed, hardware)
+
+
 def cached_plan(
     m_outputs: int,
     p_configs: int,
@@ -85,10 +91,16 @@ def cached_plan(
     hardware: bool = True,
     params: Optional[RFTCParams] = None,
 ) -> FrequencyPlan:
-    """Memoized overlap-free frequency plan for RFTC(M, P)."""
-    cache_key = (m_outputs, p_configs, seed, hardware)
+    """Memoized overlap-free frequency plan for RFTC(M, P).
+
+    ``params`` defaults to ``RFTCParams(M, P)``.  The cache is keyed on
+    all of it, spec included: the plan records its params, and the ROM
+    export writes them out, so two builds that differ only in, say,
+    ``n_mmcms`` must not share a plan.
+    """
+    params = params or RFTCParams(m_outputs=m_outputs, p_configs=p_configs)
+    cache_key = _plan_key(params, seed, hardware)
     if cache_key not in _PLAN_CACHE:
-        params = params or RFTCParams(m_outputs=m_outputs, p_configs=p_configs)
         _PLAN_CACHE[cache_key] = plan_frequencies(
             params,
             rng=np.random.default_rng(seed),

@@ -31,6 +31,7 @@ converts to counter settings without any snapping error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
@@ -211,7 +212,7 @@ def plan_naive_grid(
 
 def _vco_lattice(
     params: RFTCParams, spec: MmcmTimingSpec
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[List[float], List[int], List[float]]:
     """Legal (mult, divclk, vco) triples for the board input clock.
 
     Sweeping divclk as well as the multiplier enriches the VCO lattice
@@ -222,7 +223,9 @@ def _vco_lattice(
     mult_grid = np.arange(
         spec.mult_min, spec.mult_max + spec.mult_step / 2, spec.mult_step
     )
-    mults, divclks, vcos = [], [], []
+    mults: List[float] = []
+    divclks: List[int] = []
+    vcos: List[float] = []
     for divclk in range(spec.divclk_min, spec.divclk_max + 1):
         f_pfd = params.f_in_mhz / divclk
         if f_pfd < spec.f_pfd_min_mhz:
@@ -231,48 +234,59 @@ def _vco_lattice(
             continue
         vco = f_pfd * mult_grid
         ok = (vco >= spec.f_vco_min_mhz) & (vco <= spec.f_vco_max_mhz)
-        mults.extend(mult_grid[ok])
+        mults.extend(mult_grid[ok].tolist())
         divclks.extend([divclk] * int(ok.sum()))
-        vcos.extend(vco[ok])
+        vcos.extend(vco[ok].tolist())
     if not vcos:
         raise PlanningError(
             f"no legal VCO frequency from {params.f_in_mhz} MHz input"
         )
-    return np.array(mults), np.array(divclks, dtype=np.int64), np.array(vcos)
+    return mults, divclks, vcos
+
+
+def _strata(params: RFTCParams, stratify: bool) -> List[Tuple[float, float]]:
+    """The ``(lo, hi)`` MHz window each of a set's M outputs is drawn from.
+
+    Stratified, the window is cut into M equal slices, one per output;
+    otherwise every output draws from the whole window.
+    """
+    m = params.m_outputs
+    if not stratify:
+        return [(params.f_lo_mhz, params.f_hi_mhz)] * m
+    edges = np.linspace(params.f_lo_mhz, params.f_hi_mhz, m + 1).tolist()
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _sample_hardware_set(
-    params: RFTCParams,
+    lattice: Tuple[List[float], List[int], List[float]],
+    strata: List[Tuple[float, float]],
+    stratify: bool,
     spec: MmcmTimingSpec,
-    mults: np.ndarray,
-    divclks: np.ndarray,
-    vcos: np.ndarray,
     rng: np.random.Generator,
-    stratify: bool = True,
-) -> Tuple[np.ndarray, HardwareSetting]:
+) -> Tuple[List[float], HardwareSetting]:
     """Draw one MMCM-realizable set: shared VCO, per-output dividers.
 
-    With ``stratify`` (default) each output lands in its own third of the
-    frequency window, guaranteeing within-set spread; without it, outputs
-    sample the whole window independently (the paper's MATLAB style).
+    With ``stratify`` each output lands in its own 1/M of the frequency
+    window (the ``strata``, dealt out in random order), guaranteeing
+    within-set spread; without it, outputs sample the whole window
+    independently (the paper's MATLAB style).
+
+    This runs once per candidate (145k times for RFTC(3,1024)) on 1-3
+    values, so it uses scalar Python arithmetic: ``round`` rounds half to
+    even exactly like ``np.round``.
     """
-    pick = int(rng.integers(0, mults.size))
-    mult = float(mults[pick])
-    divclk = int(divclks[pick])
-    vco = float(vcos[pick])
-    m = params.m_outputs
+    mults, divclks, vcos = lattice
+    pick = int(rng.integers(0, len(vcos)))
+    vco = vcos[pick]
     if stratify:
-        edges = np.linspace(params.f_lo_mhz, params.f_hi_mhz, m + 1)
-        strata = list(zip(edges[:-1], edges[1:]))
+        strata = list(strata)
         rng.shuffle(strata)
-    else:
-        strata = [(params.f_lo_mhz, params.f_hi_mhz)] * m
-    freqs = np.empty(m)
+    freqs: List[float] = []
     odivs: List[float] = []
     for idx, (f_lo, f_hi) in enumerate(strata):
         step = spec.odiv0_step if idx == 0 else 1.0
-        d_lo = max(spec.odiv_min, np.ceil((vco / f_hi) / step) * step)
-        d_hi = min(spec.odiv_max, np.floor((vco / f_lo) / step) * step)
+        d_lo = max(spec.odiv_min, math.ceil(vco / f_hi / step) * step)
+        d_hi = min(spec.odiv_max, math.floor(vco / f_lo / step) * step)
         if d_hi < d_lo:
             raise PlanningError(
                 f"VCO {vco} MHz cannot reach stratum [{f_lo:.2f}, {f_hi:.2f}] MHz"
@@ -281,31 +295,32 @@ def _sample_hardware_set(
         # grid, so the planned frequencies are uniform over the window (as
         # in the paper's MATLAB study) rather than uniform in period.
         target = f_lo + (f_hi - f_lo) * rng.random()
-        divide = float(np.clip(np.round((vco / target) / step) * step, d_lo, d_hi))
+        divide = float(min(max(round(vco / target / step) * step, d_lo), d_hi))
         odivs.append(divide)
-        freqs[idx] = vco / divide
-    return freqs, HardwareSetting(mult=mult, divclk=divclk, odivs=tuple(odivs))
+        freqs.append(vco / divide)
+    return freqs, HardwareSetting(
+        mult=mults[pick], divclk=divclks[pick], odivs=tuple(odivs)
+    )
+
+
+def _grid_candidates(
+    grid: np.ndarray, strata: List[Tuple[float, float]]
+) -> List[List[float]]:
+    """Each stratum's slice of the grid, cut once per plan."""
+    candidates = []
+    for lo, hi in strata:
+        inside = grid[(grid >= lo) & (grid <= hi)]
+        if inside.size == 0:
+            raise PlanningError(f"grid has no frequency in [{lo}, {hi}] MHz")
+        candidates.append(inside.tolist())
+    return candidates
 
 
 def _sample_grid_set(
-    params: RFTCParams,
-    grid: np.ndarray,
-    rng: np.random.Generator,
-    stratify: bool = True,
-) -> np.ndarray:
-    """Draw one set from a pure frequency grid (optionally stratified)."""
-    m = params.m_outputs
-    if stratify:
-        edges = np.linspace(params.f_lo_mhz, params.f_hi_mhz, m + 1)
-        bounds = list(zip(edges[:-1], edges[1:]))
-    else:
-        bounds = [(params.f_lo_mhz, params.f_hi_mhz)] * m
-    freqs = np.empty(m)
-    for idx, (lo, hi) in enumerate(bounds):
-        candidates = grid[(grid >= lo) & (grid <= hi)]
-        if candidates.size == 0:
-            raise PlanningError(f"grid has no frequency in [{lo}, {hi}] MHz")
-        freqs[idx] = candidates[rng.integers(0, candidates.size)]
+    candidates: List[List[float]], rng: np.random.Generator
+) -> List[float]:
+    """Draw one set from a pure frequency grid: one per stratum, shuffled."""
+    freqs = [inside[rng.integers(0, len(inside))] for inside in candidates]
     rng.shuffle(freqs)
     return freqs
 
@@ -342,24 +357,26 @@ def plan_overlap_free(
         Sample sets from the MMCM counter lattice (exactly realizable,
         default) instead of the paper's idealized MATLAB grid.
     stratify:
-        Force each set to span the frequency window (one output per
-        third).  Guarantees within-set diversity (strongest TVLA posture
-        for M >= 2) but concentrates the completion-time histogram toward
-        its center; the paper's MATLAB study samples unstratified, which
-        is what Figure 3's histograms show.
+        Force each set to span the frequency window (one output in each
+        1/M slice of it).  Guarantees within-set diversity (strongest TVLA
+        posture for M >= 2) but concentrates the completion-time histogram
+        toward its center; the paper's MATLAB study samples unstratified,
+        which is what Figure 3's histograms show.
     """
     if tolerance_ns <= 0:
         raise ConfigurationError("tolerance_ns must be positive")
     rng = rng if rng is not None else np.random.default_rng(np.random.SeedSequence(2019))
     spec = params.spec
-    comps = enumerate_compositions(params.m_outputs, params.rounds).astype(np.float64)
+    m = params.m_outputs
+    comps = enumerate_compositions(m, params.rounds).astype(np.float64)
     seen: Set[int] = set()
-    sets: List[np.ndarray] = []
+    sets: List[List[float]] = []
     settings: List[HardwareSetting] = []
+    strata = _strata(params, stratify)
     if hardware:
-        mults, divclks, vcos = _vco_lattice(params, spec)
+        lattice = _vco_lattice(params, spec)
     else:
-        grid = _grid(params, grid_step_mhz)
+        candidates = _grid_candidates(_grid(params, grid_step_mhz), strata)
 
     for set_index in range(params.p_configs):
         best = None  # (n_collisions, freqs, setting, unique_keys)
@@ -367,16 +384,15 @@ def plan_overlap_free(
         for attempt in range(max_attempts_per_set):
             if hardware:
                 freqs, setting = _sample_hardware_set(
-                    params, spec, mults, divclks, vcos, rng, stratify=stratify
+                    lattice, strata, stratify, spec, rng
                 )
             else:
-                freqs = _sample_grid_set(params, grid, rng, stratify=stratify)
-                setting = None
-            if np.unique(freqs).size != freqs.size:
+                freqs, setting = _sample_grid_set(candidates, rng), None
+            if len(set(freqs)) != m:
                 continue  # outputs must have unique frequencies (Sec. 4)
-            times = comps @ (1000.0 / freqs)
-            keys = np.round(times / tolerance_ns).astype(np.int64)
-            unique_keys = set(int(k) for k in keys)
+            times = comps @ (1000.0 / np.array(freqs))
+            keys = np.rint(times / tolerance_ns).astype(np.int64)
+            unique_keys = set(keys.tolist())
             collisions = (keys.size - len(unique_keys)) + len(unique_keys & seen)
             if collisions == 0:
                 seen |= unique_keys

@@ -16,10 +16,9 @@ from repro.errors import ConfigurationError
 #: Hamming weight of every 8-bit value, as a numpy uint8 array.
 HW8: np.ndarray = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
-#: Hamming weight of every 16-bit value (used by wide-register leakage models).
-HW16: np.ndarray = np.array(
-    [bin(i).count("1") for i in range(65536)], dtype=np.uint8
-)
+#: Hamming weight of every 16-bit value (used by wide-register leakage models):
+#: entry ``hi << 8 | lo`` is ``HW8[hi] + HW8[lo]``.
+HW16: np.ndarray = (HW8[:, None] + HW8[None, :]).ravel()
 
 _IntArray = Union[int, np.ndarray]
 

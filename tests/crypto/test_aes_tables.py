@@ -1,4 +1,10 @@
-"""Generated AES tables pinned against FIPS-197 constants."""
+"""Generated AES tables pinned against FIPS-197 constants.
+
+The module finds GF(2^8) inverses through exp/log tables;
+``TestBruteForceDefinitions`` rebuilds every table from the textbook
+definition (exhaustive inverse search, bitwise affine map, schoolbook
+GF(2^8) products) so that shortcut stays checked against the spec.
+"""
 
 import numpy as np
 
@@ -16,6 +22,21 @@ from repro.crypto.aes_tables import (
     SHIFT_ROWS_MAP,
 )
 from repro.utils.bitops import gf_mul
+
+
+def _brute_force_inverse(a):
+    return 0 if a == 0 else next(b for b in range(1, 256) if gf_mul(a, b) == 1)
+
+
+def _fips197_affine(value):
+    """FIPS-197 eq. 5.1: b'_i = b_i ^ b_(i+4) ^ b_(i+5) ^ b_(i+6) ^ b_(i+7) ^ c_i."""
+    b = [(value >> i) & 1 for i in range(8)]
+    c = [(0x63 >> i) & 1 for i in range(8)]
+    return sum(
+        (b[i] ^ b[(i + 4) % 8] ^ b[(i + 5) % 8] ^ b[(i + 6) % 8] ^ b[(i + 7) % 8] ^ c[i])
+        << i
+        for i in range(8)
+    )
 
 
 class TestSbox:
@@ -75,3 +96,32 @@ class TestShiftRows:
 
     def test_inverse(self):
         assert (INV_SHIFT_ROWS_MAP[SHIFT_ROWS_MAP] == np.arange(16)).all()
+
+
+class TestBruteForceDefinitions:
+    def test_sbox_is_affine_of_inverse(self):
+        expected = [_fips197_affine(_brute_force_inverse(a)) for a in range(256)]
+        assert np.array_equal(SBOX, np.array(expected, dtype=np.uint8))
+        assert SBOX.dtype == np.uint8
+
+    def test_inv_sbox_inverts_the_definition(self):
+        expected = np.zeros(256, dtype=np.uint8)
+        for a in range(256):
+            expected[_fips197_affine(_brute_force_inverse(a))] = a
+        assert np.array_equal(INV_SBOX, expected)
+        assert INV_SBOX.dtype == np.uint8
+
+    def test_mul_tables(self):
+        for table, factor in (
+            (MUL2, 2), (MUL3, 3), (MUL9, 9), (MUL11, 11), (MUL13, 13), (MUL14, 14)
+        ):
+            expected = np.array([gf_mul(a, factor) for a in range(256)], dtype=np.uint8)
+            assert np.array_equal(table, expected)
+            assert table.dtype == np.uint8
+
+    def test_rcon_is_powers_of_two(self):
+        expected, value = [0x00], 1
+        for _ in range(14):
+            expected.append(value)
+            value = gf_mul(value, 2)
+        assert RCON == expected

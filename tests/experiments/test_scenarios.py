@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.scenarios import (
+    _PLAN_CACHE,
     DEFAULT_KEY,
     baseline_names,
     build_baseline,
@@ -12,6 +13,9 @@ from repro.experiments.scenarios import (
     build_unprotected,
     cached_plan,
 )
+from repro.hw.mmcm import INTEL_IOPLL_SPEC, KINTEX7_SPEC
+from repro.pipeline import CampaignSpec
+from repro.rftc import RFTCParams
 
 
 class TestUnprotectedScenario:
@@ -41,6 +45,36 @@ class TestRftcScenario:
         a = cached_plan(2, 8, seed=41)
         b = cached_plan(2, 8, seed=42)
         assert a is not b
+
+    def test_plan_records_the_callers_params(self):
+        """Builds differing only in N must not share a plan (its params
+        reach the ROM header and JSON export)."""
+        two = build_rftc(2, 8, n_mmcms=2)
+        one = build_rftc(2, 8, n_mmcms=1)
+        assert two.plan.params.n_mmcms == 2
+        assert one.plan.params.n_mmcms == 1
+        assert one.plan.params == one.rftc_params
+        assert np.array_equal(one.plan.sets_mhz, two.plan.sets_mhz)
+
+    def test_plan_cache_keys_on_the_spec(self):
+        intel = RFTCParams(m_outputs=2, p_configs=8, spec=INTEL_IOPLL_SPEC)
+        kintex = RFTCParams(m_outputs=2, p_configs=8)
+        assert intel == kintex  # spec is outside the dataclass's equality
+        a = cached_plan(2, 8, seed=41, params=intel)
+        b = cached_plan(2, 8, seed=41, params=kintex)
+        assert a.params.spec is INTEL_IOPLL_SPEC
+        assert b.params.spec is KINTEX7_SPEC
+        assert a is not b
+
+    def test_spec_warms_the_plan_its_devices_use(self):
+        """A campaign plans once per process: the parent's warm-up and
+        every chunk's device build hit the same cache entry."""
+        spec = CampaignSpec(target="rftc", m_outputs=2, p_configs=8, plan_seed=43)
+        spec.warm_caches()
+        cached = len(_PLAN_CACHE)
+        device = spec.build_device(np.random.default_rng(0))
+        assert len(_PLAN_CACHE) == cached
+        assert device.countermeasure.plan is cached_plan(2, 8, seed=43)
 
     def test_device_measures(self):
         from repro.power.acquisition import AcquisitionCampaign

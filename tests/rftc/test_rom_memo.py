@@ -83,7 +83,9 @@ def _cold_device(m, p, seed, monkeypatch):
     _encode_burst.cache_clear()
     plan = _plan(m, p)
     monkeypatch.setitem(
-        scenarios._PLAN_CACHE, (m, p, 2019, True), dataclasses.replace(plan)
+        scenarios._PLAN_CACHE,
+        scenarios._plan_key(plan.params, 2019, True),
+        dataclasses.replace(plan),
     )
     return _spec(m, p).build_device(np.random.default_rng(seed))
 

@@ -33,6 +33,12 @@ class TestHammingWeight:
         assert HW16[0xFFFF] == 16
         assert HW16[0x8001] == 2
 
+    def test_tables_match_bit_counts(self):
+        expected8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+        expected16 = np.array([bin(i).count("1") for i in range(65536)], dtype=np.uint8)
+        assert np.array_equal(HW8, expected8) and HW8.dtype == np.uint8
+        assert np.array_equal(HW16, expected16) and HW16.dtype == np.uint8
+
     def test_scalar(self):
         assert hamming_weight(0) == 0
         assert hamming_weight(0b1011) == 3
