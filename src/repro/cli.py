@@ -230,10 +230,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             return 2
         try:
             ckpt = CampaignCheckpoint.load(args.checkpoint)
+            ckpt_spec = ckpt.spec()
         except CheckpointError as exc:
             print(f"cannot resume: {exc}", file=sys.stderr)
             return 2
-        ckpt_spec = ckpt.spec()
         mode = "tvla" if ckpt_spec.fixed_plaintext is not None else "cpa"
         # The checkpoint defines the campaign; flags the user *explicitly*
         # passed must agree with it (unset flags inherit the checkpoint).
@@ -241,14 +241,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "target": args.target, "mode": args.mode, "m": args.m,
             "p": args.p, "seed": args.seed, "traces": args.traces,
             "chunk-size": args.chunk_size, "dtype": args.dtype,
-            "compression": args.compression,
         }
         checkpointed = {
             "target": ckpt_spec.target, "mode": mode,
             "m": ckpt_spec.m_outputs, "p": ckpt_spec.p_configs,
             "seed": ckpt.seed, "traces": ckpt.n_traces,
             "chunk-size": ckpt.chunk_size, "dtype": ckpt_spec.dtype,
-            "compression": ckpt_spec.compression,
         }
         mismatched = [
             f"--{flag} {requested[flag]} != {checkpointed[flag]}"
@@ -303,9 +301,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             plan_seed=seed,
             fixed_plaintext=TVLA_FIXED_PLAINTEXT if mode == "tvla" else None,
             dtype=args.dtype if args.dtype is not None else "float64",
-            compression=(
-                args.compression if args.compression is not None else "none"
-            ),
         )
         n_traces = args.traces if args.traces is not None else 8000
         chunk_size = args.chunk_size if args.chunk_size is not None else 2000
@@ -591,14 +586,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
               f"({min(sizes) if sizes else 0}-{max(sizes) if sizes else 0} per chunk)")
         print(f"samples  : {store.n_samples} @ {store.sample_period_ns} ns")
         print(f"dtype    : {store.dtype if store.dtype else 'unrecorded'}")
-        raw, stored = store.byte_counts()
-        line = f"encoding : {store.compression}"
-        if raw and stored:
-            line += (
-                f" ({stored} / {raw} bytes stored/raw = "
-                f"{stored / raw:.2f})"
-            )
-        print(line)
+        stored = store.byte_counts()[1]
+        print(f"stored   : {stored} bytes" if stored else "stored   : unrecorded")
         for k, v in store.metadata.items():
             print(f"meta     : {k} = {v}")
         return 0
@@ -726,10 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace sample dtype (default float64; float32 "
                         "halves bytes and speeds the CPA fold, bounded by "
                         "the drift budgets)")
-    p.add_argument("--compression", choices=("none", "zstd-npz"),
-                   default=None,
-                   help="store chunk encoding (default none; zstd-npz "
-                        "writes compressed per-field archives)")
     p.add_argument("--workers", type=int, default=1,
                    help="acquisition worker processes")
     p.add_argument("--chunk-size", type=int, default=None,

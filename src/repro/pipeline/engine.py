@@ -119,9 +119,8 @@ class _ChunkTask(NamedTuple):
     #: environment-drift models key on (see :mod:`repro.power.drift`).
     trace_offset: int
     #: Where the acquiring process writes the chunk's files: (store
-    #: directory, compression, store chunk index); ``None`` without a
-    #: store.
-    store: Optional[Tuple[Path, str, int]] = None
+    #: directory, store chunk index); ``None`` without a store.
+    store: Optional[Tuple[Path, int]] = None
 
 #: Exceptions from collecting a pool result that mean "the pool is gone",
 #: not "the chunk is bad" — the engine degrades to inline execution on
@@ -373,11 +372,9 @@ def _acquire_chunk(
             summaries.append(summarizer.summarize(chunk))
     written = None
     if store_target is not None:
-        directory, compression, store_index = store_target
+        directory, store_index = store_target
         with obs.tracer.span("store_write", chunk=index):
-            written = write_chunk_files(
-                directory, store_index, chunk, compression, faults
-            )
+            written = write_chunk_files(directory, store_index, chunk, faults)
     ring = shm_transport.worker_ring()
     if ring is not None:
         try:
@@ -818,7 +815,6 @@ class StreamingCampaign:
                         "seed": self.seed,
                         "chunk_size": self.chunk_size,
                     },
-                    compression=self.spec.compression,
                 )
             store.metrics = obs.metrics
             store.faults = self.faults
@@ -888,11 +884,8 @@ class StreamingCampaign:
         store_dir = store.path if store is not None else store_path
         store_base = store.n_chunks if store is not None else 0
         if store_dir is not None:
-            compression = (
-                store.compression if store is not None else self.spec.compression
-            )
             fresh = [
-                task._replace(store=(store_dir, compression, store_base + k))
+                task._replace(store=(store_dir, store_base + k))
                 for k, task in enumerate(fresh)
             ]
         pool = None
@@ -1030,8 +1023,7 @@ class StreamingCampaign:
                     # is gone, so no worker writes behind this sweep.
                     committed = store.n_chunks if store is not None else 0
                     discard_chunk_files(
-                        store_dir, range(committed, store_base + len(fresh)),
-                        compression,
+                        store_dir, range(committed, store_base + len(fresh))
                     )
 
         # Every timing field is a sum over this run's spans.

@@ -27,14 +27,13 @@ _CORE_TARGETS = ("unprotected", "rftc")
 #: Version tag folded into every :meth:`CampaignSpec.spec_digest` — bump
 #: when the canonical field set changes, so old digests can never
 #: collide with new ones.  v2 added ``dtype`` and ``compression``; v3
-#: added ``acquisition`` and ``drift``.
+#: added ``acquisition`` and ``drift``.  ``compression`` has only one
+#: value left, ``"none"``, which :func:`spec_to_dict` still writes so
+#: every v3 digest stays what it was.
 SPEC_DIGEST_SCHEMA = "rftc-campaign-spec/3"
 
 #: Trace dtypes a campaign can synthesize/fold in.
 SPEC_DTYPES = ("float64", "float32")
-
-#: Store chunk encodings a campaign can request.
-SPEC_COMPRESSIONS = ("none", "zstd-npz")
 
 #: Acquisition front-ends a campaign can capture through.
 SPEC_ACQUISITIONS = ("scope", "cloud")
@@ -53,7 +52,7 @@ def spec_to_dict(spec: "CampaignSpec") -> dict:
             spec.fixed_plaintext.hex() if spec.fixed_plaintext is not None else None
         ),
         "dtype": spec.dtype,
-        "compression": spec.compression,
+        "compression": "none",
         "acquisition": spec.acquisition,
         "drift": spec.drift.to_dict() if spec.drift is not None else None,
     }
@@ -62,12 +61,13 @@ def spec_to_dict(spec: "CampaignSpec") -> dict:
 def spec_from_dict(fields: dict) -> "CampaignSpec":
     """Rebuild the :class:`CampaignSpec` a :func:`spec_to_dict` describes.
 
-    ``dtype``/``compression`` default when absent so checkpoints written
-    before they existed still resume (they could only have run float64,
-    uncompressed campaigns).
+    ``dtype`` defaults when absent so checkpoints written before it
+    existed still resume (they could only have run float64 campaigns).
+    A spec asking for any store encoding but ``"none"`` (the removed
+    compressed one) is refused rather than run as plain ``.npy``.
     """
     try:
-        return CampaignSpec(
+        spec = CampaignSpec(
             target=str(fields["target"]),
             m_outputs=int(fields["m_outputs"]),
             p_configs=int(fields["p_configs"]),
@@ -80,7 +80,6 @@ def spec_from_dict(fields: dict) -> "CampaignSpec":
                 else None
             ),
             dtype=str(fields.get("dtype", "float64")),
-            compression=str(fields.get("compression", "none")),
             acquisition=str(fields.get("acquisition", "scope")),
             drift=(
                 DriftSpec.from_dict(fields["drift"])
@@ -90,6 +89,13 @@ def spec_from_dict(fields: dict) -> "CampaignSpec":
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise CheckpointError(f"checkpoint spec is malformed: {exc}") from exc
+    compression = fields.get("compression", "none")
+    if compression != "none":
+        raise CheckpointError(
+            f"spec asks for store encoding {compression!r}, which was "
+            "removed; stores now hold only plain .npy chunks ('none')"
+        )
+    return spec
 
 
 def campaign_targets() -> Tuple[str, ...]:
@@ -126,11 +132,6 @@ class CampaignSpec:
         ``"float32"`` (half the bytes and a ~2× faster CPA fold; the
         accuracy cost is pinned by the ``float32`` drift budgets in
         ``repro verify --suite drift``).
-    compression:
-        Store chunk encoding: ``"none"`` (plain ``.npy``) or
-        ``"zstd-npz"`` (``np.savez_compressed`` per field — zlib inside
-        npz; the name records the manifest family, see
-        :mod:`repro.store.chunked`).
     acquisition:
         Acquisition front-end: ``"scope"`` (the paper's bench
         oscilloscope, default) or ``"cloud"`` (an on-chip co-tenant
@@ -152,7 +153,6 @@ class CampaignSpec:
     plan_seed: int = 2019
     fixed_plaintext: Optional[bytes] = None
     dtype: str = "float64"
-    compression: str = "none"
     acquisition: str = "scope"
     drift: Optional[DriftSpec] = None
 
@@ -171,11 +171,6 @@ class CampaignSpec:
         if self.dtype not in SPEC_DTYPES:
             raise ConfigurationError(
                 f"dtype must be one of {SPEC_DTYPES}, got {self.dtype!r}"
-            )
-        if self.compression not in SPEC_COMPRESSIONS:
-            raise ConfigurationError(
-                f"compression must be one of {SPEC_COMPRESSIONS}, "
-                f"got {self.compression!r}"
             )
         if self.acquisition not in SPEC_ACQUISITIONS:
             raise ConfigurationError(

@@ -33,17 +33,13 @@ by a crash between ``np.save`` and the manifest write (the manifest
 itself is always replaced atomically).  v1 stores still open; their
 chunks are reported as ``unverified``.
 
-Format v3 adds two manifest fields: ``compression`` (``"none"`` keeps
-plain ``.npy`` chunk files; ``"zstd-npz"`` writes each field as a
-single-entry ``np.savez_compressed`` archive, ``chunk-XXXXX.<field>.npz``,
-so a 4M-trace campaign fits commodity disks) and ``dtype`` (the trace
-sample dtype, pinned by the first append so a store can never silently
-mix float32 and float64 chunks).  Chunk entries additionally record
-``raw_bytes``/``stored_bytes`` so ``repro store info`` can report the
-compression ratio.  Per-file SHA-256 semantics are unchanged — hashes
-cover the stored (compressed) bytes — and :meth:`verify` additionally
-round-trip decompresses compressed chunk files.  v1/v2 stores still
-open; they read as ``compression="none"`` with an unrecorded dtype.
+Format v3 adds the manifest field ``dtype`` (the trace sample dtype,
+pinned by the first append so a store can never silently mix float32 and
+float64 chunks), and chunk entries record ``raw_bytes``/``stored_bytes``,
+which ``repro store info`` totals and a disk budget checks against.
+v1/v2 stores still open, with an unrecorded dtype.  Chunk fields are
+always plain ``.npy``; a v3 manifest naming the former compressed
+encoding (a zlib archive per field) is refused on open.
 
 Writing and committing are two steps.  :func:`write_chunk_files` writes
 one chunk's files under their final names and hashes the bytes as it
@@ -74,8 +70,6 @@ import hashlib
 import io
 import json
 import os
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
@@ -95,11 +89,7 @@ MANIFEST_NAME = "manifest.json"
 QUARANTINE_DIR = "quarantine"
 STORE_FORMAT_VERSION = 3
 
-#: Chunk encodings a store can be created with.
-STORE_COMPRESSIONS = ("none", "zstd-npz")
-
-#: Fields persisted per chunk as ``chunk-XXXXX.<suffix>.npy`` (or
-#: ``.npz`` under compression).
+#: Fields persisted per chunk as ``chunk-XXXXX.<suffix>.npy``.
 _CHUNK_FIELDS = (
     ("traces", "traces"),
     ("plaintexts", "plaintexts"),
@@ -131,14 +121,13 @@ def _stem(index: int) -> str:
     return f"chunk-{index:05d}"
 
 
-def _field_name(stem: str, suffix: str, compression: str) -> str:
-    ext = "npz" if compression == "zstd-npz" else "npy"
-    return f"{stem}.{suffix}.{ext}"
+def _field_name(stem: str, suffix: str) -> str:
+    return f"{stem}.{suffix}.npy"
 
 
-def _chunk_file_names(stem: str, compression: str) -> List[str]:
+def _chunk_file_names(stem: str) -> List[str]:
     """Every final file name a chunk can have (fields, then sidecar)."""
-    names = [_field_name(stem, suffix, compression) for suffix, _ in _CHUNK_FIELDS]
+    names = [_field_name(stem, suffix) for suffix, _ in _CHUNK_FIELDS]
     return names + [f"{stem}.meta.npz"]
 
 
@@ -196,16 +185,11 @@ def _write_hashed(file: Path, parts: list) -> "tuple[str, int]":
     return digest.hexdigest(), size
 
 
-def _chunk_payloads(stem: str, chunk: TraceSet, compression: str):
+def _chunk_payloads(stem: str, chunk: TraceSet):
     """Yield (file name, raw bytes, parts to write) per file, in write order."""
     for suffix, attr in _CHUNK_FIELDS:
         array = np.ascontiguousarray(getattr(chunk, attr))
-        parts = (
-            _npz_parts(data=array)
-            if compression == "zstd-npz"
-            else _npy_parts(array)
-        )
-        yield _field_name(stem, suffix, compression), array.nbytes, parts
+        yield _field_name(stem, suffix), array.nbytes, _npy_parts(array)
     _, array_meta = _split_metadata(chunk.metadata)
     if array_meta:
         raw = sum(a.nbytes for a in array_meta.values())
@@ -230,7 +214,6 @@ def write_chunk_files(
     directory: Union[str, Path],
     index: int,
     chunk: TraceSet,
-    compression: str = "none",
     faults=None,
 ) -> WrittenChunk:
     """Write chunk ``index``'s files into a store directory, hashed as written.
@@ -251,7 +234,7 @@ def write_chunk_files(
     raw_bytes = stored_bytes = 0
     try:
         for position, (name, raw, parts) in enumerate(
-            _chunk_payloads(_stem(index), chunk, compression)
+            _chunk_payloads(_stem(index), chunk)
         ):
             if faults is not None:
                 faults.check_store_write(index, position)
@@ -272,18 +255,14 @@ def write_chunk_files(
     return WrittenChunk(index, files, raw_bytes, stored_bytes)
 
 
-def discard_chunk_files(
-    directory: Union[str, Path], indices: range, compression: str = "none"
-) -> None:
+def discard_chunk_files(directory: Union[str, Path], indices: range) -> None:
     """Delete whatever :func:`write_chunk_files` left of the chunks ``indices``.
 
     Their finished files and the temporaries of any writer process; other
     files, even those that merely share a chunk's stem, are left alone.
     """
     names = {
-        name
-        for index in indices
-        for name in _chunk_file_names(_stem(index), compression)
+        name for index in indices for name in _chunk_file_names(_stem(index))
     }
     if not names:
         return
@@ -426,18 +405,12 @@ class ChunkedTraceStore:
         key: bytes,
         sample_period_ns: float,
         metadata: Optional[dict] = None,
-        compression: str = "none",
     ) -> "ChunkedTraceStore":
         """Initialise an empty store at ``path`` (created if missing)."""
         if len(key) != 16:
             raise ConfigurationError("key must be 16 bytes")
         if sample_period_ns <= 0:
             raise ConfigurationError("sample_period_ns must be positive")
-        if compression not in STORE_COMPRESSIONS:
-            raise ConfigurationError(
-                f"compression must be one of {STORE_COMPRESSIONS}, "
-                f"got {compression!r}"
-            )
         path = cls.prepare(path)
         manifest = {
             "version": STORE_FORMAT_VERSION,
@@ -445,7 +418,6 @@ class ChunkedTraceStore:
             "sample_period_ns": float(sample_period_ns),
             "n_samples": None,  # pinned by the first append
             "dtype": None,  # pinned by the first append
-            "compression": compression,
             "metadata": sanitize_metadata(metadata or {}),
             "chunks": [],
         }
@@ -497,6 +469,12 @@ class ChunkedTraceStore:
             raise AcquisitionError(
                 f"store at {path} uses format v{manifest['version']}; "
                 f"this library reads up to v{STORE_FORMAT_VERSION}"
+            )
+        encoding = manifest.get("compression", "none")
+        if encoding != "none":
+            raise AcquisitionError(
+                f"store at {path} holds {encoding!r} chunks; that encoding "
+                "was removed and is no longer readable"
             )
         store = cls(path, manifest)
         if quarantine:
@@ -568,11 +546,6 @@ class ChunkedTraceStore:
         """Trace sample dtype (``None`` for empty or pre-v3 stores)."""
         return self._manifest.get("dtype")
 
-    @property
-    def compression(self) -> str:
-        """Chunk encoding; pre-v3 stores read as ``"none"``."""
-        return str(self._manifest.get("compression", "none"))
-
     def chunk_sizes(self) -> List[int]:
         return [c["n_traces"] for c in self._manifest["chunks"]]
 
@@ -585,7 +558,7 @@ class ChunkedTraceStore:
     # -- writing -------------------------------------------------------
 
     def _field_file(self, stem: str, suffix: str) -> Path:
-        return self.path / _field_name(stem, suffix, self.compression)
+        return self.path / _field_name(stem, suffix)
 
     def _check_chunk(self, chunk: TraceSet, index: int, raw_bytes: int) -> None:
         """Refuse a chunk that does not fit the store or its disk budget."""
@@ -648,15 +621,11 @@ class ChunkedTraceStore:
             self._check_chunk(chunk, index, raw_bytes)
         except AcquisitionError:
             if written is not None:
-                discard_chunk_files(
-                    self.path, range(index, index + 1), self.compression
-                )
+                discard_chunk_files(self.path, range(index, index + 1))
             raise
         if written is None:
             try:
-                written = write_chunk_files(
-                    self.path, index, chunk, self.compression, self.faults
-                )
+                written = write_chunk_files(self.path, index, chunk, self.faults)
             except (StorageExhaustedError, OSError) as exc:
                 count_write_failure(self.metrics, exc)
                 raise
@@ -685,7 +654,7 @@ class ChunkedTraceStore:
     def expected_files(self, index: int) -> List[str]:
         """File names one chunk entry must have on disk."""
         entry = self._entry(index)
-        names = _chunk_file_names(entry["stem"], self.compression)
+        names = _chunk_file_names(entry["stem"])
         return names if entry.get("has_array_metadata") else names[:-1]
 
     def verify(self) -> StoreVerification:
@@ -712,25 +681,6 @@ class ChunkedTraceStore:
                     outcome.missing.append(name)
                 elif digest is not None and _sha256(file) != digest:
                     outcome.corrupt.append(name)
-                elif file.suffixes[-2:-1] != [".meta"] and file.suffix == ".npz":
-                    # Compressed chunk field: checksum covers the stored
-                    # bytes, so additionally prove the archive decompresses
-                    # back to an array (a truncated-but-rehashed file
-                    # cannot happen; a bad write caught at append cannot
-                    # either — this guards against zlib-level damage the
-                    # hash predates, e.g. a corrupt file re-checksummed by
-                    # a hostile manifest edit).
-                    try:
-                        with np.load(file) as archive:
-                            np.asarray(archive["data"])
-                    except (
-                        OSError,
-                        ValueError,
-                        KeyError,
-                        zipfile.BadZipFile,
-                        zlib.error,
-                    ):
-                        outcome.corrupt.append(name)
         outcome.orphaned.extend(file.name for file in self._stray_chunk_files())
         self.metrics.inc("store_files_verified_total", files_checked)
         for kind, names in (
@@ -765,11 +715,6 @@ class ChunkedTraceStore:
         file = self._field_file(stem, suffix)
         if not file.exists():
             raise AcquisitionError(f"store at {self.path} lost chunk file {file.name}")
-        if file.suffix == ".npz":
-            # Compressed fields cannot be memory-mapped; decompression
-            # materialises the array regardless of ``mmap``.
-            with np.load(file) as archive:
-                return archive["data"]
         return np.load(file, mmap_mode="r" if mmap else None)
 
     def chunk(self, index: int, mmap: bool = False) -> TraceSet:

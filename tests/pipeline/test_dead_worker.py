@@ -2,14 +2,17 @@
 
 ``multiprocessing.Pool`` replaces a worker that dies, but the task the
 worker held is lost: with ``chunk_timeout_s=None`` an unbounded wait on
-its result never returns.  Here one ``ForkPoolWorker`` is SIGKILLed from
-the progress callback right after chunk 0 is folded, on both transports.
-The run must finish well inside 60 s, report ``degraded``, give results
-equal to a 1-worker run, and leave no shared-memory segment behind.
+its result never returns.  Here every ``ForkPoolWorker`` is SIGKILLed
+from the progress callback right after chunk 0 is folded, on both
+transports.  The run must finish well inside 60 s, report ``degraded``,
+give results equal to a 1-worker run, and leave no shared-memory segment
+behind.
 
-Every chunk after the first fails its first attempt and retries after a
-fixed backoff, so both workers are still busy when the kill lands and a
-chunk is surely lost.  Retried chunks are bit-identical to clean ones.
+Chunk 1 fails its first three attempts and sits in retry backoff for
+2.1 s in all, so whichever worker holds it still holds it when the kill
+lands, seconds before it could finish: a chunk is surely lost.  Every
+later chunk fails once and backs off 0.3 s, so no worker is writing a
+result when it dies.  Retried chunks are bit-identical to clean ones.
 """
 
 import multiprocessing
@@ -35,10 +38,11 @@ CHUNK = 50
 SEED = 31
 DEADLINE_S = 60.0
 
-#: Chunks 1.. fail once and sleep 0.3 s before their retry.
-SLOW_RETRY = RetryPolicy(backoff_base_s=0.3, jitter_fraction=0.0)
+#: Chunk 1 fails three times and backs off 0.3 + 0.6 + 1.2 s; chunks
+#: 2.. fail once and back off 0.3 s.
+SLOW_RETRY = RetryPolicy(max_attempts=4, backoff_base_s=0.3, jitter_fraction=0.0)
 SLOW_CHUNKS = FaultPlan(
-    worker_errors=tuple((i, 1) for i in range(1, N_TRACES // CHUNK))
+    worker_errors=((1, 3),) + tuple((i, 1) for i in range(2, N_TRACES // CHUNK))
 )
 
 
@@ -46,16 +50,14 @@ def _consumers():
     return [CpaStreamConsumer(byte_index=0), CompletionTimeConsumer()]
 
 
-def _kill_one_worker_after_chunk_0(killed):
+def _kill_workers_after_chunk_0(killed):
     def progress(update):
         if update.chunk_index != 0 or killed:
             return
-        workers = [
-            proc for proc in multiprocessing.active_children()
-            if proc.name.startswith("ForkPoolWorker")
-        ]
-        os.kill(workers[0].pid, signal.SIGKILL)
-        killed.append(workers[0].pid)
+        for proc in multiprocessing.active_children():
+            if proc.name.startswith("ForkPoolWorker"):
+                os.kill(proc.pid, signal.SIGKILL)
+                killed.append(proc.pid)
 
     return progress
 
@@ -92,7 +94,7 @@ def test_killed_worker_degrades_instead_of_hanging(transport, monkeypatch):
                 chunk_timeout_s=None,
             ).run(
                 N_TRACES, _consumers(),
-                progress=_kill_one_worker_after_chunk_0(killed),
+                progress=_kill_workers_after_chunk_0(killed),
             )
         except BaseException as exc:  # pragma: no cover - reported below
             outcome["error"] = exc

@@ -16,6 +16,7 @@ from repro.pipeline import (
     CpaBankConsumer,
     StreamingCampaign,
     spec_from_dict,
+    spec_to_dict,
 )
 from repro.store import ChunkedTraceStore
 from repro.testing.faults import FaultPlan
@@ -24,11 +25,8 @@ TRACES = 1200
 CHUNK = 300
 
 
-def _spec(dtype="float32", compression="none"):
-    return CampaignSpec(
-        target="unprotected", noise_std=2.0, dtype=dtype,
-        compression=compression,
-    )
+def _spec(dtype="float32"):
+    return CampaignSpec(target="unprotected", noise_std=2.0, dtype=dtype)
 
 
 def _run(spec, workers=1, seed=21, store=None, checkpoint=None, faults=None):
@@ -44,13 +42,11 @@ def _run(spec, workers=1, seed=21, store=None, checkpoint=None, faults=None):
 
 
 def test_float32_spec_yields_float32_store_chunks(tmp_path):
-    _run(_spec(compression="zstd-npz"), store=tmp_path / "store")
+    _run(_spec(), store=tmp_path / "store")
     store = ChunkedTraceStore.open(tmp_path / "store")
     assert store.dtype == "float32"
-    assert store.compression == "zstd-npz"
     assert store.chunk(0).traces.dtype == np.float32
-    raw, stored = store.byte_counts()
-    assert stored < raw
+    assert all(name.endswith(".npy") for name in store.expected_files(0))
 
 
 def test_float32_results_worker_count_independent():
@@ -93,7 +89,7 @@ def test_float32_tracks_float64_within_budget():
 
 
 def test_old_spec_dicts_default_to_float64_uncompressed():
-    # Checkpoints written before dtype/compression existed must resume.
+    # Checkpoints written before dtype existed must resume.
     fields = {
         "target": "unprotected", "m_outputs": 2, "p_configs": 16,
         "key": "2b7e151628aed2a6abf7158809cf4f3c", "noise_std": 2.0,
@@ -101,4 +97,4 @@ def test_old_spec_dicts_default_to_float64_uncompressed():
     }
     spec = spec_from_dict(fields)
     assert spec.dtype == "float64"
-    assert spec.compression == "none"
+    assert spec_to_dict(spec)["compression"] == "none"

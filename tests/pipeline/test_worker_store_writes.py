@@ -137,11 +137,10 @@ def _chunk(key):
     )
 
 
-@pytest.mark.parametrize("compression", ["none", "zstd-npz"])
-def test_files_are_the_bytes_numpy_saves(tmp_path, key, compression):
+def test_files_are_the_bytes_numpy_saves(tmp_path, key):
     """Hashing as written must not change a byte of what np.save wrote."""
     chunk = _chunk(key)
-    written = write_chunk_files(tmp_path, 0, chunk, compression)
+    written = write_chunk_files(tmp_path, 0, chunk)
     reference = tmp_path / "reference"
     for suffix, array in (
         ("traces", chunk.traces),
@@ -150,12 +149,8 @@ def test_files_are_the_bytes_numpy_saves(tmp_path, key, compression):
         ("times", chunk.completion_times_ns),
     ):
         with open(reference, "wb") as handle:
-            if compression == "zstd-npz":
-                np.savez_compressed(handle, data=array)
-            else:
-                np.save(handle, array)
-        ext = "npz" if compression == "zstd-npz" else "npy"
-        name = f"chunk-00000.{suffix}.{ext}"
+            np.save(handle, array)
+        name = f"chunk-00000.{suffix}.npy"
         assert (tmp_path / name).read_bytes() == reference.read_bytes()
         assert written.files[name] == _sha256(reference)
     with open(reference, "wb") as handle:

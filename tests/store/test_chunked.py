@@ -62,6 +62,29 @@ class TestLifecycle:
         with pytest.raises(AcquisitionError):
             ChunkedTraceStore.open(tmp_path)
 
+    def test_pre_v3_manifest_opens(self, tmp_path, trace_set):
+        store = trace_set.to_store(tmp_path / "old", chunk_size=30)
+        manifest_path = store.path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 2
+        del manifest["dtype"]
+        manifest_path.write_text(json.dumps(manifest))
+        reopened = ChunkedTraceStore.open(store.path)
+        assert reopened.dtype is None
+        np.testing.assert_array_equal(
+            reopened.load_all().traces, trace_set.traces
+        )
+
+    def test_open_refuses_removed_compressed_encoding(self, tmp_path, key):
+        # Stores written with the former per-field zlib encoding hold
+        # .npz chunk fields; opening one must fail, never misread it.
+        ChunkedTraceStore.create(tmp_path, key=key, sample_period_ns=4.0)
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        manifest["compression"] = "zstd-npz"
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(AcquisitionError, match="no longer readable"):
+            ChunkedTraceStore.open(tmp_path)
+
 
 class TestAppend:
     def test_append_indexes_chunks(self, store):
@@ -104,6 +127,21 @@ class TestAppend:
         )
         with pytest.raises(AcquisitionError):
             store.append(bad)
+
+    def test_dtype_pinned_by_first_append(self, tmp_path, trace_set):
+        store = ChunkedTraceStore.create(
+            tmp_path / "pin",
+            key=trace_set.key,
+            sample_period_ns=trace_set.sample_period_ns,
+        )
+        assert store.dtype is None
+        first = trace_set.subset(np.arange(20))
+        store.append(first)
+        assert store.dtype == "float64"
+        narrowed = first.subset(np.arange(20))
+        narrowed.traces = narrowed.traces.astype(np.float32)
+        with pytest.raises(AcquisitionError, match="pinned"):
+            store.append(narrowed)
 
 
 class TestReading:

@@ -75,13 +75,6 @@ class TestInjectedEnospc:
             store.chunk(0).traces, _chunk(seed=0).traces
         )
 
-    def test_compressed_store_cleans_up_too(self, tmp_path):
-        store = _store(tmp_path, compression="zstd-npz")
-        store.faults = FaultPlan.parse("enospc@0")
-        with pytest.raises(StorageExhaustedError):
-            store.append(_chunk(seed=0))
-        assert ChunkedTraceStore.open(store.path).verify().ok
-
     def test_failure_metric_reason(self, tmp_path):
         obs = Observability.create()
         store = _store(tmp_path)

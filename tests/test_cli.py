@@ -159,23 +159,25 @@ class TestCommands:
         assert rc == 0
         assert "TVLA: max |t|" in capsys.readouterr().out
 
-    def test_campaign_float32_compressed_store_info(self, capsys, tmp_path):
-        """--dtype/--compression flow through to the store."""
+    def test_campaign_float32_store_info(self, capsys, tmp_path):
+        """--dtype flows through to the store, whose info totals its bytes."""
+        from repro.store import ChunkedTraceStore
+
         store = str(tmp_path / "store")
         rc = main(
             [
                 "campaign", "--target", "unprotected",
                 "--traces", "200", "--chunk-size", "100", "--quiet",
-                "--dtype", "float32", "--compression", "zstd-npz",
-                "--out", store,
+                "--dtype", "float32", "--out", store,
             ]
         )
         assert rc == 0
         capsys.readouterr()
         assert main(["store", "info", store]) == 0
         out = capsys.readouterr().out
-        assert "float32" in out
-        assert "zstd-npz" in out
+        assert "dtype    : float32" in out
+        stored = ChunkedTraceStore.open(store).byte_counts()[1]
+        assert f"stored   : {stored} bytes" in out
         assert main(["store", "verify", store]) == 0
 
     def test_campaign_crash_resume_and_store_verify(self, capsys, tmp_path):
@@ -270,6 +272,25 @@ class TestCommands:
         assert "flags contradict the checkpointed campaign" in err
         assert "--target rftc != unprotected" in err
         assert "--traces 999 != 400" in err
+
+    def test_campaign_resume_refuses_removed_store_encoding(
+        self, capsys, tmp_path
+    ):
+        from repro.pipeline import (
+            CampaignCheckpoint,
+            CampaignSpec,
+            CompletionTimeConsumer,
+        )
+
+        ckpt = CampaignCheckpoint.capture(
+            CampaignSpec(target="unprotected"), seed=1, chunk_size=100,
+            n_traces=200, chunks_done=1, consumers=[CompletionTimeConsumer()],
+        )
+        ckpt.spec_fields["compression"] = "zstd-npz"
+        path = str(ckpt.save(tmp_path / "old.npz"))
+        rc = main(["campaign", "--resume", "--checkpoint", path, "--quiet"])
+        assert rc == 2
+        assert "'zstd-npz', which was removed" in capsys.readouterr().err
 
     def test_fig3_small_run(self, capsys):
         rc = main(["fig3", "--encryptions", "20000"])
