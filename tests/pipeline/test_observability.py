@@ -184,3 +184,89 @@ def test_resume_with_observability_stays_bit_identical(tmp_path, baseline):
     assert obs.metrics.counter_value(
         "campaign_chunks_total", phase="fresh"
     ) == 1
+    (campaign,) = _parent_events(obs, "campaign")
+    folds = {
+        e["attrs"]["chunk"]: e for e in _parent_events(obs, "fold_chunk")
+    }
+    assert sorted(folds) == [1, 2]
+    assert folds[1]["attrs"]["replayed"] is True
+    assert folds[2]["attrs"]["replayed"] is False
+    awaits = _parent_events(obs, "await_chunk")
+    assert [e["attrs"]["chunk"] for e in awaits] == [2]
+    for event in [*folds.values(), *awaits]:
+        assert event["parent_id"] == campaign["span_id"], event
+
+
+DEGRADE_CHUNKS = 4
+
+
+def _degrade_run(root, workers, faults, obs=None):
+    engine = StreamingCampaign(
+        _spec(), chunk_size=CHUNK, workers=workers, seed=11, faults=faults,
+        obs=obs,
+    )
+    return engine.run(
+        DEGRADE_CHUNKS * CHUNK,
+        consumers=[CpaStreamConsumer(byte_index=0), CompletionTimeConsumer()],
+        store=root / "store",
+        checkpoint=root / "ckpt.json",
+    )
+
+
+@pytest.fixture(scope="module")
+def degrade_baseline(tmp_path_factory):
+    """The four-chunk single-worker ground truth of the degrade record."""
+    root = tmp_path_factory.mktemp("degrade-baseline")
+    report = _degrade_run(root, workers=1, faults=None)
+    return report, _store_bytes(root)
+
+
+def _parent_events(obs, name):
+    return [
+        e for e in obs.tracer.events
+        if e["name"] == name and e["origin"] == "parent"
+    ]
+
+
+@pytest.mark.parametrize("broken_at", [0, 2])
+def test_pool_degrade_record(tmp_path, degrade_baseline, broken_at):
+    """A pool that dies collecting chunk K leaves one exact record.
+
+    The chunks before K come home through the pool (one ``await_chunk``
+    each); chunk K and every later one are acquired inline; one counter,
+    one instant, and bit-identical results and store bytes.
+    """
+    from repro.testing.faults import FaultPlan
+
+    base_report, base_bytes = degrade_baseline
+    obs = Observability.create()
+    report = _degrade_run(
+        tmp_path, workers=2, faults=FaultPlan(pool_breaks=(broken_at,)),
+        obs=obs,
+    )
+    remaining = DEGRADE_CHUNKS - broken_at
+    assert report.degraded_chunks == remaining
+    assert obs.metrics.counter_value("campaign_pool_failures_total") == 1
+    assert (
+        obs.metrics.counter_value("campaign_degraded_chunks_total")
+        == remaining
+    )
+    (campaign,) = _parent_events(obs, "campaign")
+    (degraded,) = _parent_events(obs, "pool_degraded")
+    assert degraded["attrs"] == {"chunk": broken_at, "remaining": remaining}
+    awaits = _parent_events(obs, "await_chunk")
+    assert sorted(e["attrs"]["chunk"] for e in awaits) == list(range(broken_at))
+    folds = _parent_events(obs, "fold_chunk")
+    assert sorted(e["attrs"]["chunk"] for e in folds) == list(
+        range(DEGRADE_CHUNKS)
+    )
+    for event in [degraded, *awaits, *folds]:
+        assert event["parent_id"] == campaign["span_id"], event
+    assert _store_bytes(tmp_path) == base_bytes
+    cpa = report.results["cpa[0]"]
+    base_cpa = base_report.results["cpa[0]"]
+    assert np.array_equal(cpa.peak_corr, base_cpa.peak_corr)
+    assert (
+        report.results["completion"].counts
+        == base_report.results["completion"].counts
+    )
