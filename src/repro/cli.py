@@ -189,8 +189,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.pipeline import campaign_targets
     from repro.testing.faults import FaultPlan
 
-    from repro.errors import CheckpointError, StorageExhaustedError
+    from repro.errors import (
+        AcquisitionError,
+        CheckpointError,
+        StorageExhaustedError,
+    )
     from repro.pipeline.checkpoint import CampaignCheckpoint
+    from repro.store import ChunkedTraceStore
 
     faults = None
     if args.inject_fault:
@@ -231,7 +236,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         try:
             ckpt = CampaignCheckpoint.load(args.checkpoint)
             ckpt_spec = ckpt.spec()
-        except CheckpointError as exc:
+            store = None
+            if args.out is not None:
+                store = ChunkedTraceStore.open(args.out)
+                if args.store_budget_bytes is not None:
+                    store.disk_budget_bytes = args.store_budget_bytes
+        except (CheckpointError, AcquisitionError) as exc:
             print(f"cannot resume: {exc}", file=sys.stderr)
             return 2
         mode = "tvla" if ckpt_spec.fixed_plaintext is not None else "cpa"
@@ -263,12 +273,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             )
             return 2
         print(f"resuming campaign from {args.checkpoint} ...")
-        store = args.out
-        if store is not None and args.store_budget_bytes is not None:
-            from repro.store import ChunkedTraceStore
-
-            store = ChunkedTraceStore.open(store)
-            store.disk_budget_bytes = args.store_budget_bytes
         try:
             report = StreamingCampaign.resume(
                 store,
@@ -282,6 +286,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 faults=faults,
                 obs=obs,
             )
+        except CheckpointError as exc:
+            # The checkpoint and the store do not belong together: refused
+            # before anything new is acquired.
+            print(f"cannot resume: {exc}", file=sys.stderr)
+            return 2
         except StorageExhaustedError as exc:
             print(f"campaign out of storage: {exc}", file=sys.stderr)
             return 1
@@ -315,6 +324,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             obs=obs,
             store_budget_bytes=args.store_budget_bytes,
         )
+        if args.out is not None:
+            try:
+                ChunkedTraceStore.prepare(args.out)
+            except AcquisitionError as exc:
+                print(f"cannot start campaign: {exc}", file=sys.stderr)
+                return 2
         print(f"streaming {n_traces} traces from {spec.label()} "
               f"({args.workers} workers, chunks of {chunk_size}) ...")
         try:

@@ -231,7 +231,7 @@ class WorkerRing:
         self._segments[slot] = segment
         return segment
 
-    def publish(self, chunk: TraceSet, summaries: list) -> ShmChunkHandle:
+    def publish(self, chunk: TraceSet, summaries: dict) -> ShmChunkHandle:
         """Park ``chunk`` and its summaries in the next free slot.
 
         Blocks while the ring is full.  The summaries' arrays share the
@@ -303,10 +303,10 @@ def worker_ring() -> Optional[WorkerRing]:
 
 def receive_chunk(
     handle: ShmChunkHandle, key: bytes
-) -> "Tuple[TraceSet, list]":
+) -> "Tuple[TraceSet, dict]":
     """Copy a published chunk and its summaries out of shared memory.
 
-    Returns a fresh :class:`TraceSet` and the list of summaries.  Their
+    Returns a fresh :class:`TraceSet` and the summaries.  Their
     arrays are plain private copies — the segment can be rewritten or
     unlinked the moment this returns.  Callers must release
     the worker's slot afterwards (:meth:`ChunkTransportRing.receive`
@@ -368,7 +368,7 @@ class ChunkTransportRing:
 
     def receive(
         self, handle: ShmChunkHandle, key: bytes
-    ) -> "Tuple[TraceSet, list]":
+    ) -> "Tuple[TraceSet, dict]":
         """Materialise a handle's chunk and summaries; free the slot."""
         received = receive_chunk(handle, key)
         self._semaphores[handle.worker_id].release()

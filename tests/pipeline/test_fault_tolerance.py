@@ -183,6 +183,59 @@ class TestCrashResume:
         with pytest.raises(CheckpointError):
             StreamingCampaign.resume(short_store, ckpt, _consumers())
 
+    @pytest.mark.parametrize(
+        "other, recorded",
+        [
+            ({"seed": SEED + 1}, "seed"),
+            ({"spec": {"target": "rdi"}}, "target"),
+            ({"spec": {"dtype": "float32"}}, "dtype"),
+            ({"spec": {"key": bytes(16)}}, "key"),
+        ],
+    )
+    def test_resume_rejects_another_campaigns_store(
+        self, tmp_path, other, recorded
+    ):
+        """A store of the same layout from another campaign is refused,
+        not folded into the resumed consumers."""
+        ckpt = tmp_path / "c.npz"
+        with pytest.raises(InjectedCrashError):
+            StreamingCampaign(
+                _spec(), chunk_size=CHUNK, seed=SEED,
+                faults=FaultPlan(crash_after=1),
+            ).run(N_TRACES, _consumers(), store=tmp_path / "own",
+                  checkpoint=ckpt)
+        spec = CampaignSpec(**{"target": "unprotected", **other.get("spec", {})})
+        StreamingCampaign(
+            spec, chunk_size=CHUNK, seed=other.get("seed", SEED)
+        ).run(N_TRACES, _consumers(), store=tmp_path / "other")
+        with pytest.raises(CheckpointError, match=f"another campaign.*{recorded}"):
+            StreamingCampaign.resume(tmp_path / "other", ckpt, _consumers())
+
+    def test_resume_accepts_a_store_without_metadata(self, reference, tmp_path):
+        """A store created without campaign metadata (as the benchmark
+        ledger creates its own) is checked by key, dtype and layout only."""
+        from repro.store import ChunkedTraceStore
+
+        ref_report, ref_bytes = reference
+        ckpt = tmp_path / "c.npz"
+        sample_period_ns = ref_report.spec.build_device(
+            np.random.default_rng(0)
+        ).sample_period_ns
+        bare = ChunkedTraceStore.create(
+            tmp_path / "bare", key=_spec().key,
+            sample_period_ns=sample_period_ns,
+        )
+        assert bare.metadata == {}
+        with pytest.raises(InjectedCrashError):
+            StreamingCampaign(
+                _spec(), chunk_size=CHUNK, seed=SEED,
+                faults=FaultPlan(crash_after=1),
+            ).run(N_TRACES, _consumers(), store=bare, checkpoint=ckpt)
+        resumed = StreamingCampaign.resume(
+            ChunkedTraceStore.open(tmp_path / "bare"), ckpt, _consumers()
+        )
+        _assert_same_results(ref_report, resumed)
+
     def test_resume_rejects_wrong_consumers(self, tmp_path):
         ckpt = tmp_path / "c.npz"
         with pytest.raises(InjectedCrashError):

@@ -292,6 +292,74 @@ class TestCommands:
         assert rc == 2
         assert "'zstd-npz', which was removed" in capsys.readouterr().err
 
+    @staticmethod
+    def _crash_at_chunk_1(store, ckpt):
+        from repro.errors import InjectedCrashError
+
+        with pytest.raises(InjectedCrashError):
+            main(["campaign", "--target", "unprotected", "--traces", "400",
+                  "--chunk-size", "100", "--quiet", "--out", store,
+                  "--checkpoint", ckpt, "--inject-fault", "crash@1"])
+
+    def test_campaign_resume_refuses_missing_store(self, capsys, tmp_path):
+        """--out naming no store is a refusal, not a traceback."""
+        ckpt = str(tmp_path / "campaign.npz")
+        self._crash_at_chunk_1(str(tmp_path / "store"), ckpt)
+        capsys.readouterr()
+        rc = main(["campaign", "--resume", "--checkpoint", ckpt,
+                   "--out", str(tmp_path / "empty"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot resume: no trace store at")
+        assert "Traceback" not in err
+
+    def test_campaign_resume_refuses_store_of_another_layout(
+        self, capsys, tmp_path
+    ):
+        ckpt = str(tmp_path / "campaign.npz")
+        self._crash_at_chunk_1(str(tmp_path / "store"), ckpt)
+        other = str(tmp_path / "other")
+        assert main(["campaign", "--target", "unprotected", "--traces", "400",
+                     "--chunk-size", "200", "--quiet", "--out", other]) == 0
+        capsys.readouterr()
+        rc = main(["campaign", "--resume", "--checkpoint", ckpt,
+                   "--out", other, "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot resume: store chunk sizes do not match")
+
+    def test_campaign_refuses_existing_store(self, capsys, tmp_path):
+        """A fresh run never appends to a store it did not create."""
+        from repro.store import ChunkedTraceStore
+
+        store = str(tmp_path / "store")
+        base = ["campaign", "--target", "unprotected", "--traces", "200",
+                "--chunk-size", "100", "--quiet", "--out", store]
+        assert main(base) == 0
+        capsys.readouterr()
+        assert main(base) == 2
+        captured = capsys.readouterr()
+        assert "already holds a trace store" in captured.err
+        assert "streaming" not in captured.out  # refused before acquiring
+        assert ChunkedTraceStore.open(store).n_chunks == 2
+
+    def test_campaign_resume_refuses_removed_store_encoding_manifest(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        store = tmp_path / "store"
+        ckpt = str(tmp_path / "campaign.npz")
+        self._crash_at_chunk_1(str(store), ckpt)
+        manifest = json.loads((store / "manifest.json").read_text())
+        manifest["compression"] = "zstd-npz"
+        (store / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["campaign", "--resume", "--checkpoint", ckpt,
+                   "--out", str(store), "--quiet"])
+        assert rc == 2
+        assert "no longer readable" in capsys.readouterr().err
+
     def test_fig3_small_run(self, capsys):
         rc = main(["fig3", "--encryptions", "20000"])
         assert rc == 0
