@@ -173,6 +173,16 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_metrics(obs, path: str) -> None:
+    """Write ``obs``' metrics to ``path``: JSON for ``.json``, else Prometheus."""
+    snapshot = obs.metrics.snapshot()
+    text = (snapshot.to_json() if path.endswith(".json")
+            else snapshot.to_prometheus())
+    with open(path, "w") as handle:
+        handle.write(text)
+    print(f"metrics written to {path}")
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.attacks.models import expand_last_round_key
     from repro.experiments.figures import TVLA_FIXED_PLAINTEXT
@@ -359,14 +369,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
               f"(threshold {TVLA_THRESHOLD})")
     if obs is not None:
         if args.metrics_out:
-            snapshot = obs.metrics.snapshot()
-            if args.metrics_out.endswith(".json"):
-                text = snapshot.to_json()
-            else:
-                text = snapshot.to_prometheus()
-            with open(args.metrics_out, "w") as handle:
-                handle.write(text)
-            print(f"metrics written to {args.metrics_out}")
+            _write_metrics(obs, args.metrics_out)
         if args.trace_out:
             from repro.obs import write_trace_jsonl
 
@@ -423,13 +426,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
                   + summary['n_lattice_cells'])
     print(f"  key recovery disclosed {summary['disclosed_cells']}/{n_recovery}, "
           f"TVLA leaking {summary['leaking_cells']}/{summary['n_tvla_cells']}")
-    if obs is not None and args.metrics_out:
-        snapshot = obs.metrics.snapshot()
-        text = (snapshot.to_json() if args.metrics_out.endswith(".json")
-                else snapshot.to_prometheus())
-        with open(args.metrics_out, "w") as handle:
-            handle.write(text)
-        print(f"metrics written to {args.metrics_out}")
+    if obs is not None:
+        _write_metrics(obs, args.metrics_out)
     return 0
 
 

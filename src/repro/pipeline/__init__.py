@@ -16,6 +16,7 @@ See ``docs/robustness.md`` for the guarantees.
 """
 
 from repro.pipeline.attack_consumers import (
+    DisclosureConsumer,
     LatticeCpaConsumer,
     MiaStreamConsumer,
     MlpAttackConsumer,
@@ -56,6 +57,7 @@ __all__ = [
     "CompletionTimeStats",
     "CpaBankConsumer",
     "CpaStreamConsumer",
+    "DisclosureConsumer",
     "LatticeCpaConsumer",
     "MiaStreamConsumer",
     "MlpAttackConsumer",

@@ -1,11 +1,18 @@
-"""Streaming consumers for the adversary zoo (template / MLP / lattice /
-MIA / success-rate).
+"""Streaming consumers for the adversary zoo (CPA disclosure / template /
+MLP / lattice / MIA / success-rate).
 
 These wrap ``repro.attacks``' profiled and alignment-aware attackers as
 :class:`~repro.pipeline.consumers.TraceConsumer` plug-ins, so every
 attacker in the catalogue runs inside campaigns, checkpoints and the
 scenario matrix exactly like the built-in CPA/TVLA consumers — one pass
 over the traces, memory bounded by the chunk size.
+
+Every consumer here attacks one key byte and shares that config
+(:class:`_KeyByteConsumer`).  The rank-curve attacks also share the
+per-chunk rank bookkeeping (:class:`_RankCurveConsumer`), and the three
+CPA attackers are one class: :class:`DisclosureConsumer` correlates
+whatever its ``_features(chunk)`` hook returns — the raw traces, the
+MLP's expected HD, or lattice-aligned traces.
 
 All randomness is construction-time (the success-rate consumer derives
 its replica subsampling from a counter hash of an explicit seed), so
@@ -45,43 +52,152 @@ _MIA_BLOCK_ROWS = 2048
 _MIA_MAX_TRACES = int(np.iinfo(np.int32).max)
 
 
-def _first_disclosure(trace_counts: List[int], ranks: List[int]):
-    """First cumulative trace count at which the true byte ranked 0."""
-    for count, rank in zip(trace_counts, ranks):
-        if rank == 0:
-            return count
-    return None
-
-
 def _rank_of(scores: np.ndarray, true_byte: int) -> int:
     order = np.argsort(-scores, kind="stable")
     return int(np.nonzero(order == true_byte)[0][0])
 
 
-def _curve_snapshot(consumer) -> dict:
-    return {
-        "true_byte": consumer._true_byte,
-        "trace_counts": np.asarray(consumer._trace_counts, dtype=np.int64),
-        "ranks": np.asarray(consumer._ranks, dtype=np.int64),
-    }
+class _KeyByteConsumer:
+    """The config every attack consumer shares: one attacked key byte.
+
+    ``byte_index`` is checked here, at construction, so a bad byte fails
+    before acquisition starts.  The true last-round-key byte is what
+    ranks and successes are measured against, and a snapshot taken
+    against another key is refused on restore.
+    """
+
+    def __init__(self, key: bytes, byte_index: int, name: str):
+        if not 0 <= byte_index < 16:
+            raise AttackError(
+                f"byte_index must be in [0, 16), got {byte_index}"
+            )
+        self._byte_index = int(byte_index)
+        self._true_byte = int(expand_last_round_key(key)[byte_index])
+        self._metrics = NULL_METRICS
+        self.name = name
+
+    @property
+    def byte_index(self) -> int:
+        return self._byte_index
+
+    def set_metrics(self, metrics) -> None:
+        """Report per-chunk counters into an observed campaign's registry."""
+        self._metrics = metrics
+
+    def _check_key(self, state: dict) -> None:
+        if int(state.get("true_byte", -1)) != self._true_byte:
+            raise CheckpointError(
+                f"{self.name} snapshot was taken against a different key"
+            )
 
 
-def _curve_restore(consumer, state: dict) -> None:
-    if int(state.get("true_byte", -1)) != consumer._true_byte:
-        raise CheckpointError(
-            f"{consumer.name} snapshot was taken against a different key"
+class _RankCurveConsumer(_KeyByteConsumer):
+    """A key-byte attack that records the true byte's rank per chunk.
+
+    The curve (cumulative trace count, rank) after every folded chunk
+    gives traces-to-disclosure at chunk granularity without a second
+    pass over the traces.  Subclasses provide ``n_traces``, the running
+    count :meth:`_record` reads after each fold.
+    """
+
+    def __init__(self, key: bytes, byte_index: int, name: str):
+        super().__init__(key, byte_index, name)
+        self._trace_counts: List[int] = []
+        self._ranks: List[int] = []
+
+    def _record(self, n_chunk: int, rank: int) -> None:
+        """Append the rank after a chunk of ``n_chunk`` traces."""
+        self._trace_counts.append(int(self.n_traces))
+        self._ranks.append(rank)
+        self._metrics.inc("attack_traces_total", n_chunk, attack=self.name)
+        self._metrics.set_gauge("attack_true_byte_rank", rank, attack=self.name)
+
+    def _curve(self) -> dict:
+        """The curve and the first trace count at which the rank was 0."""
+        first = next(
+            (c for c, r in zip(self._trace_counts, self._ranks) if r == 0),
+            None,
         )
-    counts = np.asarray(state.get("trace_counts", ()), dtype=np.int64)
-    ranks = np.asarray(state.get("ranks", ()), dtype=np.int64)
-    if counts.shape != ranks.shape:
-        raise CheckpointError(
-            f"{consumer.name} snapshot curve length mismatch"
+        return {
+            "trace_counts": list(self._trace_counts),
+            "ranks": list(self._ranks),
+            "first_disclosure": first,
+        }
+
+    def _curve_snapshot(self) -> dict:
+        return {
+            "true_byte": self._true_byte,
+            "trace_counts": np.asarray(self._trace_counts, dtype=np.int64),
+            "ranks": np.asarray(self._ranks, dtype=np.int64),
+        }
+
+    def _restore_curve(self, state: dict) -> None:
+        self._check_key(state)
+        counts = np.asarray(state.get("trace_counts", ()), dtype=np.int64)
+        ranks = np.asarray(state.get("ranks", ()), dtype=np.int64)
+        if counts.shape != ranks.shape:
+            raise CheckpointError(f"{self.name} snapshot curve length mismatch")
+        self._trace_counts = [int(c) for c in counts]
+        self._ranks = [int(r) for r in ranks]
+
+
+class DisclosureConsumer(_RankCurveConsumer):
+    """Streaming CPA on one key byte plus its rank-vs-traces curve.
+
+    Wraps :class:`~repro.attacks.IncrementalCpa`, which correlates the
+    ``(n, S)`` features :meth:`_features` derives from each chunk with
+    the HD predictions of the chunk's ciphertexts.  Here the features
+    are the raw traces; the MLP and lattice consumers override only
+    that hook, so all three share one fold, result, snapshot and
+    restore.
+    """
+
+    def __init__(
+        self, key: bytes, byte_index: int = 0, name: str = "disclosure"
+    ):
+        super().__init__(key, byte_index, name)
+        self._inc = IncrementalCpa(byte_index=self._byte_index)
+
+    @property
+    def n_traces(self) -> int:
+        return self._inc.n_traces
+
+    def _features(self, chunk: TraceSet) -> np.ndarray:
+        return chunk.traces
+
+    def consume(self, chunk: TraceSet) -> None:
+        features = self._features(chunk)
+        self._inc.update(features, chunk.ciphertexts)
+        self._record(len(features), self._inc.result().rank_of(self._true_byte))
+
+    def result(self) -> dict:
+        """Final attack outcome plus the disclosure curve."""
+        outcome = self._inc.result()
+        others = np.delete(outcome.peak_corr, self._true_byte)
+        return {
+            "byte_index": self._byte_index,
+            "best_guess": int(outcome.best_guess),
+            "true_byte_rank": int(outcome.rank_of(self._true_byte)),
+            "peak_corr_max": float(outcome.peak_corr.max()),
+            "margin": float(
+                outcome.peak_corr[self._true_byte] - others.max()
+            ),
+            **self._curve(),
+        }
+
+    def snapshot(self) -> dict:
+        state = {f"cpa_{k}": v for k, v in self._inc.snapshot().items()}
+        state.update(self._curve_snapshot())
+        return state
+
+    def restore(self, state: dict) -> None:
+        self._restore_curve(state)
+        self._inc.restore(
+            {k[4:]: v for k, v in state.items() if k.startswith("cpa_")}
         )
-    consumer._trace_counts = [int(c) for c in counts]
-    consumer._ranks = [int(r) for r in ranks]
 
 
-class TemplateAttackConsumer:
+class TemplateAttackConsumer(_RankCurveConsumer):
     """Streaming profiled-template attack on one key byte.
 
     Template log-likelihood scores are additive over traces, so the
@@ -98,36 +214,17 @@ class TemplateAttackConsumer:
         byte_index: int = 0,
         name: str = "template",
     ):
+        super().__init__(key, byte_index, name)
         self._model = model
-        self._byte_index = int(byte_index)
-        self._true_byte = int(expand_last_round_key(key)[byte_index])
         self._scores = np.zeros(256, dtype=np.float64)
         self.n_traces = 0
-        self._trace_counts: List[int] = []
-        self._ranks: List[int] = []
-        self._metrics = NULL_METRICS
-        self.name = name
-
-    @property
-    def byte_index(self) -> int:
-        return self._byte_index
-
-    def set_metrics(self, metrics) -> None:
-        """Report per-chunk counters into an observed campaign's registry."""
-        self._metrics = metrics
 
     def consume(self, chunk: TraceSet) -> None:
         self._scores += template_attack(
             self._model, chunk.traces, chunk.ciphertexts, self._byte_index
         )
         self.n_traces += chunk.n_traces
-        rank = _rank_of(self._scores, self._true_byte)
-        self._trace_counts.append(self.n_traces)
-        self._ranks.append(rank)
-        self._metrics.inc(
-            "attack_traces_total", chunk.n_traces, attack=self.name
-        )
-        self._metrics.set_gauge("attack_true_byte_rank", rank, attack=self.name)
+        self._record(chunk.n_traces, _rank_of(self._scores, self._true_byte))
 
     def result(self) -> dict:
         if self.n_traces == 0:
@@ -139,21 +236,17 @@ class TemplateAttackConsumer:
             "best_guess": best,
             "true_byte_rank": _rank_of(self._scores, self._true_byte),
             "margin": float(self._scores[self._true_byte] - others.max()),
-            "trace_counts": list(self._trace_counts),
-            "ranks": list(self._ranks),
-            "first_disclosure": _first_disclosure(
-                self._trace_counts, self._ranks
-            ),
+            **self._curve(),
         }
 
     def snapshot(self) -> dict:
-        state = _curve_snapshot(self)
+        state = self._curve_snapshot()
         state["n_traces"] = int(self.n_traces)
         state["scores"] = self._scores.copy()
         return state
 
     def restore(self, state: dict) -> None:
-        _curve_restore(self, state)
+        self._restore_curve(state)
         scores = np.asarray(state.get("scores", ()), dtype=np.float64)
         if scores.shape != (256,):
             raise CheckpointError("template snapshot needs (256,) scores")
@@ -164,16 +257,15 @@ class TemplateAttackConsumer:
         self.n_traces = n
 
 
-class MlpAttackConsumer:
+class MlpAttackConsumer(DisclosureConsumer):
     """Streaming profiled-MLP attack on one key byte.
 
     The trained network (:class:`~repro.attacks.mlp.MlpModel`, profiled
     on a clone device before the campaign) condenses each trace to its
-    posterior-mean HD, and an :class:`~repro.attacks.IncrementalCpa`
-    correlates that single learned feature against every key guess —
-    the streaming form of ``mlp_attack(scoring="correlation")``.
-    Snapshots carry only the running sums; the weights are
-    construction-time configuration.
+    posterior-mean HD, and the CPA correlates that single learned
+    feature against every key guess — the streaming form of
+    ``mlp_attack(scoring="correlation")``.  Snapshots carry only the
+    running sums; the weights are construction-time configuration.
     """
 
     def __init__(
@@ -183,71 +275,16 @@ class MlpAttackConsumer:
         byte_index: Optional[int] = None,
         name: str = "mlp",
     ):
+        super().__init__(
+            key, model.byte_index if byte_index is None else byte_index, name
+        )
         self._model = model
-        byte_index = (
-            model.byte_index if byte_index is None else int(byte_index)
-        )
-        self._inc = IncrementalCpa(byte_index=byte_index)
-        self._true_byte = int(expand_last_round_key(key)[byte_index])
-        self._trace_counts: List[int] = []
-        self._ranks: List[int] = []
-        self._metrics = NULL_METRICS
-        self.name = name
 
-    @property
-    def byte_index(self) -> int:
-        return self._inc.byte_index
-
-    @property
-    def n_traces(self) -> int:
-        return self._inc.n_traces
-
-    def set_metrics(self, metrics) -> None:
-        """Report per-chunk counters into an observed campaign's registry."""
-        self._metrics = metrics
-
-    def consume(self, chunk: TraceSet) -> None:
-        feature = mlp_expected_hd(self._model, chunk.traces)
-        self._inc.update(feature[:, None], chunk.ciphertexts)
-        rank = self._inc.result().rank_of(self._true_byte)
-        self._trace_counts.append(int(self._inc.n_traces))
-        self._ranks.append(rank)
-        self._metrics.inc(
-            "attack_traces_total", chunk.n_traces, attack=self.name
-        )
-        self._metrics.set_gauge("attack_true_byte_rank", rank, attack=self.name)
-
-    def result(self) -> dict:
-        outcome = self._inc.result()
-        others = np.delete(outcome.peak_corr, self._true_byte)
-        return {
-            "byte_index": self.byte_index,
-            "best_guess": int(outcome.best_guess),
-            "true_byte_rank": int(outcome.rank_of(self._true_byte)),
-            "peak_corr_max": float(outcome.peak_corr.max()),
-            "margin": float(
-                outcome.peak_corr[self._true_byte] - others.max()
-            ),
-            "trace_counts": list(self._trace_counts),
-            "ranks": list(self._ranks),
-            "first_disclosure": _first_disclosure(
-                self._trace_counts, self._ranks
-            ),
-        }
-
-    def snapshot(self) -> dict:
-        state = {f"cpa_{k}": v for k, v in self._inc.snapshot().items()}
-        state.update(_curve_snapshot(self))
-        return state
-
-    def restore(self, state: dict) -> None:
-        _curve_restore(self, state)
-        self._inc.restore(
-            {k[4:]: v for k, v in state.items() if k.startswith("cpa_")}
-        )
+    def _features(self, chunk: TraceSet) -> np.ndarray:
+        return mlp_expected_hd(self._model, chunk.traces)[:, None]
 
 
-class LatticeCpaConsumer:
+class LatticeCpaConsumer(DisclosureConsumer):
     """Streaming lattice-alignment CPA on one key byte.
 
     Each chunk is realigned by its known completion times
@@ -271,68 +308,26 @@ class LatticeCpaConsumer:
             raise AttackError(
                 "reference_ns must be a non-negative finite float"
             )
+        super().__init__(key, byte_index, name)
         self.reference_ns = float(reference_ns)
         self.resolution_ns = (
             float(resolution_ns) if resolution_ns is not None else None
         )
-        self._inc = IncrementalCpa(byte_index=byte_index)
-        self._true_byte = int(expand_last_round_key(key)[byte_index])
-        self._trace_counts: List[int] = []
-        self._ranks: List[int] = []
-        self._metrics = NULL_METRICS
-        self.name = name
 
-    @property
-    def byte_index(self) -> int:
-        return self._inc.byte_index
-
-    @property
-    def n_traces(self) -> int:
-        return self._inc.n_traces
-
-    def set_metrics(self, metrics) -> None:
-        """Report per-chunk counters into an observed campaign's registry."""
-        self._metrics = metrics
-
-    def consume(self, chunk: TraceSet) -> None:
-        aligned = lattice_align(
+    def _features(self, chunk: TraceSet) -> np.ndarray:
+        return lattice_align(
             chunk.traces,
             chunk.completion_times_ns,
             chunk.sample_period_ns,
             self.reference_ns,
             self.resolution_ns,
         )
-        self._inc.update(aligned, chunk.ciphertexts)
-        rank = self._inc.result().rank_of(self._true_byte)
-        self._trace_counts.append(int(self._inc.n_traces))
-        self._ranks.append(rank)
-        self._metrics.inc(
-            "attack_traces_total", chunk.n_traces, attack=self.name
-        )
-        self._metrics.set_gauge("attack_true_byte_rank", rank, attack=self.name)
 
     def result(self) -> dict:
-        outcome = self._inc.result()
-        others = np.delete(outcome.peak_corr, self._true_byte)
-        return {
-            "byte_index": self.byte_index,
-            "best_guess": int(outcome.best_guess),
-            "true_byte_rank": int(outcome.rank_of(self._true_byte)),
-            "peak_corr_max": float(outcome.peak_corr.max()),
-            "margin": float(
-                outcome.peak_corr[self._true_byte] - others.max()
-            ),
-            "reference_ns": self.reference_ns,
-            "trace_counts": list(self._trace_counts),
-            "ranks": list(self._ranks),
-            "first_disclosure": _first_disclosure(
-                self._trace_counts, self._ranks
-            ),
-        }
+        return {**super().result(), "reference_ns": self.reference_ns}
 
     def snapshot(self) -> dict:
-        state = {f"cpa_{k}": v for k, v in self._inc.snapshot().items()}
-        state.update(_curve_snapshot(self))
+        state = super().snapshot()
         state["reference_ns"] = self.reference_ns
         return state
 
@@ -342,13 +337,10 @@ class LatticeCpaConsumer:
                 "lattice snapshot was aligned to a different reference "
                 f"({state.get('reference_ns')} ns != {self.reference_ns} ns)"
             )
-        _curve_restore(self, state)
-        self._inc.restore(
-            {k[4:]: v for k, v in state.items() if k.startswith("cpa_")}
-        )
+        super().restore(state)
 
 
-class MiaStreamConsumer:
+class MiaStreamConsumer(_KeyByteConsumer):
     """Streaming mutual-information analysis on one key byte.
 
     Unlike the batch :func:`~repro.attacks.mia.mia_byte` (whose histogram
@@ -390,24 +382,13 @@ class MiaStreamConsumer:
             raise AttackError("n_bins must be >= 2")
         if sample_stride < 1:
             raise AttackError("sample_stride must be >= 1")
-        self._byte_index = int(byte_index)
-        self._true_byte = int(expand_last_round_key(key)[byte_index])
+        super().__init__(key, byte_index, name)
         self.bin_lo = float(bin_lo)
         self.bin_hi = float(bin_hi)
         self.n_bins = int(n_bins)
         self.sample_stride = int(sample_stride)
         self.n_traces = 0
         self._counts: Optional[np.ndarray] = None  # (n_sel, 256, 9, bins)
-        self._metrics = NULL_METRICS
-        self.name = name
-
-    @property
-    def byte_index(self) -> int:
-        return self._byte_index
-
-    def set_metrics(self, metrics) -> None:
-        """Report per-chunk counters into an observed campaign's registry."""
-        self._metrics = metrics
 
     def _quantize(self, values: np.ndarray) -> np.ndarray:
         scaled = (values - self.bin_lo) / (self.bin_hi - self.bin_lo)
@@ -497,10 +478,7 @@ class MiaStreamConsumer:
         return state
 
     def restore(self, state: dict) -> None:
-        if int(state.get("true_byte", -1)) != self._true_byte:
-            raise CheckpointError(
-                "mia snapshot was taken against a different key"
-            )
+        self._check_key(state)
         for field in ("bin_lo", "bin_hi", "n_bins", "sample_stride"):
             if float(state.get(field, np.nan)) != float(getattr(self, field)):
                 raise CheckpointError(
@@ -555,7 +533,7 @@ def _replica_keep_mask(
     return uniform < keep_fraction
 
 
-class SuccessRateConsumer:
+class SuccessRateConsumer(_KeyByteConsumer):
     """Streaming success-rate-vs-traces curve with Wilson bands.
 
     The batch protocol (``success_rate_curve``) re-attacks random
@@ -583,8 +561,7 @@ class SuccessRateConsumer:
             raise AttackError("n_replicas must be >= 1")
         if not 0.0 < keep_fraction <= 1.0:
             raise AttackError("keep_fraction must be in (0, 1]")
-        self._byte_index = int(byte_index)
-        self._true_byte = int(expand_last_round_key(key)[byte_index])
+        super().__init__(key, byte_index, name)
         self.n_replicas = int(n_replicas)
         self.keep_fraction = float(keep_fraction)
         self.seed = int(seed)
@@ -594,16 +571,6 @@ class SuccessRateConsumer:
         self.n_traces = 0  # traces *offered* (the SR curve's x axis)
         self._trace_counts: List[int] = []
         self._successes: List[int] = []
-        self._metrics = NULL_METRICS
-        self.name = name
-
-    @property
-    def byte_index(self) -> int:
-        return self._byte_index
-
-    def set_metrics(self, metrics) -> None:
-        """Report per-chunk counters into an observed campaign's registry."""
-        self._metrics = metrics
 
     def consume(self, chunk: TraceSet) -> None:
         n = chunk.n_traces
@@ -669,10 +636,7 @@ class SuccessRateConsumer:
         return state
 
     def restore(self, state: dict) -> None:
-        if int(state.get("true_byte", -1)) != self._true_byte:
-            raise CheckpointError(
-                "success-rate snapshot was taken against a different key"
-            )
+        self._check_key(state)
         if (
             int(state.get("n_replicas", -1)) != self.n_replicas
             or float(state.get("keep_fraction", -1.0)) != self.keep_fraction

@@ -24,7 +24,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from repro.leakage_assessment import TVLA_THRESHOLD
 from repro.obs import NULL_OBS, Observability
 from repro.pipeline import (
     CompletionTimeConsumer,
+    DisclosureConsumer,
+    LatticeCpaConsumer,
+    MlpAttackConsumer,
     StreamingCampaign,
     TvlaStreamConsumer,
 )
@@ -40,82 +43,6 @@ from repro.scenarios.spec import MatrixSpec, ScenarioSpec
 
 #: Version tag of the runner's resume-state file.
 STATE_SCHEMA = "rftc-scenario-state/1"
-
-
-class DisclosureConsumer:
-    """Streaming CPA on key byte 0 plus its rank-vs-traces curve.
-
-    Wraps :class:`~repro.attacks.IncrementalCpa` and records the true
-    byte's rank after every folded chunk, giving traces-to-disclosure at
-    chunk granularity without a second pass over the traces.
-    """
-
-    def __init__(self, key: bytes, byte_index: int = 0, name: str = "disclosure"):
-        from repro.attacks.incremental import IncrementalCpa
-        from repro.attacks.models import expand_last_round_key
-
-        self._inc = IncrementalCpa(byte_index=byte_index)
-        self._true_byte = int(expand_last_round_key(key)[byte_index])
-        self._trace_counts: List[int] = []
-        self._ranks: List[int] = []
-        self.name = name
-
-    @property
-    def byte_index(self) -> int:
-        return self._inc.byte_index
-
-    @property
-    def n_traces(self) -> int:
-        return self._inc.n_traces
-
-    def consume(self, chunk) -> None:
-        self._inc.update(chunk.traces, chunk.ciphertexts)
-        outcome = self._inc.result()
-        self._trace_counts.append(int(self._inc.n_traces))
-        self._ranks.append(int(outcome.rank_of(self._true_byte)))
-
-    def result(self) -> dict:
-        """Disclosure curve plus the final attack outcome."""
-        outcome = self._inc.result()
-        first = None
-        for count, rank in zip(self._trace_counts, self._ranks):
-            if rank == 0:
-                first = count
-                break
-        true_peak = float(outcome.peak_corr[self._true_byte])
-        others = np.delete(outcome.peak_corr, self._true_byte)
-        return {
-            "byte_index": int(self.byte_index),
-            "best_guess": int(outcome.best_guess),
-            "true_byte_rank": int(outcome.rank_of(self._true_byte)),
-            "peak_corr_max": float(outcome.peak_corr.max()),
-            "margin": float(true_peak - others.max()),
-            "trace_counts": list(self._trace_counts),
-            "ranks": list(self._ranks),
-            "first_disclosure": first,
-        }
-
-    def snapshot(self) -> dict:
-        state = {f"cpa_{k}": v for k, v in self._inc.snapshot().items()}
-        state["true_byte"] = self._true_byte
-        state["trace_counts"] = np.asarray(self._trace_counts, dtype=np.int64)
-        state["ranks"] = np.asarray(self._ranks, dtype=np.int64)
-        return state
-
-    def restore(self, state: dict) -> None:
-        if int(state.get("true_byte", -1)) != self._true_byte:
-            raise CheckpointError(
-                "disclosure snapshot was taken against a different key"
-            )
-        self._inc.restore(
-            {k[4:]: v for k, v in state.items() if k.startswith("cpa_")}
-        )
-        counts = np.asarray(state.get("trace_counts", ()), dtype=np.int64)
-        ranks = np.asarray(state.get("ranks", ()), dtype=np.int64)
-        if counts.shape != ranks.shape:
-            raise CheckpointError("disclosure snapshot curve length mismatch")
-        self._trace_counts = [int(c) for c in counts]
-        self._ranks = [int(r) for r in ranks]
 
 
 #: Traces the profiled adversaries acquire from their clone device.
@@ -195,7 +122,6 @@ def cell_consumers(cell: ScenarioSpec) -> list:
     elif cell.adversary == "mlp":
         from repro.attacks.mlp import train_mlp_profile
         from repro.attacks.models import expand_last_round_key
-        from repro.pipeline import MlpAttackConsumer
 
         clone = profile_clone(cell)
         model = train_mlp_profile(
@@ -205,8 +131,6 @@ def cell_consumers(cell: ScenarioSpec) -> list:
         )
         consumers.append(MlpAttackConsumer(model, key))
     elif cell.adversary == "lattice":
-        from repro.pipeline import LatticeCpaConsumer
-
         consumers.append(
             LatticeCpaConsumer(key, lattice_reference_for(cell))
         )
@@ -288,7 +212,7 @@ def run_cell(
         }
     else:
         # cpa / mlp / lattice all report a disclosure-style block (the
-        # attack consumers share the DisclosureConsumer result layout).
+        # MLP and lattice consumers are DisclosureConsumer subclasses).
         result_key = "disclosure" if cell.adversary == "cpa" else cell.adversary
         disclosure = report.results[result_key]
         adversary_block = {

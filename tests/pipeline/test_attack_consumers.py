@@ -18,6 +18,7 @@ from repro.experiments.scenarios import cached_plan
 from repro.obs import Observability
 from repro.pipeline import (
     CampaignSpec,
+    DisclosureConsumer,
     LatticeCpaConsumer,
     MiaStreamConsumer,
     MlpAttackConsumer,
@@ -27,7 +28,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.attack_consumers import _replica_keep_mask
 
-ZOO = ("template", "mlp", "lattice", "mia", "success_rate")
+ZOO = ("template", "mlp", "lattice", "mia", "success_rate", "disclosure")
 
 
 @pytest.fixture(scope="module")
@@ -49,16 +50,47 @@ def mlp_model(unprotected_traceset):
 
 @pytest.fixture
 def zoo(unprotected_traceset, template_model, mlp_model):
-    """Factories building a fresh consumer of each kind (same config)."""
+    """Factories building a fresh consumer of each kind (same config).
+
+    Keyword arguments (``byte_index``) pass through to the constructor.
+    """
     key = unprotected_traceset.key
     reference = float(unprotected_traceset.completion_times_ns.max())
     return {
-        "template": lambda: TemplateAttackConsumer(template_model, key),
-        "mlp": lambda: MlpAttackConsumer(mlp_model, key),
-        "lattice": lambda: LatticeCpaConsumer(key, reference),
-        "mia": lambda: MiaStreamConsumer(key),
-        "success_rate": lambda: SuccessRateConsumer(key, seed=5),
+        "template": lambda **kw: TemplateAttackConsumer(
+            template_model, key, **kw
+        ),
+        "mlp": lambda **kw: MlpAttackConsumer(mlp_model, key, **kw),
+        "lattice": lambda **kw: LatticeCpaConsumer(key, reference, **kw),
+        "mia": lambda **kw: MiaStreamConsumer(key, **kw),
+        "success_rate": lambda **kw: SuccessRateConsumer(key, seed=5, **kw),
+        "disclosure": lambda **kw: DisclosureConsumer(key, **kw),
     }
+
+
+#: Each kind's snapshot keys once it has folded a chunk.  A checkpoint
+#: stores exactly these, so a changed set breaks resuming old checkpoints.
+_CPA_KEYS = {
+    "cpa_byte_index", "cpa_n_traces", "cpa_sum_p", "cpa_sum_p2",
+    "cpa_sum_pt", "cpa_sum_t", "cpa_sum_t2",
+}
+_CURVE_KEYS = {"true_byte", "trace_counts", "ranks"}
+SNAPSHOT_KEYS = {
+    "template": _CURVE_KEYS | {"n_traces", "scores"},
+    "mlp": _CPA_KEYS | _CURVE_KEYS,
+    "lattice": _CPA_KEYS | _CURVE_KEYS | {"reference_ns"},
+    "mia": {
+        "true_byte", "n_traces", "bin_lo", "bin_hi", "n_bins",
+        "sample_stride", "counts",
+    },
+    "success_rate": {
+        "true_byte", "n_replicas", "keep_fraction", "seed", "n_traces",
+        "trace_counts", "successes",
+    } | {
+        f"r{replica}_{k[4:]}" for replica in range(8) for k in _CPA_KEYS
+    },
+    "disclosure": _CPA_KEYS | _CURVE_KEYS,
+}
 
 
 def _chunks(trace_set, n_chunks=4, size=150):
@@ -112,6 +144,12 @@ class TestCheckpointContract:
         with pytest.raises(AttackError):
             zoo[kind]().result()
 
+    @pytest.mark.parametrize("kind", ZOO)
+    def test_snapshot_key_set(self, kind, zoo, unprotected_traceset):
+        populated = zoo[kind]()
+        populated.consume(_chunks(unprotected_traceset)[0])
+        assert set(populated.snapshot()) == SNAPSHOT_KEYS[kind]
+
     def test_template_restore_rejects_bad_scores(self, zoo):
         populated = zoo["template"]()
         state = dict(populated.snapshot())
@@ -150,6 +188,12 @@ class TestCheckpointContract:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("byte_index", (-1, 16))
+    @pytest.mark.parametrize("kind", ZOO)
+    def test_rejects_out_of_range_byte_index(self, kind, byte_index, zoo):
+        with pytest.raises(AttackError, match="byte_index"):
+            zoo[kind](byte_index=byte_index)
+
     def test_lattice_rejects_bad_reference(self, key):
         with pytest.raises(AttackError):
             LatticeCpaConsumer(key, float("nan"))
@@ -244,7 +288,7 @@ class TestEngineIntegration:
         ]
         assert results[0] == results[1] == results[2]
 
-    @pytest.mark.parametrize("kind", ("mlp", "lattice"))
+    @pytest.mark.parametrize("kind", ("mlp", "lattice", "disclosure"))
     def test_engine_checkpoint_resume_bit_identical(self, kind, zoo, tmp_path):
         spec = CampaignSpec(target="unprotected")
         uninterrupted = self._run(spec, zoo[kind](), workers=1)
