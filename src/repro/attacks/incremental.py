@@ -67,53 +67,44 @@ def _as_batch(traces, data, keep_float32: bool) -> np.ndarray:
     return traces
 
 
-def _add_sums(acc, n_traces: int, sums: list, n_hyp: int, mismatch: str) -> None:
-    """Add ``(Σt, Σt², Σp, Σp², Σpt)`` addends into an accumulator."""
-    sum_t, sum_t2, sum_p, sum_p2, sum_pt = sums
-    if acc._sum_t is None:
-        s = sum_t.shape[0]
-        acc._sum_t = np.zeros(s)
-        acc._sum_t2 = np.zeros(s)
-        acc._sum_p = np.zeros(n_hyp)
-        acc._sum_p2 = np.zeros(n_hyp)
-        acc._sum_pt = np.zeros((n_hyp, s))
-    elif sum_t.shape[0] != acc._sum_t.shape[0]:
-        raise AttackError(mismatch)
-    acc.n_traces += n_traces
-    acc._sum_t += sum_t
-    acc._sum_t2 += sum_t2
-    acc._sum_p += sum_p
-    acc._sum_p2 += sum_p2
-    acc._sum_pt += sum_pt
-
-
 def _fold_summary(acc, summary: Optional[CpaChunkSummary], n_hyp: int,
                   label: str) -> None:
     """Fold one chunk summary into ``acc`` and count its traces."""
     if summary is None:
         return  # zero-trace chunk: exact no-op
-    _add_sums(
-        acc,
-        summary.n_traces,
-        [getattr(summary, name) for name in _SUM_FIELDS],
-        n_hyp,
-        "batch sample count does not match accumulator",
-    )
+    if acc._sum_t is None:
+        s = summary.sum_t.shape[0]
+        acc._sum_t = np.zeros(s)
+        acc._sum_t2 = np.zeros(s)
+        acc._sum_p = np.zeros(n_hyp)
+        acc._sum_p2 = np.zeros(n_hyp)
+        acc._sum_pt = np.zeros((n_hyp, s))
+    elif summary.sum_t.shape[0] != acc._sum_t.shape[0]:
+        raise AttackError("batch sample count does not match accumulator")
+    acc.n_traces += summary.n_traces
+    acc._sum_t += summary.sum_t
+    acc._sum_t2 += summary.sum_t2
+    acc._sum_p += summary.sum_p
+    acc._sum_p2 += summary.sum_p2
+    acc._sum_pt += summary.sum_pt
     acc._metrics.inc(
         "cpa_traces_folded_total", summary.n_traces, accumulator=label
     )
 
 
-def _merge_sums(acc, other, n_hyp: int) -> None:
-    if other._sum_t is None or other.n_traces == 0:
-        return  # empty shard (even width-pinned): exact no-op
-    _add_sums(
-        acc,
-        other.n_traces,
-        [getattr(other, f"_{name}") for name in _SUM_FIELDS],
-        n_hyp,
-        "accumulators disagree on the sample count",
-    )
+def _correlation(acc) -> np.ndarray:
+    """Pearson matrix ``(n_hyp, S)`` from an accumulator's running sums."""
+    if acc._sum_t is None or acc.n_traces < 2:
+        raise AttackError("accumulate at least 2 traces first")
+    n = acc.n_traces
+    cov = acc._sum_pt - np.outer(acc._sum_p, acc._sum_t) / n
+    var_p = acc._sum_p2 - acc._sum_p**2 / n
+    var_t = acc._sum_t2 - acc._sum_t**2 / n
+    var_p[var_p < 0] = 0.0
+    var_t[var_t < 0] = 0.0
+    denom = np.sqrt(np.outer(var_p, var_t))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0.0, cov / denom, 0.0)
 
 
 def _restore_sums(acc, state: dict) -> None:
@@ -170,7 +161,7 @@ class IncrementalCpa:
         """Fold a batch of traces and their known data into the sums.
 
         float32 batches take a reduced-precision GEMM path (the running
-        sums stay float64, so snapshots and merges are unchanged); any
+        sums stay float64, so snapshots are unchanged); any
         other dtype is folded in float64 exactly as before.
         """
         self.fold_summary(self.chunk_summary(traces, data))
@@ -209,21 +200,6 @@ class IncrementalCpa:
         """Add a :meth:`chunk_summary` into the running sums."""
         _fold_summary(self, summary, 256, f"cpa[{self.byte_index}]")
 
-    def merge(self, other: "IncrementalCpa") -> None:
-        """Fold another accumulator's sums into this one.
-
-        The running sums are plain additive, so two accumulators built
-        from disjoint trace shards combine exactly — this is what lets a
-        pipeline fan CPA out across workers and still report one ranking.
-        """
-        if not isinstance(other, IncrementalCpa):
-            raise AttackError("can only merge another IncrementalCpa")
-        if other.byte_index != self.byte_index or other.model is not self.model:
-            raise AttackError(
-                "merge requires matching byte_index and prediction model"
-            )
-        _merge_sums(self, other, 256)
-
     def snapshot(self) -> dict:
         """Serializable state: byte index plus the five exact running sums.
 
@@ -245,17 +221,7 @@ class IncrementalCpa:
 
     def correlation(self) -> np.ndarray:
         """Current ``(256, S)`` Pearson matrix."""
-        if self._sum_t is None or self.n_traces < 2:
-            raise AttackError("accumulate at least 2 traces first")
-        n = self.n_traces
-        cov = self._sum_pt - np.outer(self._sum_p, self._sum_t) / n
-        var_p = self._sum_p2 - self._sum_p**2 / n
-        var_t = self._sum_t2 - self._sum_t**2 / n
-        var_p[var_p < 0] = 0.0
-        var_t[var_t < 0] = 0.0
-        denom = np.sqrt(np.outer(var_p, var_t))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(denom > 0.0, cov / denom, 0.0)
+        return _correlation(self)
 
     def result(self, keep_corr_matrix: bool = False) -> CpaByteResult:
         """Current attack outcome, shaped like the batch engine's."""
@@ -439,19 +405,6 @@ class IncrementalCpaBank:
         sum_p2 = np.einsum("nk,nk->k", preds, preds)
         return sum_t, sum_t2, cross[:, s], sum_p2, cross[:, :s]
 
-    def merge(self, other: "IncrementalCpaBank") -> None:
-        """Fold another bank's sums into this one (shard-parallel CPA)."""
-        if not isinstance(other, IncrementalCpaBank):
-            raise AttackError("can only merge another IncrementalCpaBank")
-        if (
-            other.byte_indices != self.byte_indices
-            or other.model is not self.model
-        ):
-            raise AttackError(
-                "merge requires matching byte_indices and prediction model"
-            )
-        _merge_sums(self, other, self._n_hyp)
-
     def snapshot(self) -> dict:
         """Serializable state: attacked bytes plus the exact running sums."""
         state = _snapshot_sums(self)
@@ -470,18 +423,7 @@ class IncrementalCpaBank:
 
     def correlation(self) -> np.ndarray:
         """Current ``(B, 256, S)`` Pearson matrices, one byte per slab."""
-        if self._sum_t is None or self.n_traces < 2:
-            raise AttackError("accumulate at least 2 traces first")
-        n = self.n_traces
-        cov = self._sum_pt - np.outer(self._sum_p, self._sum_t) / n
-        var_p = self._sum_p2 - self._sum_p**2 / n
-        var_t = self._sum_t2 - self._sum_t**2 / n
-        var_p[var_p < 0] = 0.0
-        var_t[var_t < 0] = 0.0
-        denom = np.sqrt(np.outer(var_p, var_t))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = np.where(denom > 0.0, cov / denom, 0.0)
-        return corr.reshape(len(self.byte_indices), 256, -1)
+        return _correlation(self).reshape(len(self.byte_indices), 256, -1)
 
     def result(self, keep_corr_matrix: bool = False) -> CpaResult:
         """Current attack outcome across all attacked bytes."""

@@ -189,14 +189,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.leakage_assessment import TVLA_THRESHOLD
     from repro.pipeline import (
         CampaignSpec,
-        CompletionTimeConsumer,
-        CpaStreamConsumer,
         RetryPolicy,
         StreamingCampaign,
-        TvlaStreamConsumer,
     )
 
     from repro.pipeline import campaign_targets
+    from repro.service.execution import job_consumers
     from repro.testing.faults import FaultPlan
 
     from repro.errors import (
@@ -221,14 +219,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         obs = Observability.create()
         obs.tracer.enabled = bool(args.trace_out)  # buffer only to export
     retry = RetryPolicy(max_attempts=args.retries)
-
-    def build_consumers(mode: str) -> list:
-        consumers = [CompletionTimeConsumer()]
-        if mode == "cpa":
-            consumers.append(CpaStreamConsumer(byte_index=0))
-        else:
-            consumers.append(TvlaStreamConsumer())
-        return consumers
 
     def show_progress(p) -> None:
         print(
@@ -287,7 +277,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             report = StreamingCampaign.resume(
                 store,
                 ckpt,
-                consumers=build_consumers(mode),
+                consumers=job_consumers(ckpt_spec),
                 workers=args.workers,
                 progress=progress,
                 checkpoint_path=args.checkpoint,
@@ -345,7 +335,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         try:
             report = engine.run(
                 n_traces,
-                consumers=build_consumers(mode),
+                consumers=job_consumers(spec),
                 store=args.out,
                 progress=progress,
                 checkpoint=args.checkpoint,
@@ -613,8 +603,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
     from repro.obs import MetricsSnapshot, render_metrics
 
-    with open(args.path) as handle:
-        text = handle.read()
+    try:
+        with open(args.path) as handle:
+            text = handle.read()
+    except OSError as exc:
+        # A path that cannot be read is a usage error, like a missing store.
+        print(f"cannot render {args.path}: {exc}", file=sys.stderr)
+        return 2
     try:
         snapshot = MetricsSnapshot.from_json(text)
     except ConfigurationError as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 import numpy as np
 
 from repro.errors import AttackError, CheckpointError, ConfigurationError
@@ -110,22 +109,6 @@ class IncrementalTvla:
     def update_interleaved(self, traces: np.ndarray) -> None:
         """Fold a batch whose even rows are fixed and odd rows random."""
         fold_interleaved((self._fixed, self._random), traces)
-
-    def merge(self, other: "IncrementalTvla") -> None:
-        """Fold another accumulator in (exact parallel-shard combine).
-
-        A fresh ``other`` (no traces in either population) is an exact
-        no-op; merging *into* a fresh ``self`` adopts ``other`` verbatim —
-        both via the :class:`~repro.utils.stats.RunningMoments` guards.
-        """
-        if not isinstance(other, IncrementalTvla):
-            raise ConfigurationError("can only merge another IncrementalTvla")
-        if other.exclude_prefix_samples != self.exclude_prefix_samples:
-            raise ConfigurationError(
-                "merge requires matching exclude_prefix_samples"
-            )
-        self._fixed.merge(other._fixed)
-        self._random.merge(other._random)
 
     def snapshot(self) -> dict:
         """Serializable state: both populations' exact Welford moments."""

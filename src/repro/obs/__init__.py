@@ -6,8 +6,8 @@ needs: a multi-hour, multi-million-trace campaign must be *watchable*
 science.  Two dependency-free pieces:
 
 * :class:`MetricsRegistry` — counters, gauges and fixed-bucket
-  histograms with labeled series; snapshots merge deterministically like
-  the pipeline's incremental accumulators, and export as Prometheus text
+  histograms with labeled series; worker snapshots fold in
+  deterministically through ``merge_snapshot``, and export as Prometheus text
   or JSON (``campaign --metrics-out``, ``repro-rftc obs render``).
 * :class:`Tracer` — nestable spans, the one clock campaign code
   reads: a closed span adds to the tracer's totals and feeds the

@@ -8,9 +8,9 @@ a JSON document at any point of a run.
 Design constraints (shared with the rest of the pipeline):
 
 * **Deterministic folding.**  A registry reduces to a plain-data
-  :class:`MetricsSnapshot` that merges like the pipeline's incremental
-  accumulators: counters and histogram buckets add, gauges resolve by a
-  logical version stamp (not wall clock), and ``merge`` is associative —
+  :class:`MetricsSnapshot` that :meth:`MetricsRegistry.merge_snapshot`
+  folds in: counters and histogram buckets add, gauges resolve by a
+  logical version stamp (not wall clock), and the fold is associative —
   per-worker registries folded in chunk order produce the same totals at
   any worker count (asserted by ``tests/obs/test_metrics.py``).
 * **Multiprocessing safe.**  Snapshots are picklable plain dicts/lists;
@@ -102,8 +102,8 @@ class MetricsSnapshot:
 
     ``counters`` maps series key to value; ``gauges`` to ``(version,
     value)`` where ``version`` is the registry's logical set-sequence
-    (merging keeps the higher version, ties keep the larger value — an
-    associative, commutative rule); ``histograms`` to
+    (``merge_snapshot`` keeps the higher version, ties keep the larger
+    value — an associative, commutative rule); ``histograms`` to
     ``(edges, bucket counts incl. +Inf, sum, count)``.
     """
 
@@ -116,36 +116,6 @@ class MetricsSnapshot:
     @property
     def n_series(self) -> int:
         return len(self.counters) + len(self.gauges) + len(self.histograms)
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """A new snapshot folding ``other`` into this one (associative)."""
-        merged = MetricsSnapshot(
-            counters=dict(self.counters),
-            gauges=dict(self.gauges),
-            histograms=dict(self.histograms),
-        )
-        for key, value in other.counters.items():
-            merged.counters[key] = merged.counters.get(key, 0.0) + value
-        for key, stamped in other.gauges.items():
-            mine = merged.gauges.get(key)
-            if mine is None or stamped > mine:
-                merged.gauges[key] = stamped
-        for key, (edges, counts, total, count) in other.histograms.items():
-            mine = merged.histograms.get(key)
-            if mine is None:
-                merged.histograms[key] = (edges, counts, total, count)
-                continue
-            if mine[0] != edges:
-                raise ConfigurationError(
-                    f"histogram {key[0]!r}: merge with different bucket edges"
-                )
-            merged.histograms[key] = (
-                edges,
-                tuple(a + b for a, b in zip(mine[1], counts)),
-                mine[2] + total,
-                mine[3] + count,
-            )
-        return merged
 
     # -- exporters -----------------------------------------------------
 

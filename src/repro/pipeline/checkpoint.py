@@ -68,8 +68,8 @@ class CampaignCheckpoint:
     ----------
     seed / chunk_size / n_traces / spec_fields:
         The campaign identity; :meth:`spec` rebuilds the
-        :class:`CampaignSpec`.  A checkpoint can only resume the exact
-        campaign that wrote it — :meth:`validate_matches` enforces this.
+        :class:`CampaignSpec`, so a resume runs the exact campaign that
+        wrote it.
     chunks_done:
         Chunks folded into the consumer states below (the resume point).
     consumer_states:
@@ -203,25 +203,6 @@ class CampaignCheckpoint:
 
     def spec(self) -> CampaignSpec:
         return spec_from_dict(self.spec_fields)
-
-    def validate_matches(
-        self, spec: CampaignSpec, seed: int, chunk_size: int
-    ) -> None:
-        """Refuse to resume a different campaign than the one snapshotted."""
-        # Compare through the codec so checkpoints written before a spec
-        # field existed still match a spec carrying that field's default.
-        if spec_to_dict(spec) != spec_to_dict(self.spec()):
-            raise CheckpointError(
-                "checkpoint was written by a different campaign spec "
-                f"({self.spec_fields.get('target')!r}, digest "
-                f"{self.spec().spec_digest()[:12]}; requested "
-                f"{spec.target!r}, digest {spec.spec_digest()[:12]})"
-            )
-        if int(seed) != self.seed or int(chunk_size) != self.chunk_size:
-            raise CheckpointError(
-                f"checkpoint is for seed {self.seed} / chunk_size "
-                f"{self.chunk_size}, not seed {seed} / chunk_size {chunk_size}"
-            )
 
     def restore_consumers(self, consumers: Sequence) -> None:
         """Restore ``consumers`` (matched by name) from the saved states."""

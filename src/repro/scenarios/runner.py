@@ -39,6 +39,7 @@ from repro.pipeline import (
     StreamingCampaign,
     TvlaStreamConsumer,
 )
+from repro.scenarios.report import KEY_RECOVERY_ADVERSARIES
 from repro.scenarios.spec import MatrixSpec, ScenarioSpec
 
 #: Version tag of the runner's resume-state file.
@@ -302,8 +303,9 @@ class MatrixRunner:
     obs:
         Optional observability bundle; the runner emits
         ``scenario_cells_total`` / ``scenario_cells_cached_total`` /
-        ``scenario_cell_seconds`` into it (see
-        ``docs/observability.md``).
+        ``scenario_cell_seconds`` into it, and the
+        ``scenario_cell_true_byte_rank{cell}`` gauge of every
+        key-recovery cell (see ``docs/observability.md``).
     """
 
     def __init__(
@@ -349,6 +351,15 @@ class MatrixRunner:
             obs=self.obs,
         )
 
+    def _report_rank(self, cell: ScenarioSpec, payload: dict) -> None:
+        """Set the cell's true-byte rank gauge (key-recovery cells only)."""
+        if cell.adversary in KEY_RECOVERY_ADVERSARIES:
+            self.obs.metrics.set_gauge(
+                "scenario_cell_true_byte_rank",
+                payload[cell.adversary]["true_byte_rank"],
+                cell=cell.name,
+            )
+
     def run(
         self,
         resume: bool = False,
@@ -364,6 +375,7 @@ class MatrixRunner:
             cached = state.cells.get(digest)
             if cached is not None:
                 self.obs.metrics.inc("scenario_cells_cached_total")
+                self._report_rank(cell, cached)
                 payloads.append(cached)
                 if on_cell is not None:
                     on_cell(cell, "cached")
@@ -371,6 +383,7 @@ class MatrixRunner:
             with self.obs.tracer.span("scenario_cell", cell=digest[:12]):
                 payload = self._run_one(cell, resume)
             self.obs.metrics.inc("scenario_cells_total")
+            self._report_rank(cell, payload)
             state.mark_done(digest, payload)
             payloads.append(payload)
             if on_cell is not None:

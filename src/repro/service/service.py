@@ -112,7 +112,6 @@ class CampaignService:
         policies: Optional[Dict[str, TenantPolicy]] = None,
         cache_entries: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
-        aging_dispatches: int = 4,
         shed_queue_depth: Optional[int] = None,
         shed_journal_records: Optional[int] = None,
         compact_journal: bool = False,
@@ -139,7 +138,6 @@ class CampaignService:
             worker_budget=worker_budget,
             cond=self._cond,
             policies=dict(policies or {}),
-            aging_dispatches=aging_dispatches,
             on_dispatch=self._on_dispatch,
             on_finalize=self._on_finalize,
         )
@@ -344,7 +342,11 @@ class CampaignService:
             self.metrics.inc("service_shed_total", reason=reason)
 
     def store_usage(self, tenant: str) -> int:
-        """Bytes of persisted trace stores currently charged to ``tenant``."""
+        """Bytes of persisted trace stores currently charged to ``tenant``.
+
+        Takes the (reentrant) service lock, so the quota check and the
+        gauge updates call it with the lock already held.
+        """
         with self._cond:
             return sum(
                 job.store_bytes
@@ -377,7 +379,7 @@ class CampaignService:
                 self.store.update(job, store_bytes=0)
                 self.metrics.set_gauge(
                     "service_store_bytes",
-                    self.store_usage_locked(job.tenant),
+                    self.store_usage(job.tenant),
                     tenant=job.tenant,
                 )
             return job.to_dict(include_result=False)
@@ -408,11 +410,7 @@ class CampaignService:
                     f"(max_queued={policy.max_queued})"
                 )
         if store and policy.store_quota_bytes is not None:
-            used = sum(
-                job.store_bytes
-                for job in self.store.jobs()
-                if job.tenant == tenant
-            )
+            used = self.store_usage(tenant)
             if used >= policy.store_quota_bytes:
                 self.metrics.inc(
                     "service_quota_rejections_total", reason="store_quota"
@@ -485,17 +483,10 @@ class CampaignService:
         if job.store_bytes:
             self.metrics.set_gauge(
                 "service_store_bytes",
-                self.store_usage_locked(job.tenant),
+                self.store_usage(job.tenant),
                 tenant=job.tenant,
             )
         self._update_gauges()
-
-    def store_usage_locked(self, tenant: str) -> int:
-        return sum(
-            job.store_bytes
-            for job in self.store.jobs()
-            if job.tenant == tenant
-        )
 
     def _update_gauges(self) -> None:
         states: Dict[str, int] = {}

@@ -179,34 +179,6 @@ class RunningMoments:
         """
         fold_interleaved((self,), traces)
 
-    def merge(self, other: "RunningMoments") -> None:
-        """Combine with another accumulator (Chan et al. parallel update).
-
-        Exact (not approximate) pooling of mean and M2, so shard-parallel
-        TVLA matches the sequential fold bit-for-bit up to float
-        associativity.
-        """
-        if not isinstance(other, RunningMoments):
-            raise ConfigurationError("can only merge another RunningMoments")
-        if other._mean is None or other.count == 0:
-            return
-        if self._mean is None or self.count == 0:
-            # Fresh (or width-pinned but still empty) accumulator: adopt the
-            # other side verbatim.  Covers resume-before-first-chunk merges.
-            self.count = other.count
-            self._mean = other._mean.copy()
-            self._m2 = other._m2.copy()
-            return
-        if other._mean.shape != self._mean.shape:
-            raise ConfigurationError(
-                "cannot merge accumulators of different widths"
-            )
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * (self.count * other.count / total)
-        self._mean += delta * (other.count / total)
-        self.count = total
-
     def snapshot(self) -> dict:
         """Serializable state: exact ``{count, mean, m2}`` (arrays omitted
         while empty).  ``restore`` of a snapshot reproduces the accumulator

@@ -13,7 +13,7 @@ package checks those equivalences mechanically, via six suites:
     all key sizes (:mod:`repro.verify.aes_oracle`).
 ``accumulators``
     Every incremental accumulator vs. its batch counterpart under
-    randomized chunk/merge/snapshot-restore/replay schedules
+    randomized chunk and snapshot-restore/replay schedules
     (:mod:`repro.verify.accumulators`, :mod:`repro.verify.schedules`).
 ``drp``
     ``synthesize_config -> encode_config -> decode_transactions ->

@@ -8,13 +8,11 @@ schedules from :mod:`repro.verify.schedules` and held to two standards:
 
 * **Bit-identity** where the contract is exact: any snapshot/restore/
   replay schedule must reproduce the plain sequential fold bit-for-bit,
-  zero-trace updates must be exact no-ops, and merging an empty shard
-  (in either direction) must leave every state word unchanged.
-* **Batch agreement** where float associativity intervenes: shard-merge
-  schedules reassociate the running sums, so their results are compared
-  against the batch reference (``column_pearson`` / ``welch_t`` /
-  ``np.mean``/``np.var``) at tolerances far below any physical effect,
-  with trace/population counts still required to match exactly.
+  and zero-trace updates must be exact no-ops.
+* **Batch agreement** where float associativity intervenes: the chunked
+  sequential fold is compared against the batch reference
+  (``column_pearson`` / ``welch_t`` / ``np.mean``/``np.var``) at
+  tolerances far below any physical effect.
 """
 
 from __future__ import annotations
@@ -29,10 +27,8 @@ from repro.leakage_assessment.tvla import IncrementalTvla
 from repro.utils.stats import RunningMoments, column_pearson, welch_t
 from repro.verify import Checks
 from repro.verify.schedules import (
-    MergeSchedule,
     ReplaySchedule,
     chunk_bounds,
-    generate_merge_schedule,
     generate_replay_schedule,
 )
 
@@ -70,16 +66,12 @@ class _Adapter:
         make: Callable[[], object],
         feed: Callable[[object, int, int], None],
         feed_empty: Callable[[object], None],
-        count: Callable[[object], int],
-        total_rows: int,
         compare_batch: Callable[[object], Tuple[bool, str]],
     ):
         self.label = label
         self.make = make
         self.feed = feed
         self.feed_empty = feed_empty
-        self.count = count
-        self.total_rows = total_rows
         self.compare_batch = compare_batch
 
     def fold_sequential(self, bounds: Sequence[Tuple[int, int]]):
@@ -102,29 +94,6 @@ class _Adapter:
                 lo, hi = bounds[op[1]]
                 self.feed(acc, lo, hi)
         return acc
-
-    def fold_merge(
-        self,
-        bounds: Sequence[Tuple[int, int]],
-        schedule: MergeSchedule,
-        populated_base: bool,
-    ):
-        # merge_order permutes every shard id, including shards that drew
-        # no chunks — size the pool from it, not from shard_of.
-        n_shards = len(schedule.merge_order)
-        shards = [self.make() for _ in range(n_shards)]
-        for chunk, shard in enumerate(schedule.shard_of):
-            lo, hi = bounds[chunk]
-            self.feed(shards[shard], lo, hi)
-        order = list(schedule.merge_order)
-        if populated_base:
-            target = shards[order[0]]
-            order = order[1:]
-        else:
-            target = self.make()
-        for shard in order:
-            target.merge(shards[shard])
-        return target
 
 
 def _tolerance_detail(diff: float, atol: float) -> str:
@@ -193,8 +162,6 @@ def _build_adapters(seed: int) -> List[_Adapter]:
             make=lambda: IncrementalCpa(byte_index=0),
             feed=lambda acc, lo, hi: acc.update(traces[lo:hi], data[lo:hi]),
             feed_empty=lambda acc: acc.update(empty_traces, empty_data),
-            count=lambda acc: acc.n_traces,
-            total_rows=_N_ROWS,
             compare_batch=cpa_compare,
         ),
         _Adapter(
@@ -202,8 +169,6 @@ def _build_adapters(seed: int) -> List[_Adapter]:
             make=lambda: IncrementalCpaBank(byte_indices=_BANK_BYTES),
             feed=lambda acc, lo, hi: acc.update(traces[lo:hi], data[lo:hi]),
             feed_empty=lambda acc: acc.update(empty_traces, empty_data),
-            count=lambda acc: acc.n_traces,
-            total_rows=_N_ROWS,
             compare_batch=bank_compare,
         ),
         _Adapter(
@@ -211,8 +176,6 @@ def _build_adapters(seed: int) -> List[_Adapter]:
             make=IncrementalTvla,
             feed=tvla_feed,
             feed_empty=tvla_feed_empty,
-            count=lambda acc: acc._fixed.count + acc._random.count,
-            total_rows=2 * _N_ROWS,
             compare_batch=tvla_compare,
         ),
         _Adapter(
@@ -220,15 +183,13 @@ def _build_adapters(seed: int) -> List[_Adapter]:
             make=RunningMoments,
             feed=lambda acc, lo, hi: acc.update(traces[lo:hi]),
             feed_empty=lambda acc: acc.update(empty_traces),
-            count=lambda acc: acc.count,
-            total_rows=_N_ROWS,
             compare_batch=moments_compare,
         ),
     ]
 
 
 def _zero_guard_checks(checks: Checks, adapter: _Adapter) -> None:
-    """Empty updates and empty-shard merges must be exact no-ops."""
+    """Empty updates must be exact no-ops."""
     # Zero-row update on a fresh accumulator: nothing allocated, count 0.
     acc = adapter.make()
     adapter.feed_empty(acc)
@@ -245,50 +206,6 @@ def _zero_guard_checks(checks: Checks, adapter: _Adapter) -> None:
         f"zero-guards:{adapter.label}:empty-update",
         ok,
         "zero-trace update is a bit-exact no-op",
-    )
-
-    # fresh.merge(fresh) and populated.merge(fresh): both no-ops.
-    a, b = adapter.make(), adapter.make()
-    a.merge(b)
-    ok = states_equal(a.snapshot(), fresh_state)
-    a = adapter.make()
-    adapter.feed(a, 0, 32)
-    before = a.snapshot()
-    a.merge(adapter.make())
-    ok = ok and states_equal(a.snapshot(), before)
-
-    # merge with a width-pinned but zero-count other (a restored snapshot
-    # can legitimately carry allocated arrays with count 0): still a no-op.
-    hollow = adapter.make()
-    adapter.feed(hollow, 0, 32)
-    state = hollow.snapshot()
-    for key, value in state.items():
-        if isinstance(value, np.ndarray):
-            state[key] = np.zeros_like(value)
-        elif isinstance(value, int) and key not in ("byte_index",):
-            state[key] = 0
-    hollow.restore(state)
-    a = adapter.make()
-    adapter.feed(a, 0, 32)
-    before = a.snapshot()
-    a.merge(hollow)
-    ok = ok and states_equal(a.snapshot(), before)
-    checks.record(
-        f"zero-guards:{adapter.label}:empty-merge",
-        ok,
-        "merging an empty/fresh shard is a bit-exact no-op",
-    )
-
-    # fresh.merge(populated): adopts the shard exactly (resume-before-
-    # first-chunk direction).
-    a = adapter.make()
-    b = adapter.make()
-    adapter.feed(b, 0, 32)
-    a.merge(b)
-    checks.record(
-        f"zero-guards:{adapter.label}:merge-into-fresh",
-        states_equal(a.snapshot(), b.snapshot()),
-        "merging into a fresh accumulator adopts the shard bit-exactly",
     )
 
 
@@ -310,12 +227,9 @@ def run_accumulator_checks(
         checks.record(f"streaming-vs-batch:{adapter.label}", ok, detail)
 
         replay_failures: List[str] = []
-        merge_failures: List[str] = []
         for index in range(schedules):
             bounds = chunk_bounds(_N_ROWS, int(rng.integers(4, 9)), rng)
-            seq = adapter.fold_sequential(bounds)
-            seq_state = seq.snapshot()
-
+            seq_state = adapter.fold_sequential(bounds).snapshot()
             replay = generate_replay_schedule(rng, len(bounds))
             replayed = adapter.fold_replay(bounds, replay)
             if not states_equal(replayed.snapshot(), seq_state):
@@ -323,31 +237,10 @@ def run_accumulator_checks(
                     f"schedule {index}: replay state != sequential fold"
                 )
 
-            merge = generate_merge_schedule(rng, len(bounds))
-            merged = adapter.fold_merge(
-                bounds, merge, populated_base=bool(index % 2)
-            )
-            if adapter.count(merged) != adapter.count(seq):
-                merge_failures.append(
-                    f"schedule {index}: count {adapter.count(merged)} != "
-                    f"{adapter.count(seq)}"
-                )
-            else:
-                ok, detail = adapter.compare_batch(merged)
-                if not ok:
-                    merge_failures.append(f"schedule {index}: {detail}")
-
         checks.record(
             f"replay-schedules:{adapter.label}",
             not replay_failures,
             "; ".join(replay_failures[:3])
             or f"{schedules} randomized snapshot/restore/replay schedules "
             "bit-identical to the sequential fold",
-        )
-        checks.record(
-            f"merge-schedules:{adapter.label}",
-            not merge_failures,
-            "; ".join(merge_failures[:3])
-            or f"{schedules} randomized shard-merge schedules match the "
-            "batch reference (counts exact)",
         )

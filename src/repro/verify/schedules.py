@@ -1,19 +1,12 @@
 """Seeded schedule generator for the accumulator oracle.
 
 A *schedule* is a randomized but reproducible plan for exercising a
-streaming accumulator over a fixed chunk partition of a data set.  Two
-families are generated:
-
-* **Replay schedules** interleave chunk folds with ``snapshot`` /
-  ``restore`` operations, rewinding and re-folding random spans.  Because
-  snapshot/restore is specified to be exact, any replay schedule must
-  leave the accumulator *bit-identical* to the plain sequential fold of
-  the same chunks — no tolerance.
-* **Merge schedules** assign chunks to shards at random (some shards may
-  legitimately end up empty), fold each shard independently, and merge
-  the shards in a random order.  Counts must agree exactly; floating
-  moments may differ from the sequential fold only by summation-order
-  rounding, which the oracle bounds tightly against the batch reference.
+streaming accumulator over a fixed chunk partition of a data set.
+*Replay schedules* interleave chunk folds with ``snapshot`` / ``restore``
+operations, rewinding and re-folding random spans.  Because
+snapshot/restore is specified to be exact, any replay schedule must leave
+the accumulator *bit-identical* to the plain sequential fold of the same
+chunks — no tolerance.
 
 Schedules are pure data (tuples of primitive ops), so the oracle and the
 test suite can share one generator and log failing schedules verbatim.
@@ -41,23 +34,13 @@ class ReplaySchedule:
     ops: Tuple[ReplayOp, ...]
 
 
-@dataclass(frozen=True)
-class MergeSchedule:
-    """Random shard assignment plus the order the shards are merged in."""
-
-    n_chunks: int
-    shard_of: Tuple[int, ...]  # shard id per chunk
-    merge_order: Tuple[int, ...]  # permutation of shard ids
-
-
 def chunk_bounds(
     n_rows: int, n_chunks: int, rng: np.random.Generator
 ) -> Tuple[Tuple[int, int], ...]:
     """Randomized contiguous partition of ``n_rows`` into ``n_chunks``.
 
     Every chunk holds at least one row, so chunk emptiness is exercised
-    only through the explicit ``feed_empty`` ops / empty shards — keeping
-    the two edge cases distinguishable in failure reports.
+    only through the explicit ``feed_empty`` ops.
     """
     if n_chunks < 1 or n_rows < n_chunks:
         raise ConfigurationError("need 1 <= n_chunks <= n_rows")
@@ -97,17 +80,3 @@ def generate_replay_schedule(
             position = snapshot_at
             rewinds += 1
     return ReplaySchedule(n_chunks=n_chunks, ops=tuple(ops))
-
-
-def generate_merge_schedule(
-    rng: np.random.Generator, n_chunks: int
-) -> MergeSchedule:
-    """Draw one merge schedule: random sharding, random merge order."""
-    if n_chunks < 1:
-        raise ConfigurationError("n_chunks must be >= 1")
-    n_shards = int(rng.integers(2, 6))
-    shard_of = tuple(int(s) for s in rng.integers(0, n_shards, size=n_chunks))
-    merge_order = tuple(int(s) for s in rng.permutation(n_shards))
-    return MergeSchedule(
-        n_chunks=n_chunks, shard_of=shard_of, merge_order=merge_order
-    )

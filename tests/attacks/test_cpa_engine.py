@@ -157,19 +157,6 @@ class TestBankEquivalence:
                 rtol=0.0,
             )
 
-    def test_merge_matches_sequential(self, dataset):
-        traces, cts = dataset
-        whole = IncrementalCpaBank(byte_indices=(0, 7))
-        whole.update(traces, cts)
-        left = IncrementalCpaBank(byte_indices=(0, 7))
-        right = IncrementalCpaBank(byte_indices=(0, 7))
-        left.update(traces[: N // 2], cts[: N // 2])
-        right.update(traces[N // 2 :], cts[N // 2 :])
-        left.merge(right)
-        np.testing.assert_allclose(
-            left.correlation(), whole.correlation(), atol=1e-12, rtol=0.0
-        )
-
     def test_bank_validation(self, dataset):
         traces, cts = dataset
         with pytest.raises(AttackError):
@@ -181,9 +168,6 @@ class TestBankEquivalence:
         bank = IncrementalCpaBank()
         with pytest.raises(AttackError):
             bank.result()
-        other = IncrementalCpaBank(byte_indices=(1,))
-        with pytest.raises(AttackError):
-            bank.merge(other)
 
 
 class TestEngineRecoversKey(object):

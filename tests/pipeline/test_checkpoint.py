@@ -150,16 +150,6 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError):
             CampaignCheckpoint.load(plain)
 
-    def test_validate_matches(self, tmp_path):
-        ckpt = self._capture()
-        ckpt.validate_matches(CampaignSpec(target="unprotected"), 11, 50)
-        with pytest.raises(CheckpointError):
-            ckpt.validate_matches(CampaignSpec(target="unprotected"), 12, 50)
-        with pytest.raises(CheckpointError):
-            ckpt.validate_matches(
-                CampaignSpec(target="unprotected", noise_std=0.9), 11, 50
-            )
-
     def test_restore_consumers_name_mismatch(self):
         ckpt = self._capture()
         with pytest.raises(CheckpointError):

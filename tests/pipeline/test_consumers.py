@@ -13,7 +13,6 @@ from repro.pipeline import (
     TvlaStreamConsumer,
 )
 from repro.power.acquisition import TraceSet
-from repro.utils.stats import RunningMoments
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -102,82 +101,3 @@ class TestCompletionConsumer:
     def test_bad_resolution(self):
         with pytest.raises(ConfigurationError):
             CompletionTimeConsumer(resolution_ns=0.0)
-
-
-class TestMerge:
-    """Shard-parallel combine: merged accumulators equal sequential folds."""
-
-    def test_incremental_cpa_merge(self, rng):
-        chunks = [_chunk(rng) for _ in range(4)]
-        sequential = IncrementalCpa(byte_index=0)
-        for c in chunks:
-            sequential.update(c.traces, c.ciphertexts)
-        left, right = IncrementalCpa(byte_index=0), IncrementalCpa(byte_index=0)
-        for c in chunks[:2]:
-            left.update(c.traces, c.ciphertexts)
-        for c in chunks[2:]:
-            right.update(c.traces, c.ciphertexts)
-        left.merge(right)
-        assert left.n_traces == sequential.n_traces
-        np.testing.assert_allclose(
-            left.result().peak_corr, sequential.result().peak_corr, atol=1e-12
-        )
-
-    def test_incremental_cpa_merge_validates(self):
-        a = IncrementalCpa(byte_index=0)
-        with pytest.raises(AttackError):
-            a.merge(IncrementalCpa(byte_index=1))
-        with pytest.raises(AttackError):
-            a.merge("nope")
-
-    def test_cpa_merge_into_empty(self, rng):
-        chunk = _chunk(rng)
-        filled = IncrementalCpa(byte_index=0)
-        filled.update(chunk.traces, chunk.ciphertexts)
-        empty = IncrementalCpa(byte_index=0)
-        empty.merge(filled)
-        np.testing.assert_array_equal(
-            empty.result().peak_corr, filled.result().peak_corr
-        )
-        # Merging an empty accumulator is a no-op.
-        filled.merge(IncrementalCpa(byte_index=0))
-        assert filled.n_traces == chunk.n_traces
-
-    def test_running_moments_merge(self, rng):
-        data = rng.normal(size=(60, 16))
-        sequential = RunningMoments()
-        sequential.update(data)
-        left, right = RunningMoments(), RunningMoments()
-        left.update(data[:23])
-        right.update(data[23:])
-        left.merge(right)
-        assert left.count == 60
-        np.testing.assert_allclose(left.mean, sequential.mean, atol=1e-12)
-        np.testing.assert_allclose(left.variance, sequential.variance, atol=1e-12)
-
-    def test_running_moments_merge_width_mismatch(self, rng):
-        a, b = RunningMoments(), RunningMoments()
-        a.update(rng.normal(size=(4, 8)))
-        b.update(rng.normal(size=(4, 9)))
-        with pytest.raises(ConfigurationError):
-            a.merge(b)
-
-    def test_incremental_tvla_merge(self, rng):
-        chunks = [_chunk(rng, metadata={"tvla_interleaved": True}) for _ in range(4)]
-        sequential = IncrementalTvla()
-        for c in chunks:
-            sequential.update_fixed(c.traces[0::2])
-            sequential.update_random(c.traces[1::2])
-        shards = [IncrementalTvla(), IncrementalTvla()]
-        for shard, part in zip(shards, (chunks[:2], chunks[2:])):
-            for c in part:
-                shard.update_fixed(c.traces[0::2])
-                shard.update_random(c.traces[1::2])
-        shards[0].merge(shards[1])
-        np.testing.assert_allclose(
-            shards[0].result().t_values, sequential.result().t_values, atol=1e-10
-        )
-
-    def test_incremental_tvla_merge_validates(self):
-        with pytest.raises(ConfigurationError):
-            IncrementalTvla(exclude_prefix_samples=1).merge(IncrementalTvla())

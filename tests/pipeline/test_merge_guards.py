@@ -1,18 +1,14 @@
-"""Zero-sample edge cases: empty updates and empty-shard merges are no-ops.
+"""Zero-sample edge cases: empty updates are exact no-ops.
 
 Regression tests for the accumulator bugs the verification subsystem was
 built to catch: a ``(0, S)`` update used to allocate (and, for
-``RunningMoments`` fed an empty 1-D array, poison) accumulator state, and
-merging a width-pinned but zero-count shard was not guarded.  Every case
-is asserted in *both* directions: empty-into-populated and
-populated-into-empty.
+``RunningMoments`` fed an empty 1-D array, poison) accumulator state.
 """
 
 import numpy as np
 import pytest
 
 from repro.attacks.incremental import IncrementalCpa, IncrementalCpaBank
-from repro.errors import ConfigurationError
 from repro.leakage_assessment.tvla import IncrementalTvla
 from repro.utils.stats import RunningMoments
 from repro.verify.accumulators import states_equal
@@ -77,82 +73,3 @@ class TestZeroSampleUpdates:
         acc.update_fixed(np.empty((0, 4)))
         acc.update_random(np.array([]))
         assert states_equal(acc.snapshot(), before)
-
-
-class TestEmptyMergesBothDirections:
-    def test_cpa_merge_empty_into_populated(self, rng):
-        traces, data = _cpa_data(rng, 40)
-        acc = IncrementalCpa(byte_index=0)
-        acc.update(traces, data)
-        before = acc.snapshot()
-        acc.merge(IncrementalCpa(byte_index=0))
-        assert states_equal(acc.snapshot(), before)
-
-    def test_cpa_merge_populated_into_empty(self, rng):
-        traces, data = _cpa_data(rng, 40)
-        shard = IncrementalCpa(byte_index=0)
-        shard.update(traces, data)
-        acc = IncrementalCpa(byte_index=0)
-        acc.merge(shard)
-        assert states_equal(acc.snapshot(), shard.snapshot())
-
-    def test_cpa_merge_width_pinned_zero_count_shard(self, rng):
-        """A restored zero-count snapshot with allocated sums is a no-op."""
-        traces, data = _cpa_data(rng, 40)
-        acc = IncrementalCpa(byte_index=0)
-        acc.update(traces, data)
-        hollow = IncrementalCpa(byte_index=0)
-        hollow.restore(
-            {
-                "byte_index": 0,
-                "n_traces": 0,
-                "sum_t": np.zeros(8),
-                "sum_t2": np.zeros(8),
-                "sum_p": np.zeros(256),
-                "sum_p2": np.zeros(256),
-                "sum_pt": np.zeros((256, 8)),
-            }
-        )
-        before = acc.snapshot()
-        acc.merge(hollow)
-        assert states_equal(acc.snapshot(), before)
-
-    def test_bank_merge_both_directions(self, rng):
-        traces, data = _cpa_data(rng, 40)
-        shard = IncrementalCpaBank(byte_indices=(0, 5))
-        shard.update(traces, data)
-        fresh = IncrementalCpaBank(byte_indices=(0, 5))
-        fresh.merge(shard)
-        assert states_equal(fresh.snapshot(), shard.snapshot())
-        before = shard.snapshot()
-        shard.merge(IncrementalCpaBank(byte_indices=(0, 5)))
-        assert states_equal(shard.snapshot(), before)
-
-    def test_tvla_merge_both_directions(self, rng):
-        shard = IncrementalTvla()
-        shard.update_fixed(rng.normal(size=(10, 4)))
-        shard.update_random(rng.normal(size=(10, 4)))
-        fresh = IncrementalTvla()
-        fresh.merge(shard)
-        assert states_equal(fresh.snapshot(), shard.snapshot())
-        before = shard.snapshot()
-        shard.merge(IncrementalTvla())
-        assert states_equal(shard.snapshot(), before)
-
-    def test_running_moments_merge_both_directions(self, rng):
-        shard = RunningMoments()
-        shard.update(rng.normal(size=(10, 4)))
-        fresh = RunningMoments()
-        fresh.merge(shard)
-        assert states_equal(fresh.snapshot(), shard.snapshot())
-        before = shard.snapshot()
-        shard.merge(RunningMoments())
-        assert states_equal(shard.snapshot(), before)
-
-    def test_running_moments_merge_rejects_non_moments(self):
-        with pytest.raises(ConfigurationError):
-            RunningMoments().merge({"count": 3})
-
-    def test_tvla_merge_rejects_non_tvla(self):
-        with pytest.raises(ConfigurationError):
-            IncrementalTvla().merge(RunningMoments())

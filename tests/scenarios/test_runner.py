@@ -300,6 +300,48 @@ class TestMatrixRunner:
             == matrix.n_cells
         )
 
+    def test_cell_rank_gauges_match_report_fresh_and_resumed(self, tmp_path):
+        """One rank gauge per key-recovery cell, equal to report.json,
+        also when ``--resume`` serves every cell from the state file."""
+        from repro.cli import main
+        from repro.obs import MetricsSnapshot
+
+        spec = tmp_path / "matrix.json"
+        spec.write_text(json.dumps({
+            "schema": "rftc-scenario-matrix/1",
+            "name": "ranks",
+            "base": {"target": "unprotected", "n_traces": 120,
+                     "chunk_size": 40, "noise_std": 1.0},
+            "axes": {
+                "adv": {"cpa": {}, "lattice": {"adversary": "lattice"},
+                        "tvla": {"adversary": "tvla"}},
+                "seed": {"s1": {"seed": 1}, "s2": {"seed": 2}},
+            },
+        }))
+        out = tmp_path / "out"
+
+        def rank_gauges(*flags):
+            metrics = tmp_path / "metrics.json"
+            assert main(["matrix", str(spec), "--out", str(out), "--quiet",
+                         "--metrics-out", str(metrics), *flags]) == 0
+            snapshot = MetricsSnapshot.from_json(metrics.read_text())
+            return {
+                labels: value
+                for (name, labels), (_, value) in snapshot.gauges.items()
+                if name == "scenario_cell_true_byte_rank"
+            }
+
+        fresh = rank_gauges()
+        report = json.loads((out / "report.json").read_text())
+        expected = {
+            (("cell", p["cell"]),): float(p[p["adversary"]]["true_byte_rank"])
+            for p in report["cells"]
+            if p["adversary"] != "tvla"
+        }
+        assert len(expected) == 4
+        assert fresh == expected
+        assert rank_gauges("--resume") == expected
+
 
 class TestReport:
     def test_summary_counts(self, tmp_path):

@@ -145,6 +145,14 @@ class TestCommands:
         assert main(["obs", "render", str(path)]) == 1
         assert "--metrics-out <file>.json" in capsys.readouterr().err
 
+    def test_obs_render_missing_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        assert main(["obs", "render", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot render {path}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_campaign_tvla_mode(self, capsys):
         rc = main(
             [

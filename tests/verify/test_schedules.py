@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.verify.schedules import (
     chunk_bounds,
-    generate_merge_schedule,
     generate_replay_schedule,
 )
 
@@ -63,18 +62,3 @@ class TestReplaySchedules:
     def test_rejects_zero_chunks(self, rng):
         with pytest.raises(ConfigurationError):
             generate_replay_schedule(rng, 0)
-
-
-class TestMergeSchedules:
-    def test_every_chunk_assigned_and_every_shard_merged(self, rng):
-        for _ in range(50):
-            n_chunks = int(rng.integers(1, 9))
-            schedule = generate_merge_schedule(rng, n_chunks)
-            n_shards = len(schedule.merge_order)
-            assert len(schedule.shard_of) == n_chunks
-            assert all(0 <= s < n_shards for s in schedule.shard_of)
-            assert sorted(schedule.merge_order) == list(range(n_shards))
-
-    def test_rejects_zero_chunks(self, rng):
-        with pytest.raises(ConfigurationError):
-            generate_merge_schedule(rng, 0)
