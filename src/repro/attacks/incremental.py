@@ -93,18 +93,32 @@ def _fold_summary(acc, summary: Optional[CpaChunkSummary], n_hyp: int,
 
 
 def _correlation(acc) -> np.ndarray:
-    """Pearson matrix ``(n_hyp, S)`` from an accumulator's running sums."""
+    """Pearson matrix ``(n_hyp, S)`` from an accumulator's running sums.
+
+    Computed in place: besides the returned matrix, only ``denom`` (one
+    more array of its size) and two boolean masks are live at the peak.
+    Every element sees the same IEEE operations as the textbook
+    ``where(denom > 0, cov / denom, 0)`` form, so the result is
+    bit-identical to it.
+    """
     if acc._sum_t is None or acc.n_traces < 2:
         raise AttackError("accumulate at least 2 traces first")
     n = acc.n_traces
-    cov = acc._sum_pt - np.outer(acc._sum_p, acc._sum_t) / n
+    cov = np.outer(acc._sum_p, acc._sum_t)
+    cov /= n
+    np.subtract(acc._sum_pt, cov, out=cov)
     var_p = acc._sum_p2 - acc._sum_p**2 / n
     var_t = acc._sum_t2 - acc._sum_t**2 / n
     var_p[var_p < 0] = 0.0
     var_t[var_t < 0] = 0.0
-    denom = np.sqrt(np.outer(var_p, var_t))
+    denom = np.outer(var_p, var_t)
+    np.sqrt(denom, out=denom)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denom > 0.0, cov / denom, 0.0)
+        cov /= denom
+    # ``~(denom > 0)`` rather than ``denom <= 0``: a NaN denominator
+    # zeroes its cell too, exactly as the ``where`` form did.
+    cov[~(denom > 0.0)] = 0.0
+    return cov
 
 
 def _restore_sums(acc, state: dict) -> None:

@@ -606,8 +606,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     try:
         with open(args.path) as handle:
             text = handle.read()
-    except OSError as exc:
-        # A path that cannot be read is a usage error, like a missing store.
+    except (OSError, UnicodeDecodeError) as exc:
+        # A path that cannot be read as text is a usage error, like a
+        # missing store.
         print(f"cannot render {args.path}: {exc}", file=sys.stderr)
         return 2
     try:

@@ -163,8 +163,10 @@ class CampaignCheckpoint:
                         f"{path} is not a campaign checkpoint (no {_META_KEY})"
                     )
                 meta = json.loads(str(archive[_META_KEY]))
+                # Each read is a fresh array owned by nobody else, and
+                # every consumer's restore() copies what it keeps.
                 arrays = {
-                    name: np.array(archive[name])
+                    name: archive[name]
                     for name in archive.files
                     if name != _META_KEY
                 }

@@ -325,14 +325,15 @@ def load_matrix(path: Union[str, Path]) -> MatrixSpec:
           }
         }
 
-    Raises :class:`~repro.errors.ConfigurationError` on a missing file,
-    bad JSON, a wrong schema tag, or any invalid cell — the whole matrix
-    is validated (every cell constructed) before anything runs.
+    Raises :class:`~repro.errors.ConfigurationError` on a missing or
+    undecodable file, bad JSON, a wrong schema tag, or any invalid cell —
+    the whole matrix is validated (every cell constructed) before
+    anything runs.
     """
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read matrix file {path}: {exc}") from exc
     try:
         doc = json.loads(text)

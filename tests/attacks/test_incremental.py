@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.cpa import cpa_byte
-from repro.attacks.incremental import IncrementalCpa
+from repro.attacks.incremental import IncrementalCpa, IncrementalCpaBank
 from repro.attacks.models import expand_last_round_key
 from repro.errors import AttackError
 
@@ -72,3 +72,65 @@ class TestValidation:
         cts = rng.integers(0, 256, size=(5, 16), dtype=np.uint8)
         inc.update(rng.normal(size=(5, 4)), cts)
         assert inc.n_traces == 5
+
+
+def _reference_correlation(acc) -> np.ndarray:
+    """``incremental._correlation`` before it worked in place, verbatim."""
+    if acc._sum_t is None or acc.n_traces < 2:
+        raise AttackError("accumulate at least 2 traces first")
+    n = acc.n_traces
+    cov = acc._sum_pt - np.outer(acc._sum_p, acc._sum_t) / n
+    var_p = acc._sum_p2 - acc._sum_p**2 / n
+    var_t = acc._sum_t2 - acc._sum_t**2 / n
+    var_p[var_p < 0] = 0.0
+    var_t[var_t < 0] = 0.0
+    denom = np.sqrt(np.outer(var_p, var_t))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0.0, cov / denom, 0.0)
+
+
+FLAT = 5  # a trace column of zero variance: its Pearson column is 0
+
+
+def _batch(dtype, n=400, s=64, seed=0):
+    rng = np.random.default_rng(seed)
+    traces = rng.normal(50.0, 4.0, size=(n, s)).astype(dtype)
+    traces[:, FLAT] = 3.0
+    ciphertexts = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+    return traces, ciphertexts
+
+
+class TestCorrelationInPlace:
+    """The in-place Pearson matrix equals the out-of-place form bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_single_byte(self, dtype):
+        inc = IncrementalCpa(byte_index=3)
+        for seed in range(3):
+            inc.update(*_batch(dtype, seed=seed))
+        expected = _reference_correlation(inc)
+        assert np.all(expected[:, FLAT] == 0.0)
+        corr = inc.correlation()
+        assert corr.dtype == expected.dtype
+        assert np.array_equal(corr, expected)
+
+    @pytest.mark.parametrize("n_bytes", [1, 3, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bank(self, n_bytes, dtype):
+        bank = IncrementalCpaBank(byte_indices=tuple(range(n_bytes)))
+        for seed in range(3):
+            bank.update(*_batch(dtype, seed=seed))
+        expected = _reference_correlation(bank).reshape(n_bytes, 256, -1)
+        assert np.all(expected[:, :, FLAT] == 0.0)
+        corr = bank.correlation()
+        assert corr.dtype == expected.dtype
+        assert np.array_equal(corr, expected)
+
+    def test_bank_transient_is_at_most_two_and_a_half_outputs(
+        self, traced_peak
+    ):
+        # The out-of-place form peaked at ~4.1 outputs (33 MiB here).
+        bank = IncrementalCpaBank()
+        bank.update(*_batch(np.float64, n=50, s=256))
+        corr, peak = traced_peak(bank.correlation)
+        assert peak <= 2.5 * corr.nbytes

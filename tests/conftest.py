@@ -1,5 +1,7 @@
 """Shared fixtures: deterministic keys, RNGs, and cached expensive builds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,31 @@ def key() -> bytes:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def traced_peak():
+    """``measure(fn)`` -> ``(fn(), peak bytes fn allocated at once)``.
+
+    numpy reports its array buffers to ``tracemalloc``, so the peak
+    counts every transient array, the returned one included.
+    """
+
+    def measure(fn):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        return out, peak
+
+    return measure
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,9 @@ from repro.pipeline import (
     CompletionTimeConsumer,
     CpaBankConsumer,
     CpaStreamConsumer,
+    MiaStreamConsumer,
     StreamingCampaign,
+    SuccessRateConsumer,
     TvlaStreamConsumer,
 )
 from repro.pipeline.checkpoint import spec_from_dict, spec_to_dict
@@ -170,3 +172,88 @@ class TestCheckpointFile:
             )
         with pytest.raises(ConfigurationError):
             CampaignCheckpoint.capture(spec, 0, 50, 100, 0, [Opaque()])
+
+
+class TestLoadedArrays:
+    def test_load_holds_one_copy_of_the_arrays(self, tmp_path, traced_peak):
+        # A zoo-sized checkpoint: a default MIA histogram and a 16-byte
+        # bank's cross-sum.  Copying each array np.load returned peaked
+        # at the total plus the largest array (~1.5x here).
+        rng = np.random.default_rng(0)
+        states = {
+            "mia": {"counts": rng.integers(
+                0, 9, size=(64, 256, 9, 16), dtype=np.int32
+            )},
+            "cpa_bank": {"sum_pt": rng.normal(size=(4096, 256))},
+        }
+        path = CampaignCheckpoint(
+            seed=0, chunk_size=100, n_traces=200, chunks_done=1,
+            spec_fields=spec_to_dict(CampaignSpec(target="unprotected")),
+            consumer_states=states,
+        ).save(tmp_path / "c.npz")
+        array_bytes = sum(
+            array.nbytes for state in states.values()
+            for array in state.values()
+        )
+        loaded, peak = traced_peak(lambda: CampaignCheckpoint.load(path))
+        assert peak <= 1.2 * array_bytes
+        for name, state in states.items():
+            for field, array in state.items():
+                assert np.array_equal(
+                    loaded.consumer_states[name][field], array
+                )
+
+    def test_resuming_twice_from_one_loaded_checkpoint(self, tmp_path):
+        # load() hands out the arrays np.load read, so each restore()
+        # must copy what it keeps: a consumer folding into a snapshot
+        # array would change the second resume and the checkpoint.
+        spec = CampaignSpec(target="unprotected")
+
+        def consumers():
+            return [
+                MiaStreamConsumer(spec.key),
+                SuccessRateConsumer(spec.key, n_replicas=4, seed=5),
+                CpaBankConsumer(byte_indices=(0, 5)),
+            ]
+
+        class Stop(Exception):
+            pass
+
+        def interrupt(update):
+            if update.done_traces >= 200:
+                raise Stop
+
+        path = tmp_path / "zoo.ckpt"
+        with pytest.raises(Stop):
+            StreamingCampaign(spec, chunk_size=100, seed=11).run(
+                400, consumers(), checkpoint=path, progress=interrupt
+            )
+        ckpt = CampaignCheckpoint.load(path)
+        saved = {
+            name: {field: np.copy(value) for field, value in state.items()
+                   if isinstance(value, np.ndarray)}
+            for name, state in ckpt.consumer_states.items()
+        }
+        assert saved["mia"] and saved["success_rate"] and saved["cpa_bank"]
+
+        runs = []
+        for _ in range(2):
+            resumed = consumers()
+            StreamingCampaign.resume(
+                store=None, checkpoint=ckpt, consumers=resumed
+            )
+            runs.append(resumed)
+
+        (mia1, rate1, bank1), (mia2, rate2, bank2) = runs
+        assert mia1.result() == mia2.result()
+        assert rate1.result() == rate2.result()
+        assert mia1.result()["n_traces"] == 400
+        for one, two in zip(
+            bank1.result().byte_results, bank2.result().byte_results
+        ):
+            assert np.array_equal(one.peak_corr, two.peak_corr)
+        for name, fields in saved.items():
+            for field, value in fields.items():
+                after = ckpt.consumer_states[name][field]
+                assert after.dtype == value.dtype
+                assert np.array_equal(after, value)

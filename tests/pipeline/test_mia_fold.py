@@ -216,3 +216,74 @@ class TestInt32State:
         state["counts"] = state["counts"].astype(np.float64)
         with pytest.raises(CheckpointError, match="counts"):
             _consumer(key).restore(state)
+
+
+def _reference_mutual_information(counts, n_traces):
+    """``MiaStreamConsumer._mutual_information`` before it worked in place.
+
+    Kept verbatim: the in-place form must match it bit for bit.
+    """
+    joint = counts.astype(np.float64) / n_traces
+    p_class = joint.sum(axis=3, keepdims=True)
+    p_bin = joint.sum(axis=2, keepdims=True)
+    denom = p_class * p_bin
+    # Where joint == 0 the ratio is pinned to 1, so log2 is 0 and the
+    # term drops out — no masked log needed.
+    ratio = np.divide(
+        joint, denom, out=np.ones_like(joint), where=joint > 0
+    )
+    return (joint * np.log2(ratio)).sum(axis=(2, 3))
+
+
+def _restored(key, counts):
+    """A default consumer holding ``counts`` (one sample's total traces)."""
+    consumer = MiaStreamConsumer(key)
+    state = consumer.snapshot()
+    state["counts"] = counts
+    state["n_traces"] = int(counts[0, 0].sum())
+    consumer.restore(state)
+    return consumer
+
+
+class TestResultInPlace:
+    def test_sparse_histogram_is_bit_identical(self, key):
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 40, size=(8, 256, 9, 16)).astype(np.int32)
+        counts[rng.random(counts.shape) < 0.6] = 0
+        counts[2] = 0  # a whole sample of empty cells
+        consumer = _restored(key, counts)
+        mi = consumer._mutual_information()
+        expected = _reference_mutual_information(counts, consumer.n_traces)
+        assert mi.dtype == expected.dtype
+        assert np.array_equal(mi, expected)
+
+    def test_odd_strided_sample_count_is_bit_identical(self, key):
+        rng = np.random.default_rng(4)
+        n = 700
+        chunk = TraceSet(
+            traces=rng.uniform(0.0, 100.0, size=(n, 126)),
+            plaintexts=np.zeros((n, 16), dtype=np.uint8),
+            ciphertexts=rng.integers(0, 256, size=(n, 16), dtype=np.uint8),
+            key=key,
+            completion_times_ns=np.zeros(n),
+            sample_period_ns=1.0,
+        )
+        consumer = _consumer(key, sample_stride=2)
+        consumer.consume(chunk)
+        assert _counts(consumer).shape[0] == 63
+        mi = consumer._mutual_information()
+        expected = _reference_mutual_information(_counts(consumer), n)
+        assert mi.dtype == expected.dtype
+        assert np.array_equal(mi, expected)
+
+    def test_result_transient_is_at_most_two_and_a_half_histograms(
+        self, key, traced_peak
+    ):
+        # The default consumer's histogram on 256-sample traces.  The
+        # out-of-place form peaked at ~4.2 float64 copies (75 MiB).
+        counts = np.random.default_rng(5).integers(
+            0, 40, size=(64, 256, 9, 16)
+        ).astype(np.int32)
+        consumer = _restored(key, counts)
+        _, peak = traced_peak(consumer.result)
+        assert peak <= 2.5 * counts.size * 8

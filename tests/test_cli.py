@@ -153,6 +153,28 @@ class TestCommands:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_obs_render_undecodable_file_is_a_usage_error(
+        self, capsys, tmp_path
+    ):
+        # A binary file passed by mistake (say, a checkpoint .npz).
+        path = tmp_path / "metrics.json"
+        path.write_bytes(b"\xff\xfe" + bytes(range(256)) * 2)
+        assert main(["obs", "render", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot render {path}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_matrix_undecodable_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_bytes(b"\xff\xfe" + bytes(range(256)) * 2)
+        assert main(["matrix", str(path), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad matrix file: cannot read matrix file {path}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     def test_campaign_tvla_mode(self, capsys):
         rc = main(
             [
