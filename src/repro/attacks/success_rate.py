@@ -19,7 +19,7 @@ from repro.attacks.models import (
     expand_last_round_key,
     last_round_hd_predictions,
 )
-from repro.errors import AttackError
+from repro.errors import AttackError, ConfigurationError
 from repro.power.acquisition import TraceSet
 
 #: A trace preprocessor: (traces,) -> transformed traces (possibly with a
@@ -141,7 +141,7 @@ def success_rate_curve(
             f"({trace_set.n_traces})"
         )
     if n_repeats < 1:
-        raise AttackError("n_repeats must be >= 1")
+        raise ConfigurationError("n_repeats must be >= 1")
 
     true_round_key = expand_last_round_key(trace_set.key)
     truth = trace_set.key if use_plaintexts else true_round_key

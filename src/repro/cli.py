@@ -19,21 +19,74 @@ Installed as ``repro-rftc`` (see pyproject), or run via
 * ``store``    — inspect or integrity-check a ChunkedTraceStore
 * ``obs``      — render a saved metrics snapshot for the terminal
 * ``verify``   — differential verification suites (``repro.verify``)
+* ``report``   — full markdown report of the paper's experiments
 
 Every subcommand prints plain text and exits with an explicit code: 0 on
 success, 1 on a failed check or run, 2 on bad invocation, 130 on Ctrl-C.
-Budgets are deliberately small so each command finishes in seconds to a
-few minutes.
+:func:`main` is the one place that turns an exception into that code; a
+handler raises :class:`~repro.errors.ConfigurationError` for a bad input,
+before any work starts.  Budgets are deliberately small so each command
+finishes in seconds to a few minutes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
+
+from repro.errors import (
+    CheckpointError,
+    ConfigurationError,
+    ReproError,
+    StorageExhaustedError,
+)
+
+#: ``(flag, path)`` pairs for :func:`_check_outputs`; ``None`` paths skip.
+Outputs = Sequence[Tuple[str, Optional[str]]]
+
+
+@contextlib.contextmanager
+def _input_error(context: str, errors: Type[Exception] = ConfigurationError) -> Iterator[None]:
+    """Re-raise ``errors`` as a :class:`ConfigurationError` (exit 2) that
+    starts with ``context``: the flag at fault, or the store or checkpoint
+    that a command refuses before it starts work."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigurationError(f"{context}: {exc}") from exc
+
+
+def _check_outputs(files: Outputs = (), dirs: Outputs = ()) -> None:
+    """Refuse output paths that could not be written, before any work.
+
+    A file path that is a directory, or a regular file where a directory
+    (or a file's parent) should be, raises :class:`ConfigurationError`.
+    Then the missing parent directories of ``files`` are created, as the
+    writers would do; the commands that own ``dirs`` create those.
+    """
+    wanted = [(flag, path, os.path.dirname(os.path.abspath(path)))
+              for flag, path in files if path is not None]
+    for flag, path, _ in wanted:
+        if os.path.isdir(path):
+            raise ConfigurationError(f"{flag} {path} is a directory")
+    parents = [parent for _, _, parent in wanted]
+    wanted += [(flag, path, os.path.abspath(path))
+               for flag, path in dirs if path is not None]
+    for flag, path, directory in wanted:
+        existing = directory
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigurationError(
+                f"{flag} {path}: {existing} is not a directory"
+            )
+    for parent in parents:
+        os.makedirs(parent, exist_ok=True)
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -58,6 +111,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.rftc.planner import plan_frequencies
 
     params = RFTCParams(m_outputs=args.m, p_configs=args.p)
+    if args.out:
+        _check_outputs([("--out", f"{args.out}{ext}")
+                        for ext in (".json", ".coe", ".vh")])
     method = "naive-grid" if args.naive else "overlap-free"
     kwargs = {} if args.naive else {
         "rng": np.random.default_rng(args.seed),
@@ -104,9 +160,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     attacks = tuple(args.attacks.split(","))
     unknown = set(attacks) - set(EXTENDED_ATTACK_NAMES)
     if unknown:
-        print(f"unknown attacks: {sorted(unknown)}; "
-              f"available: {EXTENDED_ATTACK_NAMES}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"unknown attacks: {sorted(unknown)}; "
+                                 f"available: {EXTENDED_ATTACK_NAMES}")
     if args.target == "unprotected":
         scenario = build_unprotected()
     else:
@@ -185,33 +240,21 @@ def _write_metrics(obs, path: str) -> None:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.attacks.models import expand_last_round_key
+    from repro.errors import AcquisitionError
     from repro.experiments.figures import TVLA_FIXED_PLAINTEXT
     from repro.leakage_assessment import TVLA_THRESHOLD
-    from repro.pipeline import (
-        CampaignSpec,
-        RetryPolicy,
-        StreamingCampaign,
-    )
-
-    from repro.pipeline import campaign_targets
-    from repro.service.execution import job_consumers
-    from repro.testing.faults import FaultPlan
-
-    from repro.errors import (
-        AcquisitionError,
-        CheckpointError,
-        StorageExhaustedError,
-    )
+    from repro.pipeline import CampaignSpec, RetryPolicy, StreamingCampaign
     from repro.pipeline.checkpoint import CampaignCheckpoint
+    from repro.service.execution import job_consumers
     from repro.store import ChunkedTraceStore
+    from repro.testing.faults import FaultPlan
 
     faults = None
     if args.inject_fault:
-        try:
+        with _input_error("bad --inject-fault spec"):
             faults = FaultPlan.parse(args.inject_fault)
-        except Exception as exc:
-            print(f"bad --inject-fault spec: {exc}", file=sys.stderr)
-            return 2
+    outputs = [("--metrics-out", args.metrics_out),
+               ("--trace-out", args.trace_out)]
     obs = None
     if args.metrics_out or args.trace_out:
         from repro.obs import Observability
@@ -231,9 +274,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     if args.resume:
         if not args.checkpoint:
-            print("--resume needs --checkpoint <file>", file=sys.stderr)
-            return 2
-        try:
+            raise ConfigurationError("--resume needs --checkpoint <file>")
+        _check_outputs(outputs)
+        with _input_error("cannot resume", AcquisitionError):
             ckpt = CampaignCheckpoint.load(args.checkpoint)
             ckpt_spec = ckpt.spec()
             store = None
@@ -241,9 +284,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 store = ChunkedTraceStore.open(args.out)
                 if args.store_budget_bytes is not None:
                     store.disk_budget_bytes = args.store_budget_bytes
-        except (CheckpointError, AcquisitionError) as exc:
-            print(f"cannot resume: {exc}", file=sys.stderr)
-            return 2
         mode = "tvla" if ckpt_spec.fixed_plaintext is not None else "cpa"
         # The checkpoint defines the campaign; flags the user *explicitly*
         # passed must agree with it (unset flags inherit the checkpoint).
@@ -265,46 +305,30 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             and requested[flag] != checkpointed[flag]
         ]
         if mismatched:
-            print(
+            raise ConfigurationError(
                 f"cannot resume from {args.checkpoint}: flags contradict "
                 f"the checkpointed campaign: {', '.join(mismatched)} "
-                "(drop them, or rerun with the original flags)",
-                file=sys.stderr,
+                "(drop them, or rerun with the original flags)"
             )
-            return 2
         print(f"resuming campaign from {args.checkpoint} ...")
-        try:
-            report = StreamingCampaign.resume(
-                store,
-                ckpt,
-                consumers=job_consumers(ckpt_spec),
-                workers=args.workers,
-                progress=progress,
-                checkpoint_path=args.checkpoint,
-                retry=retry,
-                chunk_timeout_s=args.chunk_timeout,
-                faults=faults,
-                obs=obs,
-            )
-        except CheckpointError as exc:
-            # The checkpoint and the store do not belong together: refused
-            # before anything new is acquired.
-            print(f"cannot resume: {exc}", file=sys.stderr)
-            return 2
-        except StorageExhaustedError as exc:
-            print(f"campaign out of storage: {exc}", file=sys.stderr)
-            return 1
+        report = StreamingCampaign.resume(
+            store,
+            ckpt,
+            consumers=job_consumers(ckpt_spec),
+            workers=args.workers,
+            progress=progress,
+            checkpoint_path=args.checkpoint,
+            retry=retry,
+            chunk_timeout_s=args.chunk_timeout,
+            faults=faults,
+            obs=obs,
+        )
         spec = report.spec
     else:
-        target = args.target if args.target is not None else "rftc"
         mode = args.mode if args.mode is not None else "cpa"
         seed = args.seed if args.seed is not None else 2019
-        if target not in campaign_targets():
-            print(f"unknown target {target!r}; "
-                  f"available: {campaign_targets()}", file=sys.stderr)
-            return 2
         spec = CampaignSpec(
-            target=target,
+            target=args.target if args.target is not None else "rftc",
             m_outputs=args.m if args.m is not None else 1,
             p_configs=args.p if args.p is not None else 16,
             plan_seed=seed,
@@ -324,25 +348,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             obs=obs,
             store_budget_bytes=args.store_budget_bytes,
         )
+        _check_outputs(outputs + [("--checkpoint", args.checkpoint)],
+                       dirs=[("--out", args.out)])
         if args.out is not None:
-            try:
+            with _input_error("cannot start campaign", AcquisitionError):
                 ChunkedTraceStore.prepare(args.out)
-            except AcquisitionError as exc:
-                print(f"cannot start campaign: {exc}", file=sys.stderr)
-                return 2
         print(f"streaming {n_traces} traces from {spec.label()} "
               f"({args.workers} workers, chunks of {chunk_size}) ...")
-        try:
-            report = engine.run(
-                n_traces,
-                consumers=job_consumers(spec),
-                store=args.out,
-                progress=progress,
-                checkpoint=args.checkpoint,
-            )
-        except StorageExhaustedError as exc:
-            print(f"campaign out of storage: {exc}", file=sys.stderr)
-            return 1
+        report = engine.run(
+            n_traces,
+            consumers=job_consumers(spec),
+            store=args.out,
+            progress=progress,
+            checkpoint=args.checkpoint,
+        )
     print(report.summary())
     times = report.results["completion"]
     print(f"completion times: {times.min_ns:.2f}-{times.max_ns:.2f} ns, "
@@ -369,15 +388,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.errors import CheckpointError, ConfigurationError
     from repro.scenarios import MatrixRunner, load_matrix, render_markdown, render_report
     from repro.scenarios.report import report_json
 
-    try:
-        matrix = load_matrix(args.spec)
-    except ConfigurationError as exc:
-        print(f"bad matrix file: {exc}", file=sys.stderr)
-        return 2
+    matrix = load_matrix(args.spec)
+    _check_outputs([("--metrics-out", args.metrics_out)],
+                   dirs=[("--out", args.out)])
     obs = None
     if args.metrics_out:
         from repro.obs import Observability
@@ -397,11 +413,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(f"  [{status:>6}] {cell.name} ({cell.cell_digest()[:12]})")
 
-    try:
-        payloads = runner.run(resume=args.resume, on_cell=on_cell)
-    except (ConfigurationError, CheckpointError) as exc:
-        print(f"matrix run failed: {exc}", file=sys.stderr)
-        return 2 if "different matrix" in str(exc) else 1
+    payloads = runner.run(resume=args.resume, on_cell=on_cell)
     report = render_report(matrix, payloads)
     out_dir = args.out
     json_path = os.path.join(out_dir, "report.json")
@@ -424,26 +436,22 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.errors import ConfigurationError
     from repro.scenarios import SearchConfig, run_search
 
-    try:
-        config = SearchConfig(
-            m_outputs=args.m,
-            p_configs=args.p,
-            n_traces=args.traces,
-            chunk_size=args.chunk_size,
-            noise_std=args.noise_std,
-            acquisition=args.acquisition,
-            seed=args.seed,
-            seed_base=args.seed_base,
-            grid=args.grid,
-            elites=args.elites,
-            children=args.children,
-        )
-    except ConfigurationError as exc:
-        print(f"bad search configuration: {exc}", file=sys.stderr)
-        return 2
+    config = SearchConfig(
+        m_outputs=args.m,
+        p_configs=args.p,
+        n_traces=args.traces,
+        chunk_size=args.chunk_size,
+        noise_std=args.noise_std,
+        acquisition=args.acquisition,
+        seed=args.seed,
+        seed_base=args.seed_base,
+        grid=args.grid,
+        elites=args.elites,
+        children=args.children,
+    )
+    _check_outputs([("--out", args.out)])
     print(f"searching {args.budget} RFTC({args.m}, {args.p}) plan seeds "
           f"(grid {args.grid}, then {args.children} children/generation) ...")
 
@@ -455,13 +463,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
                   f"disclosure {fd if fd is not None else 'never'} "
                   f"max|t| {entry['max_abs_t']:.2f}")
 
-    try:
-        ranking = run_search(
-            config, args.budget, workers=args.workers, progress=progress
-        )
-    except ConfigurationError as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        return 1
+    ranking = run_search(
+        config, args.budget, workers=args.workers, progress=progress
+    )
     best = ranking["best"]
     print(f"best: plan seed {best['plan_seed']} score {best['score']:.3f} "
           f"({best['freq_min_mhz']:.1f}-{best['freq_max_mhz']:.1f} MHz, "
@@ -479,58 +483,43 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.errors import ConfigurationError, ServiceError
     from repro.service import CampaignService, TenantPolicy
     from repro.service.server import CampaignServer
+    from repro.service.tenancy import validate_tenant
 
     policies = {}
     for text in args.tenant or ():
-        try:
+        with _input_error(f"bad --tenant spec {text!r}"):
             name, policy = TenantPolicy.parse(text)
-        except ConfigurationError as exc:
-            print(f"bad --tenant spec {text!r}: {exc}", file=sys.stderr)
-            return 2
         if name in policies:
-            print(f"--tenant {name!r} given twice", file=sys.stderr)
-            return 2
+            raise ConfigurationError(f"--tenant {name!r} given twice")
         policies[name] = policy
     tokens = {}
     for text in args.auth or ():
         name, sep, token = text.partition(":")
-        try:
-            from repro.service.tenancy import validate_tenant
-
+        with _input_error(f"bad --auth spec {text!r}"):
             validate_tenant(name)
-        except ConfigurationError as exc:
-            print(f"bad --auth spec {text!r}: {exc}", file=sys.stderr)
-            return 2
-        if not sep or not token:
-            print(f"bad --auth spec {text!r}: expected TENANT:TOKEN",
-                  file=sys.stderr)
-            return 2
+            if not sep or not token:
+                raise ConfigurationError("expected TENANT:TOKEN")
         if name in tokens:
-            print(f"--auth {name!r} given twice", file=sys.stderr)
-            return 2
+            raise ConfigurationError(f"--auth {name!r} given twice")
         tokens[name] = token
+    _check_outputs(dirs=[("--data-dir", args.data_dir)])
     if args.host not in ("127.0.0.1", "localhost", "::1") and not tokens:
         print(
             f"warning: binding {args.host} without --auth tokens — every "
             "client can see and cancel every tenant's jobs",
             file=sys.stderr,
         )
-    try:
-        service = CampaignService(
-            args.data_dir,
-            worker_budget=args.worker_budget,
-            policies=policies,
-            cache_entries=args.cache_entries,
-            shed_queue_depth=args.shed_queue_depth,
-            shed_journal_records=args.shed_journal_records,
-            compact_journal=args.compact_journal,
-        )
-    except ServiceError as exc:
-        print(f"cannot open service state: {exc}", file=sys.stderr)
-        return 1
+    service = CampaignService(
+        args.data_dir,
+        worker_budget=args.worker_budget,
+        policies=policies,
+        cache_entries=args.cache_entries,
+        shed_queue_depth=args.shed_queue_depth,
+        shed_journal_records=args.shed_journal_records,
+        compact_journal=args.compact_journal,
+    )
     server_kwargs = {}
     if args.max_body_bytes is not None:
         server_kwargs["max_body_bytes"] = args.max_body_bytes
@@ -543,33 +532,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service.start()
     try:
         host, port = server.start()
-    except ServiceError as exc:
-        print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
-        service.shutdown()
-        return 1
-    print(
-        f"campaign service listening on http://{host}:{port} "
-        f"(data: {args.data_dir}, workers: {args.worker_budget})",
-        flush=True,
-    )
-    stop = threading.Event()
+        print(
+            f"campaign service listening on http://{host}:{port} "
+            f"(data: {args.data_dir}, workers: {args.worker_budget})",
+            flush=True,
+        )
+        stop = threading.Event()
 
-    def request_stop(signum, frame) -> None:
-        stop.set()
+        def request_stop(signum, frame) -> None:
+            stop.set()
 
-    signal.signal(signal.SIGTERM, request_stop)
-    signal.signal(signal.SIGINT, request_stop)
-    try:
+        signal.signal(signal.SIGTERM, request_stop)
+        signal.signal(signal.SIGINT, request_stop)
         stop.wait()
     finally:
         server.stop()
         service.shutdown()
-        print("campaign service shut down cleanly", flush=True)
+    print("campaign service shut down cleanly", flush=True)
     return 0
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.errors import AcquisitionError
     from repro.store import ChunkedTraceStore
 
     if not os.path.isdir(args.path):
@@ -579,13 +562,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
             "not a store directory" if os.path.exists(args.path)
             else "store path does not exist"
         )
-        print(f"{problem}: {args.path}", file=sys.stderr)
-        return 2
-    try:
-        store = ChunkedTraceStore.open(args.path, quarantine=False)
-    except AcquisitionError as exc:
-        print(f"cannot open store: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigurationError(f"{problem}: {args.path}")
+    store = ChunkedTraceStore.open(args.path, quarantine=False)
     if args.action == "info":
         sizes = store.chunk_sizes()
         print(f"store    : {store.path} (format v{store.version})")
@@ -604,27 +582,19 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
     from repro.obs import MetricsSnapshot, render_metrics
 
     try:
         with open(args.path) as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        # A path that cannot be read as text is a usage error, like a
-        # missing store.
-        print(f"cannot render {args.path}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        snapshot = MetricsSnapshot.from_json(text)
-    except ConfigurationError as exc:
-        print(
-            f"cannot render {args.path}: {exc}\n"
-            "(obs render reads the JSON snapshot format — save metrics "
-            "with --metrics-out <file>.json)",
-            file=sys.stderr,
-        )
-        return 1
+            snapshot = MetricsSnapshot.from_json(handle.read())
+    except (OSError, ValueError) as exc:
+        # Missing, a directory, undecodable, or not JSON (say, the
+        # Prometheus text --metrics-out writes by default): tell the user
+        # which file format this command reads.
+        raise ConfigurationError(
+            f"cannot render {args.path}: {exc} (obs render reads the JSON "
+            "snapshot format — save metrics with --metrics-out <file>.json)"
+        ) from exc
     print(render_metrics(snapshot, width=args.width))
     return 0
 
@@ -632,6 +602,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify import run_suites
 
+    _check_outputs([("--drift-out", args.drift_out)])
     report = run_suites(
         names=args.suite or None,
         seed=args.seed,
@@ -648,6 +619,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
 
+    _check_outputs([("--out", args.out)])
     text = generate_report(profile=args.profile, seed=args.seed)
     if args.out:
         with open(args.out, "w") as handle:
@@ -901,9 +873,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; the only place an exception becomes an exit code.
+
+    A bad input -- a flag value, a path, a refused checkpoint or store --
+    prints its one-line message and exits 2.  A run that fails after it
+    started (out of storage, a broken pool, an injected crash, an OS
+    error) prints one line and exits 1.  Anything else is a bug and keeps
+    its traceback.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ConfigurationError, CheckpointError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except (ReproError, OSError) as exc:
+        what = ("out of storage" if isinstance(exc, StorageExhaustedError)
+                else "failed")
+        print(f"{args.command} {what}: {exc}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         # Conventional 128 + SIGINT, and no traceback spray at the shell.
         print("interrupted", file=sys.stderr)

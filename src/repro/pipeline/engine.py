@@ -84,7 +84,6 @@ from typing import (
 import numpy as np
 
 from repro.errors import (
-    AcquisitionError,
     CheckpointError,
     ConfigurationError,
     PoolBrokenError,
@@ -763,7 +762,7 @@ class StreamingCampaign:
     def chunk_layout(self, n_traces: int) -> List[int]:
         """Chunk sizes for a campaign of ``n_traces`` (last may be short)."""
         if n_traces < 1:
-            raise AcquisitionError("n_traces must be >= 1")
+            raise ConfigurationError("n_traces must be >= 1")
         sizes = [self.chunk_size] * (n_traces // self.chunk_size)
         if n_traces % self.chunk_size:
             sizes.append(n_traces % self.chunk_size)

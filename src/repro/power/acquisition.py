@@ -355,7 +355,7 @@ class AcquisitionCampaign:
     def random_plaintexts(self, n: int) -> np.ndarray:
         """Uniform random 16-byte plaintexts."""
         if n < 1:
-            raise AcquisitionError("n must be >= 1")
+            raise ConfigurationError("n must be >= 1")
         return self._rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
 
     def collect(self, n: int) -> TraceSet:

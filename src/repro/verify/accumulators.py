@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.attacks.incremental import IncrementalCpa, IncrementalCpaBank
 from repro.attacks.models import last_round_hd_predictions
+from repro.errors import ConfigurationError
 from repro.leakage_assessment.tvla import IncrementalTvla
 from repro.utils.stats import RunningMoments, column_pearson, welch_t
 from repro.verify import Checks
@@ -213,6 +214,9 @@ def run_accumulator_checks(
     checks: Checks, seed: int = 2019, schedules: int = 50
 ) -> None:
     """Append the accumulator oracle's verdicts to ``checks``."""
+    if schedules < 1:
+        # Zero schedules would report every replay check as passed.
+        raise ConfigurationError(f"schedules must be >= 1, got {schedules}")
     adapters = _build_adapters(seed)
     for adapter_index, adapter in enumerate(adapters):
         _zero_guard_checks(checks, adapter)

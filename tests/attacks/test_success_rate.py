@@ -8,7 +8,7 @@ from repro.attacks.success_rate import (
     traces_to_disclosure,
     wilson_interval,
 )
-from repro.errors import AttackError
+from repro.errors import AttackError, ConfigurationError
 
 
 class TestCurveOnUnprotected:
@@ -150,9 +150,9 @@ class TestValidation:
             success_rate_curve(unprotected_traceset, trace_counts=(2,), n_repeats=1)
 
     def test_zero_repeats_rejected(self, unprotected_traceset):
-        with pytest.raises(AttackError):
+        with pytest.raises(ConfigurationError):
             success_rate_curve(
-                unprotected_traceset, trace_counts=(100,), n_repeats=0
+                unprotected_traceset, trace_counts=(100,), n_repeats=0, seed=0
             )
 
     def test_counts_sorted_and_deduped(self, unprotected_traceset):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import AcquisitionError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.pipeline import (
     CampaignSpec,
     CompletionTimeConsumer,
@@ -32,7 +32,7 @@ class TestValidation:
             StreamingCampaign(spec, chunk_size=0)
         with pytest.raises(ConfigurationError):
             StreamingCampaign(spec, workers=0)
-        with pytest.raises(AcquisitionError):
+        with pytest.raises(ConfigurationError):
             StreamingCampaign(spec).chunk_layout(0)
 
     def test_unknown_target_rejected(self):

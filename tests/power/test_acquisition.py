@@ -79,7 +79,7 @@ class TestCampaign:
 
     def test_bad_inputs(self, device):
         campaign = AcquisitionCampaign(device)
-        with pytest.raises(AcquisitionError):
+        with pytest.raises(ConfigurationError):
             campaign.collect(0)
         with pytest.raises(AcquisitionError):
             campaign.collect_fixed_vs_random(5, b"short")

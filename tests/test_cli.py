@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -142,8 +143,10 @@ class TestCommands:
     def test_obs_render_rejects_prometheus_text(self, capsys, tmp_path):
         path = tmp_path / "metrics.prom"
         path.write_text("# TYPE x counter\nx 1\n")
-        assert main(["obs", "render", str(path)]) == 1
-        assert "--metrics-out <file>.json" in capsys.readouterr().err
+        assert main(["obs", "render", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "--metrics-out <file>.json" in err
+        assert len(err.splitlines()) == 1
 
     def test_obs_render_missing_file_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "absent.json"
@@ -170,7 +173,7 @@ class TestCommands:
         path.write_bytes(b"\xff\xfe" + bytes(range(256)) * 2)
         assert main(["matrix", str(path), "--out", str(tmp_path / "d")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"bad matrix file: cannot read matrix file {path}: ")
+        assert err.startswith(f"cannot read matrix file {path}: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not (tmp_path / "d").exists()
@@ -212,8 +215,6 @@ class TestCommands:
 
     def test_campaign_crash_resume_and_store_verify(self, capsys, tmp_path):
         """The operator recovery workflow, end to end through the CLI."""
-        from repro.errors import InjectedCrashError
-
         store = str(tmp_path / "store")
         ckpt = str(tmp_path / "campaign.npz")
         base = [
@@ -221,8 +222,7 @@ class TestCommands:
             "--chunk-size", "100", "--quiet", "--out", store,
             "--checkpoint", ckpt,
         ]
-        with pytest.raises(InjectedCrashError):
-            main(base + ["--inject-fault", "crash@1"])
+        assert main(base + ["--inject-fault", "crash@1"]) == 1
         capsys.readouterr()
         rc = main(["campaign", "--resume", "--checkpoint", ckpt,
                    "--out", store, "--quiet"])
@@ -237,15 +237,13 @@ class TestCommands:
 
     def test_campaign_resume_honours_store_budget(self, capsys, tmp_path):
         """--store-budget-bytes binds on --resume as on a fresh run."""
-        from repro.errors import InjectedCrashError
         from repro.store import ChunkedTraceStore
 
         store = str(tmp_path / "store")
         ckpt = str(tmp_path / "campaign.npz")
-        with pytest.raises(InjectedCrashError):
-            main(["campaign", "--target", "unprotected", "--traces", "400",
-                  "--chunk-size", "100", "--quiet", "--out", store,
-                  "--checkpoint", ckpt, "--inject-fault", "crash@1"])
+        assert main(["campaign", "--target", "unprotected", "--traces", "400",
+                     "--chunk-size", "100", "--quiet", "--out", store,
+                     "--checkpoint", ckpt, "--inject-fault", "crash@1"]) == 1
         capsys.readouterr()
         rc = main(["campaign", "--resume", "--checkpoint", ckpt,
                    "--out", store, "--store-budget-bytes", "1", "--quiet"])
@@ -294,13 +292,10 @@ class TestCommands:
     ):
         """Explicit flags that disagree with the checkpoint are a usage
         error with a one-line diff; omitted flags inherit silently."""
-        from repro.errors import InjectedCrashError
-
         ckpt = str(tmp_path / "campaign.npz")
-        with pytest.raises(InjectedCrashError):
-            main(["campaign", "--target", "unprotected", "--traces", "400",
-                  "--chunk-size", "100", "--quiet", "--checkpoint", ckpt,
-                  "--inject-fault", "crash@1"])
+        assert main(["campaign", "--target", "unprotected", "--traces", "400",
+                     "--chunk-size", "100", "--quiet", "--checkpoint", ckpt,
+                     "--inject-fault", "crash@1"]) == 1
         capsys.readouterr()
         rc = main(["campaign", "--resume", "--checkpoint", ckpt,
                    "--target", "rftc", "--traces", "999", "--quiet"])
@@ -331,12 +326,9 @@ class TestCommands:
 
     @staticmethod
     def _crash_at_chunk_1(store, ckpt):
-        from repro.errors import InjectedCrashError
-
-        with pytest.raises(InjectedCrashError):
-            main(["campaign", "--target", "unprotected", "--traces", "400",
-                  "--chunk-size", "100", "--quiet", "--out", store,
-                  "--checkpoint", ckpt, "--inject-fault", "crash@1"])
+        assert main(["campaign", "--target", "unprotected", "--traces", "400",
+                     "--chunk-size", "100", "--quiet", "--out", store,
+                     "--checkpoint", ckpt, "--inject-fault", "crash@1"]) == 1
 
     def test_campaign_resume_refuses_missing_store(self, capsys, tmp_path):
         """--out naming no store is a refusal, not a traceback."""
@@ -363,7 +355,7 @@ class TestCommands:
                    "--out", other, "--quiet"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("cannot resume: store chunk sizes do not match")
+        assert err.startswith("store chunk sizes do not match")
 
     def test_campaign_refuses_existing_store(self, capsys, tmp_path):
         """A fresh run never appends to a store it did not create."""
@@ -431,6 +423,118 @@ class TestCommands:
             main(["verify", "--suite", "astrology"])
 
 
+_SMOKE_MATRIX = str(REPO_ROOT / "examples" / "matrix_smoke.json")
+_CAMPAIGN = ["campaign", "--target", "unprotected", "--traces", "200",
+             "--chunk-size", "100"]
+# Every command that reads a named input file, fed each kind of bad input.
+_INPUT_COMMANDS = {
+    "obs-render": ["obs", "render", "{input}"],
+    "matrix": ["matrix", "{input}", "--out", "{tmp}/mx"],
+    "store-info": ["store", "info", "{input}"],
+    "store-verify": ["store", "verify", "{input}"],
+    "campaign-resume": ["campaign", "--resume", "--checkpoint", "{input}"],
+}
+_BAD_INPUT_CASES = [
+    pytest.param(
+        [arg.replace("{input}", "{" + kind + "}") for arg in argv],
+        # A directory that is not a store opens and fails: a failed run.
+        1 if command.startswith("store") and kind == "dir" else 2,
+        id=f"{command}-{kind}",
+    )
+    for command, argv in _INPUT_COMMANDS.items()
+    for kind in ("missing", "dir", "junk", "truncated")
+] + [pytest.param(argv, 2, id=name) for name, argv in [
+    ("obs-render-prometheus", ["obs", "render", "{prometheus}"]),
+    ("campaign-traces-0", ["campaign", "--target", "unprotected",
+                           "--traces", "0"]),
+    ("campaign-chunk-size-0", _CAMPAIGN + ["--chunk-size", "0"]),
+    ("campaign-workers-0", _CAMPAIGN + ["--workers", "0"]),
+    ("campaign-retries-0", _CAMPAIGN + ["--retries", "0"]),
+    ("campaign-chunk-timeout-neg", _CAMPAIGN + ["--chunk-timeout", "-1"]),
+    ("campaign-store-budget-neg", _CAMPAIGN + ["--store-budget-bytes", "-5"]),
+    ("campaign-m-0", ["campaign", "--m", "0", "--traces", "200",
+                      "--chunk-size", "100"]),
+    ("campaign-out-file", _CAMPAIGN + ["--out", "{file}"]),
+    ("campaign-out-blocked", _CAMPAIGN + ["--out", "{file}/store"]),
+    *[(f"campaign-{flag[2:]}-{kind}",
+       _CAMPAIGN + ["--out", "{tmp}/store", flag, path])
+      for flag in ("--checkpoint", "--metrics-out", "--trace-out")
+      for kind, path in (("blocked", "{file}/x.json"), ("dir", "{dir}"))],
+    ("matrix-out-file", ["matrix", _SMOKE_MATRIX, "--out", "{file}"]),
+    ("matrix-workers-0", ["matrix", _SMOKE_MATRIX, "--out", "{tmp}/store",
+                          "--workers", "0"]),
+    ("matrix-metrics-blocked", ["matrix", _SMOKE_MATRIX, "--out",
+                                "{tmp}/store", "--metrics-out",
+                                "{file}/m.prom"]),
+    ("info-m-0", ["info", "--m", "0"]),
+    ("plan-m-0", ["plan", "--m", "0"]),
+    ("fig3-encryptions-0", ["fig3", "--encryptions", "0"]),
+    ("attack-traces-0", ["attack", "--target", "unprotected",
+                         "--traces", "0"]),
+    ("attack-repeats-0", ["attack", "--target", "unprotected",
+                          "--traces", "200", "--repeats", "0"]),
+    ("tvla-traces-0", ["tvla", "--target", "unprotected", "--traces", "0"]),
+    ("search-budget-0", ["search", "--budget", "0"]),
+    ("verify-plan-sets-0", ["verify", "--suite", "drp", "--plan-sets", "0"]),
+    ("verify-schedules-0", ["verify", "--suite", "accumulators",
+                            "--schedules", "0"]),
+    ("serve-data-dir-file", ["serve", "--data-dir", "{file}"]),
+]]
+
+
+class TestErrorBoundary:
+    """main() turns every bad input into one stderr line and exit 2."""
+
+    @staticmethod
+    def _paths(tmp_path):
+        paths = {
+            "tmp": tmp_path,
+            "missing": tmp_path / "absent.json",
+            "dir": tmp_path / "a-directory",
+            "junk": tmp_path / "junk.bin",
+            "truncated": tmp_path / "truncated.json",
+            "prometheus": tmp_path / "metrics.prom",
+            "file": tmp_path / "regular-file",
+        }
+        paths["dir"].mkdir()
+        rng = np.random.default_rng(400)
+        paths["junk"].write_bytes(rng.integers(0, 256, 400, np.uint8).tobytes())
+        paths["truncated"].write_text('{"schema": "rftc-')
+        paths["prometheus"].write_text("# TYPE x counter\nx 1\n")
+        paths["file"].write_text("not a directory")
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.mark.parametrize("argv, code", _BAD_INPUT_CASES)
+    def test_bad_input_fails_in_one_line_before_work(
+        self, argv, code, capsys, tmp_path
+    ):
+        paths = self._paths(tmp_path)
+        rc = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == code
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert "Traceback" not in captured.err
+        # Refused before any work: no chunk acquired, no store created.
+        assert "  chunk " not in captured.out
+        assert not (tmp_path / "store").exists()
+
+    def test_failed_run_exits_1_in_one_line(self, capsys, tmp_path):
+        rc = main(_CAMPAIGN + ["--quiet", "--inject-fault", "crash@1",
+                               "--checkpoint", str(tmp_path / "c.npz")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "campaign failed: injected crash after folding chunk 1\n"
+        )
+
+    def test_missing_output_directories_are_created(self, capsys, tmp_path):
+        stem = tmp_path / "plans" / "design"
+        assert main(["plan", "--m", "2", "--p", "4", "--out", str(stem)]) == 0
+        assert (tmp_path / "plans" / "design.json").is_file()
+        metrics = tmp_path / "metrics" / "m.json"
+        assert main(_CAMPAIGN + ["--quiet", "--metrics-out", str(metrics)]) == 0
+        assert "campaign_traces_total" in metrics.read_text()
+
+
 class TestSignalHandling:
     def test_sigint_exits_130_without_traceback(self, tmp_path):
         """Ctrl-C during a long campaign exits 130 with no traceback spray."""
@@ -467,13 +571,10 @@ class TestSignalHandling:
     ):
         """The satellite contract, through a real process: contradicting
         a checkpoint is exit code 2 + a diff line, never a traceback."""
-        from repro.errors import InjectedCrashError
-
         ckpt = str(tmp_path / "campaign.npz")
-        with pytest.raises(InjectedCrashError):
-            main(["campaign", "--target", "unprotected", "--traces", "400",
-                  "--chunk-size", "100", "--quiet", "--checkpoint", ckpt,
-                  "--inject-fault", "crash@1"])
+        assert main(["campaign", "--target", "unprotected", "--traces", "400",
+                     "--chunk-size", "100", "--quiet", "--checkpoint", ckpt,
+                     "--inject-fault", "crash@1"]) == 1
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""

@@ -20,6 +20,12 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             run_suite("astrology")
 
+    @pytest.mark.parametrize("schedules", [0, -3])
+    def test_accumulator_suite_refuses_no_schedules(self, schedules):
+        """Zero replay schedules would pass the replay checks unchecked."""
+        with pytest.raises(ConfigurationError, match="schedules must be >= 1"):
+            run_suite("accumulators", schedules=schedules)
+
     def test_checks_collector_records_and_returns(self):
         checks = Checks()
         assert checks.record("a", True, "fine") is True
