@@ -38,9 +38,10 @@ class CpaByteResult:
     best_guess:
         argmax of ``peak_corr``.
     corr_matrix:
-        Optional full ``(256, n_samples)`` correlation traces (kept only
-        when ``IncrementalCpa.result(keep_corr_matrix=True)`` asks — it is
-        the expensive artifact).
+        Always ``None``: no attack keeps the full ``(256, n_samples)``
+        correlation traces.  The field stays only because the benchmark
+        ledger's result digest hashes every dataclass field name, so
+        dropping it would change the cpa-campaign digest.
     """
 
     byte_index: int

@@ -228,7 +228,7 @@ class IncrementalCpa:
         """Current ``(256, S)`` Pearson matrix."""
         return _correlation(self)
 
-    def result(self, keep_corr_matrix: bool = False) -> CpaByteResult:
+    def result(self) -> CpaByteResult:
         """Current attack outcome, shaped like the batch engine's."""
         corr = self.correlation()
         peak = np.abs(corr).max(axis=1)
@@ -236,7 +236,6 @@ class IncrementalCpa:
             byte_index=self.byte_index,
             peak_corr=peak,
             best_guess=int(np.argmax(peak)),
-            corr_matrix=corr if keep_corr_matrix else None,
         )
 
 
@@ -428,7 +427,7 @@ class IncrementalCpaBank:
         """Current ``(B, 256, S)`` Pearson matrices, one byte per slab."""
         return _correlation(self).reshape(len(self.byte_indices), 256, -1)
 
-    def result(self, keep_corr_matrix: bool = False) -> CpaResult:
+    def result(self) -> CpaResult:
         """Current attack outcome across all attacked bytes."""
         corr = self.correlation()
         peaks = np.abs(corr).max(axis=2)
@@ -438,7 +437,6 @@ class IncrementalCpaBank:
                     byte_index=b,
                     peak_corr=peaks[i],
                     best_guess=int(np.argmax(peaks[i])),
-                    corr_matrix=corr[i] if keep_corr_matrix else None,
                 )
                 for i, b in enumerate(self.byte_indices)
             ]

@@ -249,9 +249,6 @@ class MmcmConfig:
         out = self._output(index)
         return self.f_vco_mhz / out.divide
 
-    def output_period_ns(self, index: int) -> float:
-        return 1000.0 / self.output_freq_mhz(index)
-
     def output_freqs_mhz(self) -> Tuple[float, ...]:
         """Frequencies of all enabled outputs, in port order."""
         return tuple(
@@ -315,17 +312,14 @@ class Mmcm:
         """Absolute time at which the current configuration (re)locked."""
         return self._locked_at_s
 
-    def is_locked(self, at_time_s: float) -> bool:
-        return at_time_s >= self._locked_at_s
-
     def output_period_ns(self, index: int, at_time_s: float) -> float:
         """Period of CLKOUT ``index``; raises LockError before lock."""
-        if not self.is_locked(at_time_s):
+        if at_time_s < self._locked_at_s:
             raise LockError(
                 f"{self.name}: output queried at t={at_time_s:.3e}s but "
                 f"locked only at t={self._locked_at_s:.3e}s"
             )
-        return self._config.output_period_ns(index)
+        return 1000.0 / self._config.output_freq_mhz(index)
 
     def apply_reconfiguration(
         self, config: MmcmConfig, start_time_s: float, write_time_s: float

@@ -32,6 +32,7 @@ from repro.attacks.models import (
     last_round_hd_predictions,
 )
 from repro.attacks.success_rate import wilson_interval
+from repro.crypto.aes_tables import SHIFT_ROWS_MAP
 from repro.errors import AttackError, CheckpointError
 from repro.obs.metrics import NULL_METRICS
 from repro.power.acquisition import TraceSet
@@ -39,13 +40,7 @@ from repro.power.acquisition import TraceSet
 #: Number of last-round HD classes (one state byte toggles 0..8 bits).
 _N_CLASSES = 9
 
-#: Trace rows per one-hot GEMM in the MIA fold.  Bounds the fold's
-#: scratch (~27 MB of float32 operands at 64 strided samples x 16 bins)
-#: whatever the chunk size, and keeps every block count far below 2**24,
-#: the largest integer float32 holds exactly.
-_MIA_BLOCK_ROWS = 2048
-
-#: The MIA joint histogram is int32 and no cell can exceed ``n_traces``,
+#: The MIA histogram is int32 and no cell can exceed ``n_traces``,
 #: so this caps the traces one consumer may accumulate.
 _MIA_MAX_TRACES = int(np.iinfo(np.int32).max)
 
@@ -240,28 +235,29 @@ class MiaStreamConsumer(_KeyByteConsumer):
     edges adapt to the data and therefore depend on which traces were
     seen), the streaming form fixes its value bins —
     ``n_bins`` bins over ``[bin_lo, bin_hi)``, values outside clipped
-    into the edge bins.  State is a pure
-    integer joint histogram ``counts[sample, guess, class, bin]`` (this
-    is the only attack consumer with no order-dependent curve).
+    into the edge bins.  The value range ``[0, 100)`` with 16 bins gives
+    ~6-unit bins, matched to the synthetic scope's ~2-4 unit per-sample
+    noise — the full ADC range ``[0, 400)`` would need ~64 bins for the
+    same resolution.
+
+    State is a pure integer histogram ``hist[c, sample, bin]`` over the
+    attacked ciphertext byte ``c`` (this is the only attack consumer
+    with no order-dependent curve).  ShiftRows leaves byte 0 in place,
+    so the last-round HD class of guess ``g`` is a function of ``c``
+    alone, and the joint histogram ``counts[sample, guess, class, bin]``
+    the MI needs is a sum of ``hist`` rows, rebuilt once in
+    :meth:`result`.  Each chunk folds as one ``np.bincount``.
 
     ``sample_stride`` thins the tracked samples (every ``stride``-th
-    sample) to bound the histogram: stride 4 on 256-sample
-    traces keeps ~2.4 M int32 cells (~9.4 MB) per consumer.  int32 caps a
-    consumer at ``2**31 - 1`` traces; ``consume`` raises
-    :class:`~repro.errors.AttackError` before passing it.
-
-    Each chunk is folded as one exact float32 GEMM per block of rows,
-    ``onehot(guess, class)ᵀ @ onehot(sample, bin)``: every addend is 0
-    or 1 and every block sum is at most :data:`_MIA_BLOCK_ROWS`, so the
-    counts are exact integers whatever order BLAS sums in.  The value
-    range ``[0, 100)`` with 16 bins gives ~6-unit bins, matched to
-    the synthetic scope's ~2-4 unit per-sample noise — the full ADC range
-    ``[0, 400)`` would need ~64 bins for the same resolution.
+    sample): stride 4 on 256-sample traces keeps 256 x 64 x 16 int32
+    cells (1 MiB) per consumer.  int32 caps a consumer at ``2**31 - 1``
+    traces; ``consume`` raises :class:`~repro.errors.AttackError` before
+    passing it.
 
     :meth:`result` computes the mutual information in place: beside the
-    int32 state it holds two float64 arrays of the histogram's shape and
-    one boolean mask at its peak, ~2.3× the float64 histogram (~41 MiB
-    for the ~2.4 M cells), and frees them before it returns.
+    state it holds two float64 joint histograms and one boolean mask at
+    its peak, ~2.3× the float64 histogram (~41 MiB for the ~2.4 M
+    cells), and frees them before it returns.
     """
 
     name = "mia"
@@ -272,8 +268,12 @@ class MiaStreamConsumer(_KeyByteConsumer):
 
     def __init__(self, key: bytes):
         super().__init__(key)
+        if SHIFT_ROWS_MAP[self.byte_index] != self.byte_index:
+            raise AttackError(
+                "the mia state needs a key byte ShiftRows leaves in place"
+            )
         self.n_traces = 0
-        self._counts: Optional[np.ndarray] = None  # (n_sel, 256, 9, bins)
+        self._hist: Optional[np.ndarray] = None  # (256, n_sel, bins)
 
     def _quantize(self, values: np.ndarray) -> np.ndarray:
         scaled = (values - self.bin_lo) / (self.bin_hi - self.bin_lo)
@@ -288,46 +288,57 @@ class MiaStreamConsumer(_KeyByteConsumer):
                 f"mia histogram is int32: {self.n_traces} + {n} traces "
                 f"would pass {_MIA_MAX_TRACES}"
             )
-        if self._counts is None:
-            self._counts = np.zeros(
-                (n_sel, 256, _N_CLASSES, self.n_bins), dtype=np.int32
-            )
-        elif self._counts.shape[0] != n_sel:
+        if self._hist is None:
+            self._hist = np.zeros((256, n_sel, self.n_bins), dtype=np.int32)
+        elif self._hist.shape[1] != n_sel:
             raise AttackError(
                 f"chunk has {n_sel} strided samples, accumulator has "
-                f"{self._counts.shape[0]} — mixed trace lengths?"
+                f"{self._hist.shape[1]} — mixed trace lengths?"
             )
-        # One-hot column of each (sample, bin) and each (guess, class).
-        sample_bin = self._quantize(selected.astype(np.float64)) + (
-            np.arange(n_sel) * self.n_bins
-        )  # (n, n_sel)
-        guess_class = last_round_hd_predictions(
-            chunk.ciphertexts, self.byte_index
-        ) + (np.arange(256) * _N_CLASSES)  # (n, 256)
-        for start in range(0, n, _MIA_BLOCK_ROWS):
-            stop = min(start + _MIA_BLOCK_ROWS, n)
-            rows = np.arange(stop - start)[:, None]
-            by_sample = np.zeros((len(rows), n_sel * self.n_bins), np.float32)
-            by_sample[rows, sample_bin[start:stop]] = 1.0
-            by_guess = np.zeros((len(rows), 256 * _N_CLASSES), np.float32)
-            by_guess[rows, guess_class[start:stop]] = 1.0
-            joint = (by_guess.T @ by_sample).reshape(
-                256, _N_CLASSES, n_sel, self.n_bins
-            )
-            del by_sample, by_guess  # not live during the int32 cast
-            self._counts += joint.transpose(2, 0, 1, 3).astype(np.int32)
+        # Flat index of each trace's (ciphertext byte, sample, bin) cell.
+        ct = np.asarray(chunk.ciphertexts)[:, self.byte_index, None]
+        cells = (ct.astype(np.int64) * n_sel + np.arange(n_sel)) * self.n_bins
+        cells += self._quantize(selected.astype(np.float64))
+        self._hist += np.bincount(
+            cells.ravel(), minlength=self._hist.size
+        ).reshape(self._hist.shape).astype(np.int32)
         self.n_traces += n
         self._metrics.inc(
             "attack_traces_total", chunk.n_traces, attack=self.name
         )
 
+    def _joint_counts(self) -> np.ndarray:
+        """The float64 joint histogram ``counts[sample, guess, class, bin]``.
+
+        ``counts[s, g, k, b]`` sums ``hist[c, s, b]`` over the ciphertext
+        bytes ``c`` whose HD under guess ``g`` is ``k``: a product of the
+        ``(256·9, 256)`` one-hot class table and ``hist``.  Every partial
+        sum is an integer no larger than ``n_traces`` < 2**31, so float64
+        holds each exactly in any summation order.  The product is
+        written straight into the contiguous ``(sample, guess, class,
+        bin)`` layout, which fixes the summation order of the MI.
+        """
+        n_sel = self._hist.shape[1]
+        classes = np.zeros((256, _N_CLASSES, 256))  # (guess, class, c)
+        by_byte = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 16, 1)
+        hd = last_round_hd_predictions(by_byte, self.byte_index)  # (c, g)
+        classes[np.arange(256), hd, np.arange(256)[:, None]] = 1.0
+        joint = np.empty((n_sel, 256, _N_CLASSES, self.n_bins))
+        np.matmul(
+            classes.reshape(256 * _N_CLASSES, 256),
+            self._hist.astype(np.float64).transpose(1, 0, 2),
+            out=joint.reshape(n_sel, 256 * _N_CLASSES, self.n_bins),
+        )
+        return joint
+
     def _mutual_information(self) -> np.ndarray:
         """MI in bits per (strided sample, guess), shape ``(n_sel, 256)``.
 
-        Two float64 arrays of the histogram's shape are live at the peak,
-        ``joint`` and ``work``, each step writing into ``work`` in place.
+        Two float64 arrays of the joint histogram's shape are live at the
+        peak, ``joint`` and ``work``, each step writing into ``work`` in
+        place.
         """
-        joint = self._counts.astype(np.float64)
+        joint = self._joint_counts()
         joint /= self.n_traces
         p_class = joint.sum(axis=3, keepdims=True)
         p_bin = joint.sum(axis=2, keepdims=True)
@@ -343,7 +354,7 @@ class MiaStreamConsumer(_KeyByteConsumer):
         return work.sum(axis=(2, 3))
 
     def result(self) -> dict:
-        if self.n_traces == 0 or self._counts is None:
+        if self.n_traces == 0 or self._hist is None:
             raise AttackError("no traces accumulated")
         mi = self._mutual_information()
         scores = mi.max(axis=0)  # (256,) best MI over samples per guess
@@ -367,8 +378,8 @@ class MiaStreamConsumer(_KeyByteConsumer):
             "n_bins": self.n_bins,
             "sample_stride": self.sample_stride,
         }
-        if self._counts is not None:
-            state["counts"] = self._counts.copy()
+        if self._hist is not None:
+            state["hist"] = self._hist.copy()
         return state
 
     def restore(self, state: dict) -> None:
@@ -384,25 +395,28 @@ class MiaStreamConsumer(_KeyByteConsumer):
                 f"mia snapshot n_traces must be in [0, {_MIA_MAX_TRACES}]"
             )
         if "counts" in state:
-            counts = np.asarray(state["counts"])
-            if counts.ndim != 4 or counts.shape[1:] != (
+            raise CheckpointError(
+                "mia snapshot holds a (sample, guess, class, bin) counts "
+                "histogram, which cannot be converted to the ciphertext-"
+                "byte histogram; rerun the campaign"
+            )
+        if "hist" in state:
+            hist = np.asarray(state["hist"])
+            if hist.ndim != 3 or (hist.shape[0], hist.shape[2]) != (
                 256,
-                _N_CLASSES,
                 self.n_bins,
             ):
-                raise CheckpointError("mia snapshot counts have a bad shape")
-            # Snapshots taken before the histogram became int32 hold
-            # int64 counts; any in int32 range convert exactly.
-            if counts.dtype.kind not in "iu" or (
-                np.any(counts < 0) or np.any(counts > _MIA_MAX_TRACES)
+                raise CheckpointError("mia snapshot hist has a bad shape")
+            if hist.dtype.kind not in "iu" or (
+                np.any(hist < 0) or np.any(hist > _MIA_MAX_TRACES)
             ):
                 raise CheckpointError(
-                    "mia snapshot counts must be integers in "
+                    "mia snapshot hist must be integers in "
                     f"[0, {_MIA_MAX_TRACES}]"
                 )
-            self._counts = counts.astype(np.int32)
+            self._hist = hist.astype(np.int32)
         else:
-            self._counts = None
+            self._hist = None
         self.n_traces = n
 
 

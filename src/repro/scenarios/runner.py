@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.attacks.lattice import lattice_reference_ns
 from repro.errors import CheckpointError, ConfigurationError
 from repro.leakage_assessment import TVLA_THRESHOLD
 from repro.obs import NULL_OBS, Observability
@@ -99,13 +100,13 @@ def lattice_reference_for(cell: ScenarioSpec) -> float:
         plan = cached_plan(
             cell.m_outputs, cell.p_configs, cell.plan_seed, True
         )
-        return float(np.max(plan.all_completion_times_ns()))
+        return lattice_reference_ns(plan.all_completion_times_ns())
     probe_seed = cell.seed + PROFILE_SEED_OFFSET
     device = spec.build_device(
         np.random.default_rng(np.random.SeedSequence(probe_seed))
     )
     probe = AcquisitionCampaign(device, seed=probe_seed).collect(64)
-    return float(np.max(probe.completion_times_ns))
+    return lattice_reference_ns(probe.completion_times_ns)
 
 
 def cell_consumers(cell: ScenarioSpec) -> list:

@@ -117,17 +117,16 @@ class TestLockTiming:
 class TestMmcmRuntime:
     def test_locked_at_start(self):
         m = Mmcm(_config())
-        assert m.is_locked(0.0)
+        assert m.locked_at_s == 0.0
         assert m.output_period_ns(0, 0.0) == pytest.approx(1000.0 / 48.0)
 
     def test_reconfiguration_unlocks(self):
         m = Mmcm(_config())
         locked_at = m.apply_reconfiguration(_config(mult=44.0), 1e-3, 5e-6)
         assert locked_at > 1e-3
-        assert not m.is_locked(1e-3 + 1e-6)
         with pytest.raises(LockError):
             m.output_period_ns(0, 1e-3 + 1e-6)
-        assert m.is_locked(locked_at)
+        assert m.output_period_ns(0, locked_at) > 0.0
         assert m.reconfig_count == 1
 
     def test_negative_times_rejected(self):

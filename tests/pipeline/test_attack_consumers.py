@@ -62,7 +62,7 @@ SNAPSHOT_KEYS = {
     "lattice": _CPA_KEYS | _CURVE_KEYS | {"reference_ns"},
     "mia": {
         "true_byte", "n_traces", "bin_lo", "bin_hi", "n_bins",
-        "sample_stride", "counts",
+        "sample_stride", "hist",
     },
     "success_rate": {
         "true_byte", "n_replicas", "keep_fraction", "seed", "n_traces",

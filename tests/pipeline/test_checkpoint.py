@@ -10,7 +10,9 @@ from repro.pipeline import (
     CompletionTimeConsumer,
     CpaBankConsumer,
     CpaStreamConsumer,
+    LatticeCpaConsumer,
     MiaStreamConsumer,
+    MlpAttackConsumer,
     StreamingCampaign,
     SuccessRateConsumer,
     TvlaStreamConsumer,
@@ -176,9 +178,10 @@ class TestCheckpointFile:
 
 class TestLoadedArrays:
     def test_load_holds_one_copy_of_the_arrays(self, tmp_path, traced_peak):
-        # A zoo-sized checkpoint: a default MIA histogram and a 16-byte
-        # bank's cross-sum.  Copying each array np.load returned peaked
-        # at the total plus the largest array (~1.5x here).
+        # Large arrays: an int32 array the size of the MIA joint
+        # histogram and a 16-byte bank's cross-sum.  Copying each array
+        # np.load returned peaked at the total plus the largest array
+        # (~1.5x here).
         rng = np.random.default_rng(0)
         states = {
             "mia": {"counts": rng.integers(
@@ -257,3 +260,45 @@ class TestLoadedArrays:
                 after = ckpt.consumer_states[name][field]
                 assert after.dtype == value.dtype
                 assert np.array_equal(after, value)
+
+
+class TestZooCheckpointSize:
+    def test_one_zoo_chunk_saves_a_one_mib_mia_state(self, tmp_path):
+        # The attack-zoo stack after one 1000-trace RFTC(2,8) chunk.  The
+        # MIA state is its ciphertext-byte histogram, 256 x 64 x 16
+        # int32; the 4-D joint histogram it replaced made the checkpoint
+        # ~14.3 MB, ~9.4 MB of it MIA.
+        from repro.attacks import train_mlp_profile
+        from repro.attacks.models import expand_last_round_key
+        from repro.experiments.scenarios import cached_plan
+        from repro.power.acquisition import AcquisitionCampaign
+
+        spec = CampaignSpec(target="rftc", m_outputs=2, p_configs=8)
+        clone = spec.build_device(np.random.default_rng(2))
+        profile = AcquisitionCampaign(clone, seed=2).collect(500)
+        model = train_mlp_profile(
+            profile.traces, profile.ciphertexts,
+            int(expand_last_round_key(spec.key)[0]),
+        )
+        plan = cached_plan(spec.m_outputs, spec.p_configs, spec.plan_seed, True)
+        consumers = [
+            CompletionTimeConsumer(),
+            LatticeCpaConsumer(
+                spec.key, float(np.max(plan.all_completion_times_ns()))
+            ),
+            MiaStreamConsumer(spec.key),
+            SuccessRateConsumer(spec.key, n_replicas=8, seed=3),
+            MlpAttackConsumer(model, spec.key),
+        ]
+        StreamingCampaign(spec, chunk_size=1000, seed=3).run(1000, consumers)
+        path = CampaignCheckpoint.capture(
+            spec, 3, 1000, 1000, 1, consumers
+        ).save(tmp_path / "zoo.npz")
+
+        with np.load(path) as saved:
+            hist = saved["mia::hist"]
+            assert "mia::counts" not in saved.files
+        assert hist.dtype == np.int32
+        assert hist.shape == (256, 64, 16)
+        assert hist.nbytes == 1 << 20
+        assert path.stat().st_size < 7_000_000

@@ -1,12 +1,14 @@
-"""Streaming MIA: the one-hot GEMM fold and the int32 histogram contract.
+"""Streaming MIA: the ciphertext-byte fold and the int32 histogram contract.
 
-``MiaStreamConsumer`` folds each chunk as one float32 GEMM per block of
-rows.  Its counts must equal, cell for cell, the per-sample
-``np.bincount`` fold it replaced (kept here as the reference), at chunk
-sizes around the block boundary, both strides, both bin counts, both
-trace dtypes, and with values outside ``[bin_lo, bin_hi)``.  The
-histogram is int32: the trace cap must be enforced on ``consume``, and
-legacy int64 snapshots must restore exactly or be rejected.
+``MiaStreamConsumer`` folds each chunk into ``hist[c, sample, bin]``
+with one ``np.bincount`` and rebuilds the joint histogram
+``counts[sample, guess, class, bin]`` from it at result time.  The
+rebuild must equal, cell for cell, the per-sample ``np.bincount`` fold
+of the joint histogram (kept here as the reference), at several chunk
+sizes, both strides, both bin counts, both trace dtypes, and with
+values outside ``[bin_lo, bin_hi)``.  The state is int32: the trace cap
+must be enforced on ``consume`` and ``restore``, and snapshots of the
+older 4-D ``counts`` state must be refused.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from repro.attacks.models import last_round_hd_predictions
 from repro.errors import AttackError, CheckpointError
 from repro.pipeline import CampaignSpec, MiaStreamConsumer, StreamingCampaign
-from repro.pipeline.attack_consumers import _MIA_BLOCK_ROWS, _MIA_MAX_TRACES
+from repro.pipeline.attack_consumers import _MIA_MAX_TRACES
 from repro.power.acquisition import TraceSet
 
 N_SAMPLES = 16
@@ -23,7 +25,7 @@ BIN_LO, BIN_HI = 0.0, 100.0
 
 
 def _reference_counts(traces, ciphertexts, n_bins, sample_stride):
-    """The per-sample bincount fold the GEMM replaced, in int64."""
+    """The per-sample bincount fold of the joint histogram, in int64."""
     selected = np.asarray(traces, dtype=np.float64)[:, ::sample_stride]
     scaled = (selected - BIN_LO) / (BIN_HI - BIN_LO)
     bins = np.clip(np.floor(scaled * n_bins).astype(np.int64), 0, n_bins - 1)
@@ -60,8 +62,8 @@ def _consumer(key, n_bins=16, sample_stride=4):
     """A consumer whose histogram geometry is overridden for the test.
 
     The fold reads ``n_bins`` and ``sample_stride`` from the instance,
-    so shadowing the class constants checks the GEMM against the
-    reference at other geometries too.
+    so shadowing the class constants checks the fold and the rebuild
+    against the reference at other geometries too.
     """
     consumer = MiaStreamConsumer(key)
     assert (consumer.bin_lo, consumer.bin_hi) == (BIN_LO, BIN_HI)
@@ -70,16 +72,18 @@ def _consumer(key, n_bins=16, sample_stride=4):
     return consumer
 
 
-def _counts(consumer):
-    return consumer.snapshot()["counts"]
+def _hist(consumer):
+    return consumer.snapshot()["hist"]
+
+
+def _joint(consumer):
+    return consumer._joint_counts()
 
 
 class TestFoldEquivalence:
-    @pytest.mark.parametrize(
-        "n",
-        [1, _MIA_BLOCK_ROWS - 1, _MIA_BLOCK_ROWS, _MIA_BLOCK_ROWS + 1,
-         _MIA_BLOCK_ROWS * 5 // 2],
-    )
+    # Around the attack-zoo chunk of 1000 traces, and the 5000-trace
+    # chunk of the CPA and TVLA campaigns.
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 2500, 5000])
     @pytest.mark.parametrize("sample_stride", [1, 4])
     @pytest.mark.parametrize("n_bins", [2, 16])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -89,10 +93,11 @@ class TestFoldEquivalence:
         chunk = _trace_set(key, n, dtype=dtype, seed=n)
         consumer = _consumer(key, n_bins, sample_stride)
         consumer.consume(chunk)
-        counts = _counts(consumer)
-        assert counts.dtype == np.int32
+        hist = _hist(consumer)
+        assert hist.dtype == np.int32
+        assert hist.shape == (256, -(-N_SAMPLES // sample_stride), n_bins)
         assert np.array_equal(
-            counts,
+            _joint(consumer),
             _reference_counts(chunk.traces, chunk.ciphertexts, n_bins,
                               sample_stride),
         )
@@ -101,21 +106,21 @@ class TestFoldEquivalence:
         chunk = _trace_set(key, 50)
         consumer = _consumer(key, sample_stride=1)
         consumer.consume(chunk)
-        counts = _counts(consumer)
+        counts = _joint(consumer)
         per_guess = np.full(256, 50)
         np.testing.assert_array_equal(counts[0, :, :, 0].sum(axis=1), per_guess)
         np.testing.assert_array_equal(counts[1, :, :, -1].sum(axis=1), per_guess)
         assert counts[0, :, :, 1:].sum() == counts[1, :, :, :-1].sum() == 0
 
     def test_uneven_chunks_accumulate_to_the_reference(self, key):
-        whole = _trace_set(key, 3 * _MIA_BLOCK_ROWS, seed=7)
+        whole = _trace_set(key, 3000, seed=7)
         consumer = _consumer(key)
-        bounds = [0, 1, 700, _MIA_BLOCK_ROWS + 700, 3 * _MIA_BLOCK_ROWS]
+        bounds = [0, 1, 700, 2100, 3000]
         for lo, hi in zip(bounds, bounds[1:]):
             consumer.consume(whole.subset(np.arange(lo, hi)))
-        assert consumer.n_traces == 3 * _MIA_BLOCK_ROWS
+        assert consumer.n_traces == 3000
         assert np.array_equal(
-            _counts(consumer),
+            _joint(consumer),
             _reference_counts(whole.traces, whole.ciphertexts, 16, 4),
         )
 
@@ -152,8 +157,8 @@ class TestEngineRuns:
         )
 
         assert repr(one.result()) == repr(two.result()) == repr(resumed.result())
-        assert np.array_equal(_counts(one), _counts(two))
-        assert np.array_equal(_counts(one), _counts(resumed))
+        assert np.array_equal(_hist(one), _hist(two))
+        assert np.array_equal(_hist(one), _hist(resumed))
 
 
 class TestInt32State:
@@ -171,11 +176,11 @@ class TestInt32State:
         consumer = self._near_cap(key, headroom=10)
         consumer.consume(_trace_set(key, 10, seed=1))
         assert consumer.n_traces == _MIA_MAX_TRACES
-        before = _counts(consumer)
+        before = _hist(consumer)
         with pytest.raises(AttackError, match="int32"):
             consumer.consume(_trace_set(key, 1, seed=2))
         assert consumer.n_traces == _MIA_MAX_TRACES
-        assert np.array_equal(_counts(consumer), before)
+        assert np.array_equal(_hist(consumer), before)
 
     def test_restore_rejects_n_traces_past_the_cap(self, key):
         state = _consumer(key).snapshot()
@@ -183,25 +188,14 @@ class TestInt32State:
         with pytest.raises(CheckpointError, match="n_traces"):
             _consumer(key).restore(state)
 
-    def test_legacy_int64_snapshot_continues_bit_identically(self, key):
-        chunks = [_trace_set(key, 300, seed=s) for s in range(4)]
-        reference = _consumer(key)
-        for chunk in chunks:
-            reference.consume(chunk)
-
-        half = _consumer(key)
-        for chunk in chunks[:2]:
-            half.consume(chunk)
-        legacy = half.snapshot()
-        legacy["counts"] = legacy["counts"].astype(np.int64)
-        moved = _consumer(key)
-        moved.restore(legacy)
-        for chunk in chunks[2:]:
-            moved.consume(chunk)
-
-        assert _counts(moved).dtype == np.int32
-        assert np.array_equal(_counts(moved), _counts(reference))
-        assert repr(moved.result()) == repr(reference.result())
+    def test_four_d_counts_snapshot_is_refused(self, key):
+        populated = _consumer(key)
+        populated.consume(_trace_set(key, 10))
+        state = populated.snapshot()
+        del state["hist"]
+        state["counts"] = np.zeros((4, 256, 9, 16), dtype=np.int32)
+        with pytest.raises(CheckpointError, match="counts"):
+            _consumer(key).restore(state)
 
     @pytest.mark.parametrize(
         "value", [-1, _MIA_MAX_TRACES + 1, np.iinfo(np.int64).max]
@@ -210,18 +204,18 @@ class TestInt32State:
         populated = _consumer(key)
         populated.consume(_trace_set(key, 10))
         state = populated.snapshot()
-        counts = state["counts"].astype(np.int64)
-        counts[0, 0, 0, 0] = value
-        state["counts"] = counts
-        with pytest.raises(CheckpointError, match="counts"):
+        hist = state["hist"].astype(np.int64)
+        hist[0, 0, 0] = value
+        state["hist"] = hist
+        with pytest.raises(CheckpointError, match="hist"):
             _consumer(key).restore(state)
 
     def test_non_integer_counts_are_rejected(self, key):
         populated = _consumer(key)
         populated.consume(_trace_set(key, 10))
         state = populated.snapshot()
-        state["counts"] = state["counts"].astype(np.float64)
-        with pytest.raises(CheckpointError, match="counts"):
+        state["hist"] = state["hist"].astype(np.float64)
+        with pytest.raises(CheckpointError, match="hist"):
             _consumer(key).restore(state)
 
 
@@ -242,25 +236,40 @@ def _reference_mutual_information(counts, n_traces):
     return (joint * np.log2(ratio)).sum(axis=(2, 3))
 
 
-def _restored(key, counts):
-    """A default consumer holding ``counts`` (one sample's total traces)."""
+def _restored(key, hist):
+    """A default consumer holding ``hist`` (one sample's total traces)."""
     consumer = MiaStreamConsumer(key)
     state = consumer.snapshot()
-    state["counts"] = counts
-    state["n_traces"] = int(counts[0, 0].sum())
+    state["hist"] = hist
+    state["n_traces"] = int(hist[:, 0].sum())
     consumer.restore(state)
     return consumer
+
+
+def _counts_from_hist(hist):
+    """The joint histogram ``hist`` stands for, summed in int64."""
+    by_byte = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 16, 1)
+    hd = last_round_hd_predictions(by_byte, 0)  # (c, guess)
+    hist = hist.astype(np.int64)
+    counts = np.zeros((hist.shape[1], 256, 9, hist.shape[2]), np.int64)
+    for k in range(9):
+        counts[:, :, k] = np.einsum(
+            "cg,csb->sgb", (hd == k).astype(np.int64), hist
+        )
+    return counts
 
 
 class TestResultInPlace:
     def test_sparse_histogram_is_bit_identical(self, key):
         rng = np.random.default_rng(3)
-        counts = rng.integers(0, 40, size=(8, 256, 9, 16)).astype(np.int32)
-        counts[rng.random(counts.shape) < 0.6] = 0
-        counts[2] = 0  # a whole sample of empty cells
-        consumer = _restored(key, counts)
+        hist = rng.integers(0, 40, size=(256, 8, 16)).astype(np.int32)
+        hist[rng.random(hist.shape) < 0.6] = 0
+        hist[:, 2] = 0  # a whole sample of empty cells
+        consumer = _restored(key, hist)
         mi = consumer._mutual_information()
-        expected = _reference_mutual_information(counts, consumer.n_traces)
+        expected = _reference_mutual_information(
+            _counts_from_hist(hist), consumer.n_traces
+        )
         assert mi.dtype == expected.dtype
         assert np.array_equal(mi, expected)
 
@@ -277,20 +286,23 @@ class TestResultInPlace:
         )
         consumer = _consumer(key, sample_stride=2)
         consumer.consume(chunk)
-        assert _counts(consumer).shape[0] == 63
+        assert _hist(consumer).shape[1] == 63
         mi = consumer._mutual_information()
-        expected = _reference_mutual_information(_counts(consumer), n)
+        expected = _reference_mutual_information(
+            _reference_counts(chunk.traces, chunk.ciphertexts, 16, 2), n
+        )
         assert mi.dtype == expected.dtype
         assert np.array_equal(mi, expected)
 
     def test_result_transient_is_at_most_two_and_a_half_histograms(
         self, key, traced_peak
     ):
-        # The default consumer's histogram on 256-sample traces.  The
-        # out-of-place form peaked at ~4.2 float64 copies (75 MiB).
-        counts = np.random.default_rng(5).integers(
-            0, 40, size=(64, 256, 9, 16)
+        # The default consumer's state on 256-sample traces, whose joint
+        # histogram is (64, 256, 9, 16).  The out-of-place MI peaked at
+        # ~4.2 float64 copies of it (75 MiB).
+        hist = np.random.default_rng(5).integers(
+            0, 40, size=(256, 64, 16)
         ).astype(np.int32)
-        consumer = _restored(key, counts)
+        consumer = _restored(key, hist)
         _, peak = traced_peak(consumer.result)
-        assert peak <= 2.5 * counts.size * 8
+        assert peak <= 2.5 * (64 * 256 * 9 * 16) * 8

@@ -10,7 +10,8 @@ its own definition. A use is code, not prose: an :mod:`ast` ``Name`` or
 ``Attribute`` spelling the name, or a string literal that is exactly
 the name (a dispatch table, a ``getattr``). Docstrings, comments and
 messages do not count, and neither do import statements and ``__all__``
-entries in a package ``__init__.py``: a re-export is not a use. Text
+entries in a package ``__init__.py``: a re-export is not a use. Nor
+does a use inside a def in :data:`KEEP`, whose callers are tests. Text
 under ``.github/`` counts as before, since CI steps name what they run.
 
 **Options.** Every defaulted parameter of a def in the nine campaign
@@ -69,6 +70,14 @@ KEEP = {
         "every reconfiguration (the paper's Fig. 2 datapath); the ROM "
         "tests read the stored bursts through it"
     ),
+    "repro.errors:LockError": (
+        "the error of the MMCM lock contract that Mmcm.output_period_ns "
+        "raises before relock; part of the public ReproError hierarchy"
+    ),
+    "repro.hw.bufg:SwitchEvent": (
+        "the record ClockMux.switch returns: the dead time a switch costs "
+        "and the new selection, which the mux tests read"
+    ),
     "repro.hw.bufg:ClockMux.switch": (
         "the BUFGMUX glitch-free switch rule (one old period plus half a "
         "new one, halved in the expected case) that "
@@ -106,6 +115,9 @@ KEEP = {
     "repro.rftc.controller:ReconfigurationPipeline.mean_encryptions_per_swap": (
         "the measured encryptions per MMCM swap (Fig. 2-B's x), checked "
         "against expected_encryptions_per_swap"
+    ),
+    "repro.testing.faults:_chunk_file": (
+        "the chunk-file lookup both on-disk fault helpers below share"
     ),
     "repro.testing.faults:corrupt_chunk_file": (
         "fault helper; repro.testing exists to serve the tests"
@@ -212,11 +224,29 @@ def _caller_trees():
     }
 
 
+def _kept_defs(path, tree):
+    """The nodes of the defs in :data:`KEEP` defined in ``path``."""
+    if SRC not in path.parents:
+        return []
+    module = _module_name(path)
+    return [
+        node
+        for qualified, node, _ in _walk_defs(tree)
+        if f"{module}:{qualified}" in KEEP
+    ]
+
+
 def _name_uses(trees):
-    """{name: [(path, line)]} of every code use of a name."""
+    """{name: [(path, line)]} of every code use of a name.
+
+    Uses inside a def in :data:`KEEP` are left out: that def's callers
+    are tests, so what it uses serves only them.
+    """
     uses = collections.defaultdict(list)
     for path, tree in trees.items():
         skip = _reexport_lines(path, tree)
+        for node in _kept_defs(path, tree):
+            skip.update(range(node.lineno, node.end_lineno + 1))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 name = node.id
@@ -262,13 +292,9 @@ def _kept_calls(path, tree):
     Such a def is called by tests only, so what it passes sets nothing
     a campaign runs.
     """
-    if SRC not in path.parents:
-        return set()
-    module = _module_name(path)
     return {
         id(call)
-        for qualified, node, _ in _walk_defs(tree)
-        if f"{module}:{qualified}" in KEEP
+        for node in _kept_defs(path, tree)
         for call in ast.walk(node)
         if isinstance(call, ast.Call)
     }
