@@ -17,12 +17,29 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.attacks.cpa import CpaByteResult, CpaResult
-from repro.attacks.models import hd_pair_table, last_round_hd_predictions
+from repro.attacks.models import (
+    check_shift_rows_fixed,
+    hd_pair_table,
+    last_round_hd_predictions,
+    last_round_hd_table,
+)
 from repro.crypto.aes_tables import SHIFT_ROWS_MAP
 from repro.errors import AttackError, CheckpointError
 from repro.obs.metrics import NULL_METRICS
 
 _SUM_FIELDS = ("sum_t", "sum_t2", "sum_p", "sum_p2", "sum_pt")
+
+_HD_MOMENTS: "list[np.ndarray]" = []
+
+
+def _hd_moments_table() -> np.ndarray:
+    """``(256, 512)`` float64 ``[T | T²]`` of the byte-indexed HD table."""
+    if not _HD_MOMENTS:
+        moments = np.empty((256, 512))  # 1 MiB, built without temporaries
+        moments[:, :256] = last_round_hd_table()
+        np.square(moments[:, :256], out=moments[:, 256:])
+        _HD_MOMENTS.append(moments)
+    return _HD_MOMENTS[0]
 
 
 def _snapshot_sums(acc) -> dict:
@@ -142,6 +159,15 @@ def _restore_sums(acc, state: dict) -> None:
 class IncrementalCpa:
     """Running-sums last-round HD CPA accumulator for one key byte.
 
+    The byte must be one ShiftRows leaves in place (0, 4, 8 or 12;
+    others raise :class:`~repro.errors.AttackError`, and
+    :class:`IncrementalCpaBank` covers all 16).  Its HD predictions are
+    then a function of that one ciphertext byte ``c``: each chunk
+    gathers its ``(n, 256)`` prediction rows from
+    :func:`~repro.attacks.models.last_round_hd_table`, and ``Σp``/``Σp²``
+    come from the chunk's histogram of ``c`` times the table and its
+    square — integer sums, so exactly what summing the rows gives.
+
     Parameters
     ----------
     byte_index:
@@ -149,9 +175,7 @@ class IncrementalCpa:
     """
 
     def __init__(self, byte_index: int = 0):
-        if not 0 <= byte_index < 16:
-            raise AttackError(f"byte_index must be in [0, 16), got {byte_index}")
-        self.byte_index = int(byte_index)
+        self.byte_index = check_shift_rows_fixed(byte_index, "IncrementalCpa")
         self.n_traces = 0
         self._metrics = NULL_METRICS
         self._sum_t: Optional[np.ndarray] = None  # (S,)
@@ -183,25 +207,25 @@ class IncrementalCpa:
         traces = _as_batch(traces, data, keep_float32=True)
         if traces.shape[0] == 0:
             return None  # zero traces: nothing to allocate or fold
-        predictions = last_round_hd_predictions(data, self.byte_index).astype(
-            traces.dtype
-        )
+        ct = np.asarray(data, dtype=np.uint8)
+        if ct.ndim != 2 or ct.shape[1] != 16:
+            raise AttackError("ciphertexts must be (n, 16) uint8")
+        column = ct[:, self.byte_index]
+        predictions = last_round_hd_table()[column].astype(traces.dtype)
+        # Σp and Σp² are integer sums (HD ≤ 8), so the byte histogram
+        # times [T | T²] is exactly the column sums of ``predictions``
+        # and of its square, in any summation order.
+        counts = np.bincount(column, minlength=256).astype(np.float64)
+        moments = counts @ _hd_moments_table()
         if traces.dtype == np.float32:
-            # Prediction sums stay exact (integer-valued, < 2**24); the
-            # trace sums reduce in float64 so only the GEMM loses bits.
+            # The trace sums reduce in float64 so only the GEMM loses bits.
             sum_t = traces.sum(axis=0, dtype=np.float64)
             sum_t2 = np.einsum("ns,ns->s", traces, traces, dtype=np.float64)
-            sum_p = predictions.sum(axis=0, dtype=np.float64)
-            sum_p2 = np.einsum(
-                "nk,nk->k", predictions, predictions, dtype=np.float64
-            )
         else:
             sum_t = traces.sum(axis=0)
             sum_t2 = (traces * traces).sum(axis=0)
-            sum_p = predictions.sum(axis=0)
-            sum_p2 = (predictions * predictions).sum(axis=0)
         return CpaChunkSummary(
-            traces.shape[0], sum_t, sum_t2, sum_p, sum_p2,
+            traces.shape[0], sum_t, sum_t2, moments[:256], moments[256:],
             predictions.T @ traces,
         )
 

@@ -85,6 +85,11 @@ def lattice_align(
     carry no information either way, and zeros keep the output a dense
     matrix CPA can consume directly.  Returns a new ``(n, S)`` float64
     array; the input is never modified.
+
+    The shift is one row-window gather: each trace sits in the middle
+    third of a zero-padded ``(n, 3S)`` copy, and trace ``i`` reads the
+    ``S``-wide window starting at ``S - shift_i`` (clipped to
+    ``[0, 2S]``, so any shift of ``S`` or more reads only zeros).
     """
     traces = np.asarray(traces, dtype=np.float64)
     if traces.ndim != 2:
@@ -97,12 +102,10 @@ def lattice_align(
     n, s = traces.shape
     if n == 0:
         return traces.copy()
-    source = np.arange(s, dtype=np.int64)[None, :] - shifts[:, None]
-    valid = (source >= 0) & (source < s)
-    gathered = traces[
-        np.arange(n, dtype=np.int64)[:, None], np.clip(source, 0, s - 1)
-    ]
-    return np.where(valid, gathered, 0.0)
+    padded = np.zeros((n, 3 * s))
+    padded[:, s : 2 * s] = traces
+    windows = np.lib.stride_tricks.sliding_window_view(padded, s, axis=1)
+    return windows[np.arange(n), np.clip(s - shifts, 0, 2 * s)]
 
 
 def lattice_reference_ns(completion_times_ns: np.ndarray) -> float:

@@ -26,7 +26,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.attacks.models import last_round_hd_predictions
+from repro.attacks.models import last_round_hd_table
 from repro.errors import AttackError
 
 #: Number of leakage classes: HD of one state byte is 0..8.
@@ -136,8 +136,10 @@ def train_mlp_profile(
         raise AttackError("profiling needs a (n >= 32, S) trace matrix")
     if not 0 <= key_byte <= 255:
         raise AttackError("key_byte must be a byte")
-    labels = last_round_hd_predictions(ciphertexts, 0)[:, key_byte]
-    labels = labels.astype(np.int64)
+    ct = np.asarray(ciphertexts, dtype=np.uint8)
+    if ct.ndim != 2 or ct.shape[1] != 16:
+        raise AttackError("ciphertexts must be (n, 16) uint8")
+    labels = last_round_hd_table()[ct[:, 0], key_byte].astype(np.int64)
     n, n_samples = traces.shape
 
     mean = traces.mean(axis=0)

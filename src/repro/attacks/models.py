@@ -46,6 +46,40 @@ def hd_pair_table() -> np.ndarray:
     return _HD_PAIR_TABLE[0]
 
 
+# For the key bytes ShiftRows leaves in place (SR(b) == b) the pair is
+# (ct[b], ct[b]), so the predictions are one row of a 256x256 table
+# indexed by ct[b] alone — 64 KiB, against the pair table's 16.7 MB.
+_HD_TABLE: "list[np.ndarray]" = []
+
+#: Key bytes whose last-round HD depends on one ciphertext byte.
+SHIFT_ROWS_FIXED_BYTES = tuple(
+    int(b) for b in np.flatnonzero(SHIFT_ROWS_MAP == np.arange(16))
+)
+
+
+def last_round_hd_table() -> np.ndarray:
+    """``(256, 256)`` uint8: ``T[c, g] = HW(INV_SBOX[c ^ g] ^ c)``.
+
+    Row ``c`` is :func:`last_round_hd_predictions` of a ciphertext whose
+    attacked byte is ``c``, for any byte in ``SHIFT_ROWS_FIXED_BYTES``.
+    """
+    if not _HD_TABLE:
+        c = np.arange(256, dtype=np.uint8)[:, None]
+        _HD_TABLE.append(HW8[INV_SBOX[c ^ _GUESSES[None, :]] ^ c])
+    return _HD_TABLE[0]
+
+
+def check_shift_rows_fixed(byte_index: int, what: str) -> int:
+    """``byte_index`` as an int, or :class:`AttackError` naming ``what``
+    if ShiftRows moves that byte (its HD needs two ciphertext bytes)."""
+    if byte_index not in SHIFT_ROWS_FIXED_BYTES:
+        raise AttackError(
+            f"{what} needs a key byte ShiftRows leaves in place "
+            f"{SHIFT_ROWS_FIXED_BYTES}, got {byte_index}"
+        )
+    return int(byte_index)
+
+
 def last_round_hd_predictions(
     ciphertexts: np.ndarray, byte_index: int
 ) -> np.ndarray:

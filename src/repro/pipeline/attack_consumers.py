@@ -28,11 +28,11 @@ from repro.attacks.incremental import IncrementalCpa
 from repro.attacks.lattice import lattice_align
 from repro.attacks.mlp import MlpModel, mlp_expected_hd
 from repro.attacks.models import (
+    check_shift_rows_fixed,
     expand_last_round_key,
-    last_round_hd_predictions,
+    last_round_hd_table,
 )
 from repro.attacks.success_rate import wilson_interval
-from repro.crypto.aes_tables import SHIFT_ROWS_MAP
 from repro.errors import AttackError, CheckpointError
 from repro.obs.metrics import NULL_METRICS
 from repro.power.acquisition import TraceSet
@@ -268,10 +268,7 @@ class MiaStreamConsumer(_KeyByteConsumer):
 
     def __init__(self, key: bytes):
         super().__init__(key)
-        if SHIFT_ROWS_MAP[self.byte_index] != self.byte_index:
-            raise AttackError(
-                "the mia state needs a key byte ShiftRows leaves in place"
-            )
+        check_shift_rows_fixed(self.byte_index, "the mia state")
         self.n_traces = 0
         self._hist: Optional[np.ndarray] = None  # (256, n_sel, bins)
 
@@ -320,8 +317,7 @@ class MiaStreamConsumer(_KeyByteConsumer):
         """
         n_sel = self._hist.shape[1]
         classes = np.zeros((256, _N_CLASSES, 256))  # (guess, class, c)
-        by_byte = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 16, 1)
-        hd = last_round_hd_predictions(by_byte, self.byte_index)  # (c, g)
+        hd = last_round_hd_table()  # (c, g)
         classes[np.arange(256), hd, np.arange(256)[:, None]] = 1.0
         joint = np.empty((n_sel, 256, _N_CLASSES, self.n_bins))
         np.matmul(

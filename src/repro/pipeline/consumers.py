@@ -107,7 +107,13 @@ class SummarizingConsumer:
 
 
 class CpaStreamConsumer(SummarizingConsumer):
-    """Streaming last-round CPA on one key byte."""
+    """Streaming last-round CPA on one key byte.
+
+    The byte must be one ShiftRows leaves in place (0, 4, 8 or 12), as
+    :class:`~repro.attacks.IncrementalCpa` requires: its predictions are
+    then row gathers from one 256×256 ciphertext-byte table.  Attack
+    other bytes with :class:`CpaBankConsumer`.
+    """
 
     def __init__(self, byte_index: int = 0):
         self._inc = IncrementalCpa(byte_index=byte_index)

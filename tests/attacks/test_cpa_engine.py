@@ -141,21 +141,24 @@ class TestBankEquivalence:
     def test_bank_matches_per_byte_incremental_and_batch(self, dataset):
         traces, cts = dataset
         bank = IncrementalCpaBank()
-        singles = [IncrementalCpa(byte_index=b) for b in range(16)]
+        # A single accumulator takes only the bytes ShiftRows leaves in
+        # place; the bank and the batch engine cover all sixteen.
+        singles = {b: IncrementalCpa(byte_index=b) for b in (0, 4, 8, 12)}
         for start in range(0, N, 250):
             chunk = slice(start, min(start + 250, N))
             bank.update(traces[chunk], cts[chunk])
-            for single in singles:
+            for single in singles.values():
                 single.update(traces[chunk], cts[chunk])
         result = bank.result()
         batch = CpaEngine(traces, cts).attack()
-        for b in range(16):
+        for b, single in singles.items():
             np.testing.assert_allclose(
                 result.byte_results[b].peak_corr,
-                singles[b].result().peak_corr,
+                single.result().peak_corr,
                 atol=1e-10,
                 rtol=0.0,
             )
+        for b in range(16):
             np.testing.assert_allclose(
                 result.byte_results[b].peak_corr,
                 batch.byte_results[b].peak_corr,

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from repro.attacks.cpa import CpaEngine, cpa_byte
-from repro.attacks.incremental import IncrementalCpa, IncrementalCpaBank
-from repro.attacks.models import expand_last_round_key
+from repro.attacks.incremental import (
+    CpaChunkSummary,
+    IncrementalCpa,
+    IncrementalCpaBank,
+    _as_batch,
+)
+from repro.attacks.models import (
+    expand_last_round_key,
+    last_round_hd_predictions,
+)
 from repro.errors import AttackError
 
 
@@ -40,9 +48,9 @@ class TestEquivalence:
     def test_recovers_key(self, unprotected_traceset):
         ts = unprotected_traceset
         rk10 = expand_last_round_key(ts.key)
-        inc = IncrementalCpa(byte_index=3)
+        inc = IncrementalCpa(byte_index=12)
         inc.update(ts.traces, ts.ciphertexts)
-        assert inc.result().best_guess == rk10[3]
+        assert inc.result().best_guess == rk10[12]
 
 
 class TestValidation:
@@ -107,7 +115,7 @@ class TestCorrelationInPlace:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_single_byte(self, dtype):
-        inc = IncrementalCpa(byte_index=3)
+        inc = IncrementalCpa(byte_index=4)
         for seed in range(3):
             inc.update(*_batch(dtype, seed=seed))
         expected = _reference_correlation(inc)
@@ -136,3 +144,84 @@ class TestCorrelationInPlace:
         bank.update(*_batch(np.float64, n=50, s=256))
         corr, peak = traced_peak(bank.correlation)
         assert peak <= 2.5 * corr.nbytes
+
+
+def _reference_chunk_summary(self, traces, data):
+    """``IncrementalCpa.chunk_summary`` before the table fold, verbatim."""
+    traces = _as_batch(traces, data, keep_float32=True)
+    if traces.shape[0] == 0:
+        return None  # zero traces: nothing to allocate or fold
+    predictions = last_round_hd_predictions(data, self.byte_index).astype(
+        traces.dtype
+    )
+    if traces.dtype == np.float32:
+        # Prediction sums stay exact (integer-valued, < 2**24); the
+        # trace sums reduce in float64 so only the GEMM loses bits.
+        sum_t = traces.sum(axis=0, dtype=np.float64)
+        sum_t2 = np.einsum("ns,ns->s", traces, traces, dtype=np.float64)
+        sum_p = predictions.sum(axis=0, dtype=np.float64)
+        sum_p2 = np.einsum(
+            "nk,nk->k", predictions, predictions, dtype=np.float64
+        )
+    else:
+        sum_t = traces.sum(axis=0)
+        sum_t2 = (traces * traces).sum(axis=0)
+        sum_p = predictions.sum(axis=0)
+        sum_p2 = (predictions * predictions).sum(axis=0)
+    return CpaChunkSummary(
+        traces.shape[0], sum_t, sum_t2, sum_p, sum_p2,
+        predictions.T @ traces,
+    )
+
+
+_ADDENDS = ("sum_t", "sum_t2", "sum_p", "sum_p2", "sum_pt")
+
+
+def _fold_batch(kind, dtype, n, s=48, seed=0):
+    """ADC-code traces (multiples of 1/16) or plain random floats."""
+    rng = np.random.default_rng([seed, n])
+    if kind == "codes":
+        traces = rng.integers(0, 4096, size=(n, s)) / 16.0
+    else:
+        traces = rng.normal(50.0, 4.0, size=(n, s))
+    ciphertexts = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+    return traces.astype(dtype), ciphertexts
+
+
+class TestTableFold:
+    """The table fold's addends equal the per-row prediction fold's."""
+
+    @pytest.mark.parametrize("kind", ["codes", "floats"])
+    @pytest.mark.parametrize("n", [1, 2, 499, 1000, 5000])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("byte_index", [0, 4, 8, 12])
+    def test_addends_bit_identical(self, byte_index, dtype, n, kind):
+        inc = IncrementalCpa(byte_index=byte_index)
+        traces, ciphertexts = _fold_batch(kind, dtype, n, seed=byte_index)
+        got = inc.chunk_summary(traces, ciphertexts)
+        want = _reference_chunk_summary(inc, traces, ciphertexts)
+        assert got.n_traces == want.n_traces == n
+        for name in _ADDENDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+
+    def test_empty_chunk_is_none(self):
+        assert IncrementalCpa().chunk_summary(
+            np.zeros((0, 8)), np.zeros((0, 16), dtype=np.uint8)
+        ) is None
+
+    @pytest.mark.parametrize(
+        "byte_index", [b for b in range(16) if b % 4 != 0]
+    )
+    def test_bytes_shift_rows_moves_are_refused(self, byte_index):
+        with pytest.raises(AttackError, match="ShiftRows"):
+            IncrementalCpa(byte_index=byte_index)
+
+    def test_bad_ciphertext_width_refused(self, rng):
+        with pytest.raises(AttackError):
+            IncrementalCpa().update(
+                rng.normal(size=(8, 10)),
+                rng.integers(0, 256, size=(8, 15), dtype=np.uint8),
+            )

@@ -104,6 +104,60 @@ class TestLatticeAlign:
             lattice_align(np.ones(8), np.ones(1), 8.0, 10.0)
 
 
+def _reference_lattice_align(
+    traces, completion_times_ns, sample_period_ns, reference_ns
+):
+    """``lattice_align`` before the row-window gather: an int64 fancy
+    index, a clip, a validity mask and ``np.where``."""
+    traces = np.asarray(traces, dtype=np.float64)
+    shifts = lattice_shifts(completion_times_ns, sample_period_ns, reference_ns)
+    n, s = traces.shape
+    if n == 0:
+        return traces.copy()
+    source = np.arange(s, dtype=np.int64)[None, :] - shifts[:, None]
+    valid = (source >= 0) & (source < s)
+    gathered = traces[
+        np.arange(n, dtype=np.int64)[:, None], np.clip(source, 0, s - 1)
+    ]
+    return np.where(valid, gathered, 0.0)
+
+
+class TestWindowGather:
+    """The row-window gather equals the fancy-index form bit for bit."""
+
+    S = 64
+
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_fancy_index_form(self, n, dtype):
+        rng = np.random.default_rng(n)
+        s = self.S
+        traces = rng.normal(50.0, 4.0, size=(n, s)).astype(dtype)
+        # Period 1 ns and reference 2S: completion times in [0, 4S] give
+        # every shift in [-2S, 2S], past both edges of the window.
+        times = rng.integers(0, 4 * s + 1, size=n).astype(np.float64)
+        if n == 1000:
+            times[: 4 * s + 1] = np.arange(4 * s + 1)
+        before = traces.copy()
+        got = lattice_align(traces, times, 1.0, reference_ns=2.0 * s)
+        want = _reference_lattice_align(traces, times, 1.0, 2.0 * s)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == (n, s)
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous and got.flags.owndata
+        assert not np.shares_memory(got, traces)
+        np.testing.assert_array_equal(traces, before)
+
+    def test_nan_samples_travel_with_their_trace(self):
+        traces = np.arange(16.0).reshape(2, 8)
+        traces[0, 3] = np.nan
+        times = np.array([5.0, 9.0])
+        got = lattice_align(traces, times, 1.0, reference_ns=7.0)
+        want = _reference_lattice_align(traces, times, 1.0, 7.0)
+        np.testing.assert_array_equal(got, want)
+        assert np.isnan(got[0, 5])
+
+
 class TestReferenceAndOccupancy:
     def test_reference_is_slowest(self):
         assert lattice_reference_ns(np.array([3.0, 9.0, 4.0])) == 9.0

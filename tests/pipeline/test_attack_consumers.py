@@ -24,7 +24,9 @@ from repro.pipeline import (
     StreamingCampaign,
     SuccessRateConsumer,
 )
+from repro.attacks.incremental import IncrementalCpa
 from repro.pipeline.attack_consumers import _replica_keep_mask
+from tests.attacks.test_incremental import _reference_chunk_summary
 
 ZOO = ("mlp", "lattice", "mia", "success_rate", "disclosure")
 
@@ -213,6 +215,58 @@ class TestSuccessRateCurve:
             result["wilson_low"], rates, result["wilson_high"]
         ):
             assert 0.0 <= low <= rate <= high <= 1.0
+
+
+class _ReferenceCpa(IncrementalCpa):
+    """A replica folding through the per-row prediction chunk summary."""
+
+    chunk_summary = _reference_chunk_summary
+
+
+def _reference_success_rate(key):
+    consumer = SuccessRateConsumer(key, seed=5)
+    consumer._replicas = [
+        _ReferenceCpa(consumer.byte_index)
+        for _ in range(consumer.n_replicas)
+    ]
+    return consumer
+
+
+class TestSuccessRateTableFold:
+    """A climbing success curve, pinned bit for bit to per-row folds."""
+
+    def _chunks(self, trace_set):
+        return _chunks(trace_set, n_chunks=10, size=250)
+
+    def test_curve_and_state_match_reference(self, unprotected_traceset):
+        key = unprotected_traceset.key
+        chunks = self._chunks(unprotected_traceset)
+        table = SuccessRateConsumer(key, seed=5)
+        reference = _reference_success_rate(key)
+        for chunk in chunks:
+            table.consume(chunk)
+            reference.consume(chunk)
+            _assert_states_equal(table.snapshot(), reference.snapshot())
+        result = table.result()
+        assert result == reference.result()
+        assert max(result["success_rates"]) >= 0.75
+        assert min(result["success_rates"]) < 0.75
+
+    def test_resumed_curve_matches_reference(self, unprotected_traceset):
+        key = unprotected_traceset.key
+        chunks = self._chunks(unprotected_traceset)
+        reference = _reference_success_rate(key)
+        for chunk in chunks:
+            reference.consume(chunk)
+        half = SuccessRateConsumer(key, seed=5)
+        for chunk in chunks[:4]:
+            half.consume(chunk)
+        resumed = SuccessRateConsumer(key, seed=5)
+        resumed.restore(half.snapshot())
+        for chunk in chunks[4:]:
+            resumed.consume(chunk)
+        _assert_states_equal(resumed.snapshot(), reference.snapshot())
+        assert resumed.result() == reference.result()
 
 
 class TestEngineIntegration:

@@ -76,7 +76,7 @@ class TestConsumerSnapshotRoundTrip:
 
     def test_restore_validates_identity(self):
         with pytest.raises(CheckpointError):
-            CpaStreamConsumer(byte_index=1).restore(
+            CpaStreamConsumer(byte_index=4).restore(
                 _fold_some(CpaStreamConsumer(byte_index=0)).snapshot()
             )
         with pytest.raises(CheckpointError, match="resolution"):

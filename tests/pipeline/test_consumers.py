@@ -54,7 +54,7 @@ class TestCpaConsumer:
         assert consumer.n_traces == reference.n_traces == 96
 
     def test_default_name_includes_byte(self):
-        assert CpaStreamConsumer(byte_index=3).name == "cpa[3]"
+        assert CpaStreamConsumer(byte_index=4).name == "cpa[4]"
 
 
 class TestTvlaConsumer:

@@ -54,18 +54,18 @@ class TestCpaBankConsumer:
 
         bank_report = run([CpaBankConsumer()])
         single_report = run(
-            [CpaStreamConsumer(byte_index=b) for b in (0, 1, 2)]
+            [CpaStreamConsumer(byte_index=b) for b in (0, 4, 8)]
         )
         bank_result = bank_report.results["cpa_bank"]
-        for i, b in enumerate((0, 1, 2)):
+        for b in (0, 4, 8):
             single = single_report.results[f"cpa[{b}]"]
             np.testing.assert_allclose(
-                bank_result.byte_results[i].peak_corr,
+                bank_result.byte_results[b].peak_corr,
                 single.peak_corr,
                 atol=1e-10,
                 rtol=0.0,
             )
-            assert bank_result.byte_results[i].best_guess == single.best_guess
+            assert bank_result.byte_results[b].best_guess == single.best_guess
 
     def test_default_attacks_all_sixteen_bytes(self):
         consumer = CpaBankConsumer()

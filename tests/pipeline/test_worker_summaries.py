@@ -68,7 +68,7 @@ def _spec(dtype="float64"):
 def _consumers():
     return [
         CpaBankConsumer(),
-        CpaStreamConsumer(byte_index=3),
+        CpaStreamConsumer(byte_index=4),
         CompletionTimeConsumer(),
     ]
 
@@ -132,8 +132,8 @@ def test_pooled_summaries_equal_one_worker(
     for byte, ref_byte in zip(bank.byte_results, ref_bank.byte_results):
         assert np.array_equal(byte.peak_corr, ref_byte.peak_corr)
     assert np.array_equal(
-        report.results["cpa[3]"].peak_corr,
-        base_report.results["cpa[3]"].peak_corr,
+        report.results["cpa[4]"].peak_corr,
+        base_report.results["cpa[4]"].peak_corr,
     )
 
 
@@ -274,7 +274,7 @@ def test_consume_overrides_and_wrappers_stay_in_the_parent(tmp_path, baseline):
     if baseline[0] != "float64":
         pytest.skip("dtype-independent")
     counting = CountingBank()
-    wrapped = Wrapper(CpaStreamConsumer(byte_index=3))
+    wrapped = Wrapper(CpaStreamConsumer(byte_index=4))
     assert engine_module._summarizers([counting, wrapped]) == {}
     report, _ = _run(tmp_path, workers=2, consumers=[counting, wrapped])
     assert not report.degraded
@@ -291,7 +291,7 @@ def test_only_plain_summarizing_consumers_are_offloaded():
         rng.integers(0, 256, size=(50, 16), dtype=np.uint8),
     )
     offered = engine_module._summarizers(
-        [CompletionTimeConsumer(), bank, CpaStreamConsumer(byte_index=3)]
+        [CompletionTimeConsumer(), bank, CpaStreamConsumer(byte_index=4)]
     )
     assert sorted(offered) == [1, 2]
     # A summarizer carries the config, never the running sums.
@@ -373,7 +373,7 @@ class _BlasProbe(CpaStreamConsumer):
     """Ships the worker's BLAS thread count home inside each summary."""
 
     def __init__(self):
-        super().__init__(byte_index=3)
+        super().__init__(byte_index=4)
         self.seen = []
 
     def summarize(self, chunk):
@@ -404,7 +404,7 @@ def test_summaries_are_observed_on_both_sides(tmp_path):
     _run(tmp_path, workers=2, obs=obs)
     m = obs.metrics
     assert m.counter_value("cpa_traces_folded_total", accumulator="cpa_bank") == N_TRACES
-    assert m.counter_value("cpa_traces_folded_total", accumulator="cpa[3]") == N_TRACES
+    assert m.counter_value("cpa_traces_folded_total", accumulator="cpa[4]") == N_TRACES
     _, _, _, count = m.snapshot().histograms[
         ("campaign_summarize_seconds", (("consumer", "cpa_bank"),))
     ]
@@ -414,7 +414,7 @@ def test_summaries_are_observed_on_both_sides(tmp_path):
     assert sorted(
         (e["attrs"]["chunk"], e["attrs"]["consumer"]) for e in summarize
     ) == sorted(
-        (k, name) for k in range(N_CHUNKS) for name in ("cpa_bank", "cpa[3]")
+        (k, name) for k in range(N_CHUNKS) for name in ("cpa_bank", "cpa[4]")
     )
     assert {e["origin"] for e in summarize} == {
         f"worker:chunk-{k}" for k in range(N_CHUNKS)
