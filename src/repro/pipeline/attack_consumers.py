@@ -44,6 +44,10 @@ _N_CLASSES = 9
 #: so this caps the traces one consumer may accumulate.
 _MIA_MAX_TRACES = int(np.iinfo(np.int32).max)
 
+#: Strided samples per block of the result-time MI: each block's joint
+#: histogram is ``8 x 256 x 9 x n_bins`` float64, 2.25 MiB at 16 bins.
+_MIA_MI_BLOCK = 8
+
 
 def _rank_of(scores: np.ndarray, true_byte: int) -> int:
     order = np.argsort(-scores, kind="stable")
@@ -254,10 +258,12 @@ class MiaStreamConsumer(_KeyByteConsumer):
     traces; ``consume`` raises :class:`~repro.errors.AttackError` before
     passing it.
 
-    :meth:`result` computes the mutual information in place: beside the
-    state it holds two float64 joint histograms and one boolean mask at
-    its peak, ~2.3× the float64 histogram (~41 MiB for the ~2.4 M
-    cells), and frees them before it returns.
+    :meth:`result` computes the mutual information in blocks of
+    :data:`_MIA_MI_BLOCK` strided samples, in place: beside the state it
+    holds one block's two float64 joint histograms and boolean mask at
+    its peak (~5.3 MiB at the default shape, against 18 MiB for one
+    float64 copy of the whole joint histogram), and frees them before
+    it returns.
     """
 
     name = "mia"
@@ -304,50 +310,59 @@ class MiaStreamConsumer(_KeyByteConsumer):
             "attack_traces_total", chunk.n_traces, attack=self.name
         )
 
-    def _joint_counts(self) -> np.ndarray:
-        """The float64 joint histogram ``counts[sample, guess, class, bin]``.
+    def _joint_counts(self, lo: int, hi: int) -> np.ndarray:
+        """The float64 joint histogram ``counts[sample, guess, class, bin]``
+        of strided samples ``lo..hi-1``.
 
         ``counts[s, g, k, b]`` sums ``hist[c, s, b]`` over the ciphertext
-        bytes ``c`` whose HD under guess ``g`` is ``k``: a product of the
-        ``(256·9, 256)`` one-hot class table and ``hist``.  Every partial
-        sum is an integer no larger than ``n_traces`` < 2**31, so float64
-        holds each exactly in any summation order.  The product is
-        written straight into the contiguous ``(sample, guess, class,
-        bin)`` layout, which fixes the summation order of the MI.
+        bytes ``c`` whose HD under guess ``g`` is ``k``: class ``k``'s
+        slice is the product of a ``(guess, c)`` 0/1 table and the
+        block of ``hist``.  Every partial sum is an integer no larger
+        than ``n_traces`` < 2**31, so float64 holds each exactly in any
+        summation order.  The result is a fresh C-contiguous ``(sample,
+        guess, class, bin)`` array, which fixes the summation order of
+        the MI whatever the block.
         """
-        n_sel = self._hist.shape[1]
-        classes = np.zeros((256, _N_CLASSES, 256))  # (guess, class, c)
-        hd = last_round_hd_table()  # (c, g)
-        classes[np.arange(256), hd, np.arange(256)[:, None]] = 1.0
+        n_sel = hi - lo
+        hist = self._hist[:, lo:hi].astype(np.float64).reshape(256, -1)
+        by_guess = last_round_hd_table().T  # (g, c)
         joint = np.empty((n_sel, 256, _N_CLASSES, self.n_bins))
-        np.matmul(
-            classes.reshape(256 * _N_CLASSES, 256),
-            self._hist.astype(np.float64).transpose(1, 0, 2),
-            out=joint.reshape(n_sel, 256 * _N_CLASSES, self.n_bins),
-        )
+        for k in range(_N_CLASSES):
+            product = (by_guess == k).astype(np.float64) @ hist
+            joint[:, :, k] = product.reshape(
+                256, n_sel, self.n_bins
+            ).transpose(1, 0, 2)
         return joint
 
     def _mutual_information(self) -> np.ndarray:
         """MI in bits per (strided sample, guess), shape ``(n_sel, 256)``.
 
-        Two float64 arrays of the joint histogram's shape are live at the
-        peak, ``joint`` and ``work``, each step writing into ``work`` in
-        place.
+        Computed :data:`_MIA_MI_BLOCK` strided samples at a time: per
+        block, two float64 arrays of the block's joint histogram are
+        live, ``joint`` and ``work``, each step writing into ``work`` in
+        place.  Each MI cell reduces the same contiguous ``(class, bin)``
+        run as over the whole histogram, so blocking changes no bit.
         """
-        joint = self._joint_counts()
-        joint /= self.n_traces
-        p_class = joint.sum(axis=3, keepdims=True)
-        p_bin = joint.sum(axis=2, keepdims=True)
-        work = p_class * p_bin
-        mask = joint > 0
-        np.divide(joint, work, out=work, where=mask)
-        # Where joint == 0 the ratio is pinned to 1, so log2 is 0 and the
-        # term drops out — no masked log needed.
-        np.logical_not(mask, out=mask)
-        work[mask] = 1.0
-        np.log2(work, out=work)
-        work *= joint
-        return work.sum(axis=(2, 3))
+        n_sel = self._hist.shape[1]
+        mi = np.empty((n_sel, 256))
+        for lo in range(0, n_sel, _MIA_MI_BLOCK):
+            hi = min(lo + _MIA_MI_BLOCK, n_sel)
+            joint = self._joint_counts(lo, hi)
+            joint /= self.n_traces
+            p_class = joint.sum(axis=3, keepdims=True)
+            p_bin = joint.sum(axis=2, keepdims=True)
+            work = p_class * p_bin
+            mask = joint > 0
+            np.divide(joint, work, out=work, where=mask)
+            # Where joint == 0 the ratio is pinned to 1, so log2 is 0 and
+            # the term drops out — no masked log needed.
+            np.logical_not(mask, out=mask)
+            work[mask] = 1.0
+            np.log2(work, out=work)
+            work *= joint
+            mi[lo:hi] = work.sum(axis=(2, 3))
+            del joint, work, mask  # freed before the next block is built
+        return mi
 
     def result(self) -> dict:
         if self.n_traces == 0 or self._hist is None:

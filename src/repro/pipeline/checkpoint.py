@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Sequence, Union
@@ -58,6 +59,27 @@ def _split_state(state: dict) -> "tuple[dict, dict]":
         else:
             scalars[key] = value
     return scalars, arrays
+
+
+def _write_member(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
+    """Write ``array`` as the ``.npy`` member ``name`` from its own buffer.
+
+    The member's bytes are those ``np.savez`` writes (same header, same
+    zip entry), but ``np.savez`` first copies the array through
+    ``tobytes()``; here only an array that is neither C- nor F-ordered
+    is copied.  An F-ordered array is written in memory order through
+    ``.T``, which the header's ``fortran_order`` records.  Consumer
+    states hold plain numeric arrays, whose headers fit format 1.0; an
+    object array (which :meth:`CampaignCheckpoint.load` would refuse)
+    cannot be viewed as bytes and raises here.
+    """
+    with archive.open(name + ".npy", "w", force_zip64=True) as member:
+        np.lib.format.write_array_header_1_0(
+            member, np.lib.format.header_data_from_array_1_0(array)
+        )
+        if array.flags.f_contiguous and not array.flags.c_contiguous:
+            array = array.T
+        member.write(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
 
 
 @dataclass
@@ -145,8 +167,11 @@ class CampaignCheckpoint:
         entries[_META_KEY] = np.array(json.dumps(meta, sort_keys=True))
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **entries)
+        with open(tmp, "wb") as handle, zipfile.ZipFile(
+            handle, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True
+        ) as archive:
+            for name, array in entries.items():
+                _write_member(archive, name, array)
         os.replace(tmp, path)
         return path
 

@@ -408,7 +408,9 @@ def _replayed(
     """Chunks ``start..stop-1`` as the store holds them (resume only).
 
     They are folded from disk — never re-acquired, so store bytes are
-    untouched and consumer folds see the exact same data.
+    untouched and consumer folds see the exact same data.  The source
+    drops its reference to each chunk once it is yielded, so a folded
+    chunk is freed before ``store.chunk`` reads the next one.
     """
     for index in range(start, stop):
         chunk = store.chunk(index)
@@ -418,6 +420,7 @@ def _replayed(
                 f"campaign layout expects {tasks[index].n_traces}"
             )
         yield _ChunkResult(index, chunk, 0, None, [], {}, None)
+        del chunk
 
 
 def _count_write_failure(task: _ChunkTask, metrics, exc: BaseException) -> None:
@@ -429,7 +432,11 @@ def _count_write_failure(task: _ChunkTask, metrics, exc: BaseException) -> None:
 
 def _inline(tasks: Sequence[_ChunkTask], metrics) -> Iterator[_ChunkResult]:
     """Acquire ``tasks`` in this process: ``workers=1``, and the rest of
-    a run whose pool failed."""
+    a run whose pool failed.
+
+    The source drops its reference to each record once it is yielded,
+    so a folded chunk is freed before the next acquisition starts.
+    """
     for task in tasks:
         try:
             result = _acquire_chunk(task)
@@ -437,6 +444,7 @@ def _inline(tasks: Sequence[_ChunkTask], metrics) -> Iterator[_ChunkResult]:
             _count_write_failure(task, metrics, exc)
             raise
         yield result
+        del result
 
 
 def _pooled(
@@ -453,6 +461,8 @@ def _pooled(
     :func:`_inline` — the one hand-off from pool to inline.  Any other
     exit, a caller's ``close()`` included, abandons the pool; running
     out of tasks closes and joins it.  The ring is swept on every exit.
+    Neither the source nor the pool's result handle keeps a chunk once
+    it is yielded.
     """
     metrics = engine.obs.metrics
     ctx = (
@@ -491,6 +501,9 @@ def _pooled(
                             pending[position], pool_workers,
                             engine.chunk_timeout_s,
                         )
+                    # The pool's handle keeps what the worker returned,
+                    # the whole chunk on the pickle transport: drop it.
+                    pending[position] = None
                     if isinstance(result.chunk, shm_transport.ShmChunkHandle):
                         chunk, summaries = ring.receive(
                             result.chunk, key=engine.spec.key
@@ -506,6 +519,7 @@ def _pooled(
                     _count_write_failure(task, metrics, exc)
                     raise
                 yield result._replace(transport=transport)
+                del result
             else:
                 pool.close()
                 pool.join()
@@ -1081,7 +1095,9 @@ class StreamingCampaign:
                     if self.faults is not None:
                         self.faults.check_crash(index)
                     # Folded: free it before the source fetches the next
-                    # chunk, so the parent never holds two at once.
+                    # chunk.  No source keeps a chunk it has yielded, so an
+                    # inline, replayed or shared-memory run never holds two
+                    # at once (pickled chunks can arrive ahead of the fold).
                     del result, chunk
             finally:
                 # A loop left on an exception (a consumer error, a paused

@@ -1,5 +1,7 @@
 """Checkpoint layer: snapshot/restore round-trips and on-disk format."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,118 @@ class TestZooCheckpointSize:
         assert hist.shape == (256, 64, 16)
         assert hist.nbytes == 1 << 20
         assert path.stat().st_size < 7_000_000
+
+
+def _written_by_savez(path, entries):
+    """What ``np.savez`` wrote for ``entries``, the writer ``save`` used
+    before it wrote each member from the array's own buffer."""
+    np.savez(path, **entries)
+    return path.read_bytes()
+
+
+def _members(path):
+    with zipfile.ZipFile(path) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+class TestSaveWritesFromTheArrayBuffers:
+    def _checkpoint(self, states):
+        return CampaignCheckpoint(
+            seed=0, chunk_size=100, n_traces=200, chunks_done=1,
+            spec_fields=spec_to_dict(CampaignSpec(target="unprotected")),
+            consumer_states=states,
+        )
+
+    def test_members_equal_savez_for_every_layout_and_dtype(self, tmp_path):
+        rng = np.random.default_rng(1)
+        wide = rng.normal(size=(6, 10))
+        states = {
+            "layouts": {
+                "c_order": rng.normal(size=(5, 7)),
+                "f_order": np.asfortranarray(rng.normal(size=(5, 7))),
+                "strided": wide[:, ::2],
+                "empty": np.zeros((0, 4)),
+                "empty_f": np.zeros((3, 0, 2), order="F"),
+            },
+            "dtypes": {
+                "int32": rng.integers(-9, 9, size=(4, 3, 2), dtype=np.int32),
+                "bool": rng.random(13) > 0.5,
+                "zero_d": np.array(2.5),
+            },
+        }
+        assert states["layouts"]["f_order"].flags.f_contiguous
+        assert not states["layouts"]["strided"].flags.c_contiguous
+        path = self._checkpoint(states).save(tmp_path / "c.npz")
+
+        with np.load(path) as saved:
+            meta = saved["__meta__"]
+        assert meta.ndim == 0 and meta.dtype.kind == "U"
+        entries = {
+            f"{name}::{field}": array
+            for name, state in states.items()
+            for field, array in state.items()
+        }
+        entries["__meta__"] = meta
+        expected = tmp_path / "savez.npz"
+        expected_bytes = _written_by_savez(expected, entries)
+        written = _members(path)
+        assert list(written) == [f"{name}.npy" for name in entries]
+        assert written == _members(expected)
+        # The zip entries and directory are savez's too: the whole file
+        # is byte-equal, so the format is unchanged.
+        assert path.read_bytes() == expected_bytes
+
+    def test_saving_an_8_mib_array_copies_none_of_it(
+        self, tmp_path, traced_peak
+    ):
+        # np.savez copied each array through tobytes() before writing it:
+        # a transient of the array's full size.
+        big = np.random.default_rng(2).normal(size=(1024, 1024))
+        ckpt = self._checkpoint({"cpa_bank": {"sum_pt": big}})
+        path, peak = traced_peak(lambda: ckpt.save(tmp_path / "c.npz"))
+        assert big.nbytes == 8 << 20
+        assert peak < 1 << 20
+        with np.load(path) as saved:
+            assert np.array_equal(saved["cpa_bank::sum_pt"], big)
+
+    def test_a_savez_checkpoint_resumes_bit_identically(self, tmp_path):
+        spec = CampaignSpec(target="unprotected")
+
+        def consumers():
+            return [
+                MiaStreamConsumer(spec.key),
+                SuccessRateConsumer(spec.key, n_replicas=4, seed=5),
+                CpaBankConsumer(),
+            ]
+
+        class Stop(Exception):
+            pass
+
+        def interrupt(update):
+            if update.done_traces >= 200:
+                raise Stop
+
+        whole = consumers()
+        StreamingCampaign(spec, chunk_size=100, seed=11).run(400, whole)
+
+        path = tmp_path / "zoo.ckpt"
+        with pytest.raises(Stop):
+            StreamingCampaign(spec, chunk_size=100, seed=11).run(
+                400, consumers(), checkpoint=path, progress=interrupt
+            )
+        # Rewrite the checkpoint as np.savez wrote it before.
+        with np.load(path) as saved:
+            entries = {name: saved[name] for name in saved.files}
+        old = tmp_path / "old.npz"
+        assert _written_by_savez(old, entries) == path.read_bytes()
+
+        resumed = consumers()
+        StreamingCampaign.resume(
+            store=None, checkpoint=old, consumers=resumed,
+            checkpoint_path=tmp_path / "new.ckpt",
+        )
+        for one, two in zip(whole, resumed):
+            assert repr(one.result()) == repr(two.result())
+            state_a, state_b = one.snapshot(), two.snapshot()
+            for field in state_a:
+                np.testing.assert_array_equal(state_a[field], state_b[field])
