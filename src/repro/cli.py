@@ -256,7 +256,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.errors import AcquisitionError
     from repro.experiments.figures import TVLA_FIXED_PLAINTEXT
     from repro.leakage_assessment import TVLA_THRESHOLD
-    from repro.pipeline import CampaignSpec, RetryPolicy, StreamingCampaign
+    from repro.pipeline import CampaignSpec, StreamingCampaign
     from repro.pipeline.checkpoint import CampaignCheckpoint
     from repro.service.execution import job_consumers
     from repro.store import ChunkedTraceStore
@@ -274,8 +274,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
         obs = Observability.create()
         obs.tracer.enabled = bool(args.trace_out)  # buffer only to export
-    with _input_error("--retries"):
-        retry = RetryPolicy(max_attempts=args.retries)
 
     def show_progress(p) -> None:
         print(
@@ -333,7 +331,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 progress=progress,
                 checkpoint_path=args.checkpoint,
-                retry=retry,
                 chunk_timeout_s=args.chunk_timeout,
                 faults=faults,
                 obs=obs,
@@ -358,7 +355,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 chunk_size=chunk_size,
                 workers=args.workers,
                 seed=seed,
-                retry=retry,
                 chunk_timeout_s=args.chunk_timeout,
                 faults=faults,
                 obs=obs,
@@ -733,8 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="continue the campaign recorded in --checkpoint "
                         "(reuses --out as the store; --mode must match)")
-    p.add_argument("--retries", type=int, default=3,
-                   help="max acquisition attempts per chunk")
     p.add_argument("--chunk-timeout", type=float, default=None,
                    help="seconds to wait for a pooled chunk before degrading "
                         "to inline execution")
@@ -745,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "past BYTES")
     p.add_argument("--inject-fault", default=None, metavar="PLAN",
                    help="deterministic fault plan for testing, e.g. "
-                        "'worker@1x2,crash@3,enospc@5' "
+                        "'worker@1,crash@3,enospc@5' "
                         "(see repro.testing.faults)")
     p.add_argument("--metrics-out", default=None, metavar="FILE",
                    help="write a metrics snapshot after the run "

@@ -66,9 +66,9 @@ class InjectedFaultError(AcquisitionError):
 class InjectedCrashError(ReproError, RuntimeError):
     """A simulated process crash raised by the fault-injection harness.
 
-    Deliberately *not* an :class:`AcquisitionError`: recovery code that
-    retries acquisition failures must still die on a simulated crash,
-    exactly like a real ``SIGKILL`` would end the process.
+    Deliberately *not* an :class:`AcquisitionError`: code that handles
+    acquisition failures must still die on a simulated crash, exactly
+    like a real ``SIGKILL`` would end the process.
     """
 
 

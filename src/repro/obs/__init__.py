@@ -2,7 +2,7 @@
 
 ``repro.obs`` is the operations layer the ROADMAP's production system
 needs: a multi-hour, multi-million-trace campaign must be *watchable*
-(throughput, retry storms, checkpoint cadence) without perturbing the
+(throughput, pool degradation, checkpoint cadence) without perturbing the
 science.  Two dependency-free pieces:
 
 * :class:`MetricsRegistry` — counters, gauges and fixed-bucket

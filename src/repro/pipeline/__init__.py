@@ -7,9 +7,8 @@ incremental consumers (CPA, TVLA, completion-time statistics) — all in
 memory bounded by the chunk size, with results independent of the worker
 count.  See ``docs/pipeline.md`` for the architecture.
 
-Long campaigns are fault tolerant: per-chunk worker retries with a
-deterministic :class:`RetryPolicy`, graceful degradation to inline
-execution when the pool dies, and atomic
+Long campaigns are fault tolerant: graceful degradation to inline
+execution when the pool dies or a chunk times out, and atomic
 :class:`~repro.pipeline.checkpoint.CampaignCheckpoint` files that let
 :meth:`StreamingCampaign.resume` continue a killed run bit-identically.
 See ``docs/robustness.md`` for the guarantees.
@@ -37,7 +36,6 @@ from repro.pipeline.engine import (
     PipelineReport,
     StreamingCampaign,
 )
-from repro.pipeline.retry import RetryPolicy
 from repro.pipeline.spec import (
     CampaignSpec,
     campaign_targets,
@@ -61,7 +59,6 @@ __all__ = [
     "MiaStreamConsumer",
     "MlpAttackConsumer",
     "PipelineReport",
-    "RetryPolicy",
     "StreamingCampaign",
     "SuccessRateConsumer",
     "SummarizingConsumer",

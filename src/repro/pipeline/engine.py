@@ -28,9 +28,10 @@ Fault tolerance
 ---------------
 The same purity is what makes multi-hour campaigns *restartable*:
 
-* each chunk's acquisition is retried per the engine's
-  :class:`~repro.pipeline.retry.RetryPolicy` (inside the worker, from
-  the same spawned seeds, so a retried chunk is bit-identical);
+* a chunk is never retried: its acquisition is in-memory work and a
+  pure function of its spawned seeds, so a chunk that raised once would
+  raise again, and a worker exception fails the run on its first
+  attempt, pooled or inline;
 * if the pool dies, a chunk times out, or a chunk cannot be published
   to shared memory, the engine **degrades** to inline single-process
   execution for the remaining chunks instead of aborting
@@ -53,8 +54,8 @@ with each chunk result, and the timing fields of :class:`PipelineReport`
 are sums over the run's spans.  Pass an
 :class:`~repro.obs.Observability` bundle and the same spans also feed
 its histograms and, when its tracer records, one JSONL trace covering
-both sides of the pool; retry and degradation counters and throughput
-gauges join them (see ``docs/observability.md`` for the catalogue).
+both sides of the pool; degradation counters and throughput gauges
+join them (see ``docs/observability.md`` for the catalogue).
 Instrumentation never touches the chunk RNG streams or persisted bytes:
 results are bit-identical with observability on or off
 (``tests/pipeline/test_observability.py``).
@@ -93,7 +94,6 @@ from repro.obs.metrics import MetricsSnapshot
 from repro.pipeline import shm as shm_transport
 from repro.pipeline.checkpoint import CampaignCheckpoint
 from repro.pipeline.consumers import SummarizingConsumer, TraceConsumer
-from repro.pipeline.retry import RetryPolicy
 from repro.pipeline.spec import CampaignSpec
 from repro.power.acquisition import TraceSet
 from repro.store import (
@@ -113,7 +113,6 @@ class _ChunkTask(NamedTuple):
     n_traces: int
     seed: np.random.SeedSequence
     spec: CampaignSpec
-    retry: RetryPolicy
     faults: Optional[FaultPlan]
     #: Campaign index of the chunk's first trace — what
     #: environment-drift models key on (see :mod:`repro.power.drift`).
@@ -128,7 +127,7 @@ class _ChunkResult(NamedTuple):
 
     index: int
     chunk: Union[TraceSet, shm_transport.ShmChunkHandle]  # a handle until received
-    attempts: int  # acquisition attempts; 0 means replayed from the store
+    replayed: bool  # folded from the store, not acquired by this run
     metrics: Optional[MetricsSnapshot]  # the acquiring process's; None if replayed
     events: List[dict]  # trace events drained from that process
     summaries: Dict[int, object]  # worker summaries, by consumer position
@@ -146,6 +145,10 @@ _POOL_FAILURES = (multiprocessing.TimeoutError, PoolBrokenError, BrokenPipeError
 #: consumer position, set by :func:`_init_pool_worker`; empty in the
 #: parent, so inline acquisition never summarizes.
 _WORKER_SUMMARIZERS: Dict[int, object] = {}
+
+#: True in a process :func:`_init_pool_worker` set up: only there does a
+#: ``hang@K`` fault block (inline acquisition never hangs).
+_IN_POOL_WORKER = False
 
 #: Seconds the shared-memory transport's in-place pool teardown may take
 #: before the workers are SIGKILLed (see :func:`_abandon_pool`).
@@ -281,9 +284,10 @@ def _init_pool_worker(summarizers: dict, ring_args: Optional[tuple]) -> None:
     one BLAS thread; more would only preempt each other (see
     :mod:`repro.utils.blas`).
     """
-    global _WORKER_SUMMARIZERS
+    global _WORKER_SUMMARIZERS, _IN_POOL_WORKER
     set_blas_threads(1)
     _WORKER_SUMMARIZERS = dict(summarizers)
+    _IN_POOL_WORKER = True
     if ring_args is not None:
         shm_transport._init_worker_ring(*ring_args)
 
@@ -302,10 +306,9 @@ def _acquire_chunk(task: _ChunkTask) -> _ChunkResult:
     Runs in the parent when ``workers == 1`` (or after pool degradation)
     and in pool processes otherwise; either way the chunk's randomness
     comes only from its spawned seed sequence, never from process-local
-    state.  Failed attempts are retried per the task's
-    :class:`RetryPolicy` **from the same seed children** — the seeds are
-    spawned once, before the first attempt — so a chunk that needed
-    three attempts is bit-identical to one that succeeded immediately.
+    state.  Nothing here is retried: the acquisition is in-memory work
+    and a pure function of those seeds, so an exception would recur on
+    a second attempt; it reaches the parent and fails the run.
 
     The acquisition runs under an ``acquire_chunk`` span of a *private*
     observability bundle (clocks are per-process, so worker spans never
@@ -317,50 +320,34 @@ def _acquire_chunk(task: _ChunkTask) -> _ChunkResult:
     streams and bytes are untouched.
 
     In a pool worker the chunk's summaries, one per summarizer the pool
-    initializer installed, are computed once the acquisition (retries
-    included) has succeeded; they ride in the ring slot with a published
-    chunk, and in ``summaries`` otherwise.  A summarizer that raises is
-    not retried: its error is the consumer's own, and it reaches the
-    parent in place of the chunk.
+    initializer installed, are computed once the acquisition has
+    succeeded; they ride in the ring slot with a published chunk, and in
+    ``summaries`` otherwise.  A summarizer that raises fails the run the
+    same way: its error is the consumer's own, and it reaches the parent
+    in place of the chunk.
 
     When the task names a store, this process then writes the chunk's
     files into it (:func:`~repro.store.write_chunk_files`, under a
     ``store_write`` span) and ships home only their checksums and byte
     counts, in ``written``; the parent commits them in chunk order.  A
-    failed write is not retried: it raises, like a failed append in the
-    parent would.
+    failed write raises, like a failed append in the parent would.
     """
-    index, n, chunk_seed, spec, retry, faults, trace_offset, store_target = task
+    index, n, chunk_seed, spec, faults, trace_offset, store_target = task
+    if faults is not None and _IN_POOL_WORKER:
+        faults.check_hang(index)
     obs = Observability.create(origin=f"worker:chunk-{index}")
     device_seq, data_seq = chunk_seed.spawn(2)
-    attempt = 0
     with obs.tracer.span("acquire_chunk", chunk=index, traces=n):
-        while True:
-            attempt += 1
-            try:
-                if faults is not None:
-                    faults.check_worker(index, attempt)
-                device = spec.build_device(np.random.default_rng(device_seq))
-                device.obs = obs
-                device.trace_offset = trace_offset
-                rng = np.random.default_rng(data_seq)
-                plaintexts = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
-                if spec.fixed_plaintext is not None:
-                    plaintexts[0::2] = np.frombuffer(
-                        spec.fixed_plaintext, dtype=np.uint8
-                    )
-                chunk = device.run(plaintexts, rng)
-            except Exception:
-                if attempt >= retry.max_attempts:
-                    raise
-                obs.metrics.inc("campaign_attempt_failures_total")
-                delay = retry.backoff_seconds(
-                    attempt, chunk_seed, metrics=obs.metrics
-                )
-                if delay > 0.0:
-                    time.sleep(delay)
-                continue
-            break
+        if faults is not None:
+            faults.check_worker(index)
+        device = spec.build_device(np.random.default_rng(device_seq))
+        device.obs = obs
+        device.trace_offset = trace_offset
+        rng = np.random.default_rng(data_seq)
+        plaintexts = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+        if spec.fixed_plaintext is not None:
+            plaintexts[0::2] = np.frombuffer(spec.fixed_plaintext, dtype=np.uint8)
+        chunk = device.run(plaintexts, rng)
     chunk.metadata["chunk_index"] = index
     if spec.fixed_plaintext is not None:
         chunk.metadata["tvla_interleaved"] = True
@@ -388,7 +375,7 @@ def _acquire_chunk(task: _ChunkTask) -> _ChunkResult:
             ) from exc
         summaries = {}  # they ride in the ring slot with the chunk
     return _ChunkResult(
-        index, chunk, attempt, obs.metrics.snapshot(), obs.tracer.drain(),
+        index, chunk, False, obs.metrics.snapshot(), obs.tracer.drain(),
         summaries, written,
     )
 
@@ -419,7 +406,7 @@ def _replayed(
                 f"stored chunk {index} holds {chunk.n_traces} traces; the "
                 f"campaign layout expects {tasks[index].n_traces}"
             )
-        yield _ChunkResult(index, chunk, 0, None, [], {}, None)
+        yield _ChunkResult(index, chunk, True, None, [], {}, None)
         del chunk
 
 
@@ -589,7 +576,6 @@ class PipelineReport:
     ``acquire_seconds``.
 
     The recovery fields tell an operator whether the run limped home:
-    ``retried_chunks``/``total_retries`` count worker-side retries,
     ``degraded`` flags a pool failure that forced the remaining
     ``degraded_chunks`` to run inline, and ``resumed_from_chunk`` /
     ``replayed_chunks`` describe a checkpoint resume.
@@ -611,10 +597,6 @@ class PipelineReport:
     #: crypto / leakage / synth / capture): the ``acquire_stage`` spans,
     #: which nest inside ``acquire_chunk``, summed over chunks and workers.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Chunks that needed more than one acquisition attempt.
-    retried_chunks: int = 0
-    #: Extra attempts beyond the first, summed over all chunks.
-    total_retries: int = 0
     #: Chunks acquired inline after the pool failed (see ``degraded``).
     degraded_chunks: int = 0
     #: First chunk index acquired by this run when resuming (``None``
@@ -626,6 +608,15 @@ class PipelineReport:
     #: segments), ``"pickle"`` (the pool's result pipe), or ``"inline"``
     #: (no pool — single worker or nothing fresh to acquire).
     transport: str = "inline"
+
+    @property
+    def retried_chunks(self) -> int:
+        """Always 0: the engine never retries a chunk.
+
+        Kept, read-only, only because the benchmark ledger still reads
+        it into its ``engine.retried_chunks`` row; it goes with that row.
+        """
+        return 0
 
     @property
     def degraded(self) -> bool:
@@ -667,19 +658,11 @@ class PipelineReport:
             if self.replayed_chunks:
                 line += f" ({self.replayed_chunks} chunk(s) replayed from store)"
             lines.append(line)
-        if self.retried_chunks or self.degraded:
-            parts = []
-            if self.retried_chunks:
-                parts.append(
-                    f"{self.retried_chunks} chunk(s) recovered after "
-                    f"{self.total_retries} retry(ies)"
-                )
-            if self.degraded:
-                parts.append(
-                    "pool failed -> DEGRADED to inline execution for "
-                    f"{self.degraded_chunks} chunk(s)"
-                )
-            lines.append(f"  recovery: {'; '.join(parts)}")
+        if self.degraded:
+            lines.append(
+                "  recovery: pool failed -> DEGRADED to inline execution "
+                f"for {self.degraded_chunks} chunk(s)"
+            )
         return "\n".join(lines)
 
 
@@ -703,9 +686,6 @@ class StreamingCampaign:
     start_method:
         Optional ``multiprocessing`` start method (defaults to the
         platform's; ``"fork"`` on Linux keeps warmed plan caches shared).
-    retry:
-        Per-chunk :class:`RetryPolicy` (bounded attempts, deterministic
-        backoff).  The default retries each chunk up to 3 times.
     chunk_timeout_s:
         Parent-side cap on waiting for one pooled chunk, including the
         worker-side ``summarize`` of its summarizing consumers; on
@@ -739,7 +719,6 @@ class StreamingCampaign:
         workers: int = 1,
         seed: int = 0,
         start_method: Optional[str] = None,
-        retry: Optional[RetryPolicy] = None,
         chunk_timeout_s: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
         obs: Optional[Observability] = None,
@@ -760,7 +739,6 @@ class StreamingCampaign:
         self.workers = int(workers)
         self.seed = int(seed)
         self.start_method = start_method
-        self.retry = retry if retry is not None else RetryPolicy()
         self.chunk_timeout_s = chunk_timeout_s
         self.faults = faults
         self.obs = obs if obs is not None else NULL_OBS
@@ -783,7 +761,7 @@ class StreamingCampaign:
             offsets[index] = offsets[index - 1] + sizes[index - 1]
         return [
             _ChunkTask(
-                index, size, seeds[index], self.spec, self.retry, self.faults,
+                index, size, seeds[index], self.spec, self.faults,
                 offsets[index],
             )
             for index, size in enumerate(sizes)
@@ -827,7 +805,6 @@ class StreamingCampaign:
         workers: int = 1,
         progress: Optional[ProgressCallback] = None,
         checkpoint_path: Union[str, Path, None] = None,
-        retry: Optional[RetryPolicy] = None,
         chunk_timeout_s: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
         obs: Optional[Observability] = None,
@@ -862,7 +839,6 @@ class StreamingCampaign:
             chunk_size=ckpt.chunk_size,
             workers=workers,
             seed=ckpt.seed,
-            retry=retry,
             chunk_timeout_s=chunk_timeout_s,
             faults=faults,
             obs=obs,
@@ -1020,31 +996,24 @@ class StreamingCampaign:
             acquired = _inline(fresh, obs.metrics)
 
         done = sum(task.n_traces for task in tasks[:folded_chunks])
-        retried_chunks = total_retries = degraded_chunks = 0
+        degraded_chunks = 0
         transport = "inline"
         with tracer.span(
             "campaign", traces=n_traces, workers=self.workers
         ) as elapsed:
             try:
                 for result in chain(replayed, acquired):
-                    index, chunk, attempts = (
-                        result.index, result.chunk, result.attempts
-                    )
+                    index, chunk = result.index, result.chunk
                     if result.degraded:
                         degraded_chunks += 1
                         obs.metrics.inc("campaign_degraded_chunks_total")
-                    if attempts:  # acquired by this run, not replayed
+                    if not result.replayed:
                         obs.metrics.merge_snapshot(result.metrics)
                         tracer.extend(result.events)
                         transport = result.transport
-                    if attempts > 1:
-                        retried_chunks += 1
-                        total_retries += attempts - 1
-                        obs.metrics.inc("campaign_retried_chunks_total")
-                        obs.metrics.inc("campaign_retries_total", attempts - 1)
                     with tracer.span(
                         "fold_chunk", chunk=index, traces=chunk.n_traces,
-                        replayed=not attempts,
+                        replayed=result.replayed,
                     ):
                         if result.written is not None:
                             with tracer.span("store_append", chunk=index):
@@ -1077,7 +1046,7 @@ class StreamingCampaign:
                             obs.metrics.inc("campaign_checkpoints_total")
                     obs.metrics.inc(
                         "campaign_chunks_total",
-                        phase="fresh" if attempts else "replayed",
+                        phase="replayed" if result.replayed else "fresh",
                     )
                     obs.metrics.inc("campaign_traces_total", chunk.n_traces)
                     obs.metrics.set_gauge("campaign_done_traces", done)
@@ -1142,8 +1111,6 @@ class StreamingCampaign:
                 for (name, stage), seconds in spent.items()
                 if name == "acquire_stage"
             },
-            retried_chunks=retried_chunks,
-            total_retries=total_retries,
             degraded_chunks=degraded_chunks,
             resumed_from_chunk=resumed_from,
             replayed_chunks=max(0, replay_until - folded_chunks),

@@ -180,8 +180,8 @@ class ServiceClient:
         of waiting clients spreads out instead of polling in lockstep,
         and two runs with the same seed poll on the same schedule.
 
-        A connection refused/reset (the daemon restarting, e.g. under
-        the chaos harness's ``stalled-server`` fault) is retried until
+        A connection refused/reset (the daemon restarting, e.g. in the
+        chaos soak's stalled-server phase) is retried until
         ``timeout`` rather than propagating — only the deadline ends
         the wait.
         """

@@ -6,10 +6,10 @@ dies on it.  This module makes every failure mode reproducible on
 demand:
 
 * :class:`FaultPlan` — a picklable plan the engine consults at fixed
-  points: raise in a worker on chunk *k* (for the first *n* attempts, so
-  "fails twice then succeeds" is one tuple), simulate the worker pool
-  dying while collecting chunk *k*, or simulate a hard process crash
-  right after chunk *k* is folded and checkpointed.
+  points: raise in the process acquiring chunk *k*, block the pool
+  worker that takes chunk *k* until it is killed, simulate the worker
+  pool dying while collecting chunk *k*, or simulate a hard process
+  crash right after chunk *k* is folded and checkpointed.
 * System-resource faults — the failure modes paper-scale campaigns
   actually hit: ``enospc@K`` makes the store's write path fail with
   ``ENOSPC`` while persisting chunk *K* (mid-append: the first field
@@ -18,10 +18,7 @@ demand:
   (the engine must abandon the pool and finish inline, not abort), and
   ``journal-torn@N`` tears the service job journal mid-append of
   record *N* (a trailing fragment, exactly the footprint of a daemon
-  killed between ``write`` and ``flush``).  ``slow-client`` and
-  ``stalled-server`` are service-harness directives: the chaos soak
-  interprets them by drip-feeding request bytes and bouncing the HTTP
-  front-end, respectively — the plan just carries the flags.
+  killed between ``write`` and ``flush``).
 * File-level corruption helpers — flip a byte in a named chunk file,
   truncate it, or drop the tail of the store manifest — used to prove
   :meth:`~repro.store.ChunkedTraceStore.verify` and manifest validation
@@ -30,13 +27,14 @@ demand:
 Everything is a pure function of the plan; no randomness, no timing.
 The same plans drive the test suite, the chaos soak
 (``benchmarks/soak_service_chaos.py``), and the CLI's ``--inject-fault``
-debug flag (``repro-rftc campaign --inject-fault worker@2x1,enospc@3``).
+debug flag (``repro-rftc campaign --inject-fault worker@2,enospc@3``).
 """
 
 from __future__ import annotations
 
 import errno
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union
@@ -48,15 +46,9 @@ from repro.errors import (
     PoolBrokenError,
 )
 
-#: ``worker@K`` with no ``xN`` repeat count means "this chunk always fails".
-ALWAYS = 10**9
-
 _SPEC_RE = re.compile(
-    r"^(worker|pool|crash|enospc|shm-alloc-fail|journal-torn)@(\d+)(?:x(\d+))?$"
+    r"^(worker|hang|pool|crash|enospc|shm-alloc-fail|journal-torn)@(\d+)$"
 )
-
-#: Index-free service-harness directives the plan carries as flags.
-_FLAG_DIRECTIVES = ("slow-client", "stalled-server")
 
 
 @dataclass(frozen=True)
@@ -66,10 +58,14 @@ class FaultPlan:
     Attributes
     ----------
     worker_errors:
-        ``(chunk_index, failing_attempts)`` pairs: acquisition of that
-        chunk raises :class:`~repro.errors.InjectedFaultError` on
-        attempts ``1..failing_attempts`` and succeeds afterwards.  Use
-        :data:`ALWAYS` for a permanent fault.
+        Chunk indices whose acquisition raises
+        :class:`~repro.errors.InjectedFaultError`, pooled or inline; the
+        engine does not retry a chunk, so the campaign fails there.
+    hangs:
+        Chunk indices whose pool worker blocks until it is killed, as a
+        wedged worker would.  Inline acquisition (``workers=1``, or a
+        run that degraded) never hangs, so a run that gives up on the
+        pool still finishes.
     pool_breaks:
         Chunk indices at which collecting from the worker pool raises
         :class:`~repro.errors.PoolBrokenError` — the engine must
@@ -93,30 +89,21 @@ class FaultPlan:
         1-based journal record index after which the service job journal
         is torn mid-append (the line is half-written and the process
         "dies"); replay must truncate the fragment and stay appendable.
-    slow_client:
-        Harness flag: the chaos soak drip-feeds request bytes to the
-        HTTP front-end, which must answer 408 instead of hanging.
-    stalled_server:
-        Harness flag: the chaos soak stops and restarts the HTTP
-        front-end mid-flood; clients must retry through the outage.
     """
 
-    worker_errors: Tuple[Tuple[int, int], ...] = ()
+    worker_errors: Tuple[int, ...] = ()
+    hangs: Tuple[int, ...] = ()
     pool_breaks: Tuple[int, ...] = ()
     crash_after: Optional[int] = None
     enospc_chunks: Tuple[int, ...] = ()
     shm_alloc_failures: Tuple[int, ...] = ()
     journal_torn_record: Optional[int] = None
-    slow_client: bool = False
-    stalled_server: bool = False
 
     def __post_init__(self) -> None:
-        for entry in self.worker_errors:
-            if len(entry) != 2 or entry[0] < 0 or entry[1] < 1:
-                raise ConfigurationError(
-                    "worker_errors entries must be (chunk_index >= 0, "
-                    "failing_attempts >= 1)"
-                )
+        if any(index < 0 for index in self.worker_errors):
+            raise ConfigurationError("worker_errors indices must be >= 0")
+        if any(index < 0 for index in self.hangs):
+            raise ConfigurationError("hangs indices must be >= 0")
         if any(index < 0 for index in self.pool_breaks):
             raise ConfigurationError("pool_breaks indices must be >= 0")
         if self.crash_after is not None and self.crash_after < 0:
@@ -132,14 +119,21 @@ class FaultPlan:
 
     # -- engine hooks --------------------------------------------------
 
-    def check_worker(self, chunk_index: int, attempt: int) -> None:
-        """Raise if this (chunk, attempt) is scheduled to fail in-worker."""
-        for index, failing in self.worker_errors:
-            if index == chunk_index and attempt <= failing:
-                raise InjectedFaultError(
-                    f"injected worker fault: chunk {chunk_index}, "
-                    f"attempt {attempt}/{failing}"
-                )
+    def check_worker(self, chunk_index: int) -> None:
+        """Raise if this chunk's acquisition is scheduled to fail."""
+        if chunk_index in self.worker_errors:
+            raise InjectedFaultError(
+                f"injected worker fault: chunk {chunk_index}"
+            )
+
+    def check_hang(self, chunk_index: int) -> None:
+        """Block forever if this chunk is scheduled to wedge its worker.
+
+        The engine calls this in pool workers only; the process returns
+        from here only by being killed.
+        """
+        if chunk_index in self.hangs:
+            threading.Event().wait()
 
     def check_pool(self, chunk_index: int) -> None:
         """Raise if the pool is scheduled to die while collecting a chunk."""
@@ -185,39 +179,35 @@ class FaultPlan:
     def parse(cls, text: str) -> "FaultPlan":
         """Build a plan from the CLI mini-language.
 
-        Comma-separated directives: ``worker@K`` (chunk *K* always fails),
-        ``worker@KxN`` (fails on the first *N* attempts), ``pool@K``
-        (pool dies collecting chunk *K*), ``crash@K`` (parent crashes
-        after folding chunk *K*), ``enospc@K`` (store append of chunk
-        *K* hits ``ENOSPC`` mid-write), ``shm-alloc-fail@K`` (chunk
-        *K*'s shared-memory publish fails), ``journal-torn@N`` (job
-        journal torn mid-append of record *N*), and the index-free
-        harness flags ``slow-client`` / ``stalled-server``.  Example:
-        ``worker@1x2,enospc@3,slow-client``.
+        Comma-separated directives: ``worker@K`` (acquiring chunk *K*
+        fails), ``hang@K`` (the pool worker that takes chunk *K* blocks
+        until killed), ``pool@K`` (pool dies collecting chunk *K*),
+        ``crash@K`` (parent crashes after folding chunk *K*),
+        ``enospc@K`` (store append of chunk *K* hits ``ENOSPC``
+        mid-write), ``shm-alloc-fail@K`` (chunk *K*'s shared-memory
+        publish fails), and ``journal-torn@N`` (job journal torn
+        mid-append of record *N*).  Example: ``worker@1,enospc@3``.
         """
         worker_errors = []
+        hangs = []
         pool_breaks = []
         crash_after = None
         enospc_chunks = []
         shm_alloc_failures = []
         journal_torn_record = None
-        flags = {name: False for name in _FLAG_DIRECTIVES}
         for part in filter(None, (p.strip() for p in text.split(","))):
-            if part in flags:
-                flags[part] = True
-                continue
             match = _SPEC_RE.match(part)
             if match is None:
                 raise ConfigurationError(
-                    f"bad fault directive {part!r}; expected worker@K[xN], "
-                    "pool@K, crash@K, enospc@K, shm-alloc-fail@K, "
-                    "journal-torn@N, slow-client, or stalled-server"
+                    f"bad fault directive {part!r}; expected worker@K, "
+                    "hang@K, pool@K, crash@K, enospc@K, shm-alloc-fail@K, "
+                    "or journal-torn@N"
                 )
-            kind, index, count = match.group(1), int(match.group(2)), match.group(3)
+            kind, index = match.group(1), int(match.group(2))
             if kind == "worker":
-                worker_errors.append((index, int(count) if count else ALWAYS))
-            elif count is not None:
-                raise ConfigurationError(f"{kind}@K takes no repeat count")
+                worker_errors.append(index)
+            elif kind == "hang":
+                hangs.append(index)
             elif kind == "pool":
                 pool_breaks.append(index)
             elif kind == "enospc":
@@ -236,13 +226,12 @@ class FaultPlan:
                 crash_after = index
         return cls(
             worker_errors=tuple(worker_errors),
+            hangs=tuple(hangs),
             pool_breaks=tuple(pool_breaks),
             crash_after=crash_after,
             enospc_chunks=tuple(enospc_chunks),
             shm_alloc_failures=tuple(shm_alloc_failures),
             journal_torn_record=journal_torn_record,
-            slow_client=flags["slow-client"],
-            stalled_server=flags["stalled-server"],
         )
 
 

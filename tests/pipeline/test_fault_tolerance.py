@@ -1,12 +1,12 @@
-"""Fault tolerance: crash/resume equivalence, retries, degradation.
+"""Fault tolerance: crash/resume equivalence, worker faults, degradation.
 
 The acceptance criteria of the robustness work, as tests:
 
 * a campaign killed after chunk *k* and resumed produces **bit-identical**
   consumer results and store bytes to an uninterrupted run, at any
   worker count;
-* a chunk whose worker fails twice then succeeds under the default
-  :class:`RetryPolicy` yields identical results to a fault-free run;
+* a chunk whose acquisition raises fails the run on its first attempt,
+  pooled or inline, and leaves the store holding only committed chunks;
 * a dying worker pool degrades to inline execution instead of losing
   the campaign.
 
@@ -20,6 +20,7 @@ import pytest
 from repro.errors import (
     AttackError,
     CheckpointError,
+    ConfigurationError,
     InjectedCrashError,
     InjectedFaultError,
 )
@@ -28,19 +29,16 @@ from repro.pipeline import (
     CampaignSpec,
     CompletionTimeConsumer,
     CpaStreamConsumer,
-    RetryPolicy,
     StreamingCampaign,
     TvlaStreamConsumer,
 )
+from repro.store import ChunkedTraceStore
 from repro.testing.faults import FaultPlan
 
 N_TRACES = 200
 CHUNK = 50
 SEED = 31
 FIXED_PT = bytes(range(16))
-
-#: Test policy: same bounded attempts as the default, but no sleeping.
-FAST_RETRY = RetryPolicy(backoff_base_s=0.0)
 
 
 def _spec(**overrides):
@@ -214,8 +212,6 @@ class TestCrashResume:
     def test_resume_accepts_a_store_without_metadata(self, reference, tmp_path):
         """A store created without campaign metadata (as the benchmark
         ledger creates its own) is checked by key, dtype and layout only."""
-        from repro.store import ChunkedTraceStore
-
         ref_report, ref_bytes = reference
         ckpt = tmp_path / "c.npz"
         sample_period_ns = ref_report.spec.build_device(
@@ -247,57 +243,25 @@ class TestCrashResume:
             StreamingCampaign.resume(None, ckpt, [CompletionTimeConsumer()])
 
 
-class TestWorkerRetry:
-    def test_fails_twice_then_succeeds_is_equivalent(self, reference):
-        """Default policy (3 attempts) absorbs a double failure."""
-        ref_report, _ = reference
-        report = StreamingCampaign(
-            _spec(), chunk_size=CHUNK, seed=SEED, retry=FAST_RETRY,
-            faults=FaultPlan(worker_errors=((1, 2),)),
-        ).run(N_TRACES, _consumers())
-        _assert_same_results(ref_report, report)
-        assert report.retried_chunks == 1
-        assert report.total_retries == 2
-        assert "recovered" in report.summary()
-
-    def test_retry_works_in_pool_workers(self, reference):
-        ref_report, _ = reference
-        report = StreamingCampaign(
-            _spec(), chunk_size=CHUNK, seed=SEED, workers=2, retry=FAST_RETRY,
-            faults=FaultPlan(worker_errors=((0, 1), (3, 2))),
-        ).run(N_TRACES, _consumers())
-        _assert_same_results(ref_report, report)
-        assert report.retried_chunks == 2
-        assert report.total_retries == 3
-
+class TestWorkerFault:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_exhausted_retries_abort(self, workers):
+    def test_worker_fault_fails_on_first_attempt(self, workers, tmp_path):
+        """A chunk is a pure function of its seeds, so a failed
+        acquisition is not retried: the run fails there, and the store
+        keeps only what was committed before it."""
+        store = tmp_path / "store"
         engine = StreamingCampaign(
             _spec(), chunk_size=CHUNK, seed=SEED, workers=workers,
-            retry=FAST_RETRY, faults=FaultPlan.parse("worker@1"),
+            faults=FaultPlan.parse("worker@1"),
         )
-        with pytest.raises(InjectedFaultError):
-            engine.run(N_TRACES, _consumers())
-
-    def test_no_retry_policy_fails_fast(self):
-        engine = StreamingCampaign(
-            _spec(), chunk_size=CHUNK, seed=SEED,
-            retry=RetryPolicy(max_attempts=1),
-            faults=FaultPlan(worker_errors=((0, 1),)),
-        )
-        with pytest.raises(InjectedFaultError):
-            engine.run(N_TRACES)
-
-    def test_backoff_is_deterministic(self):
-        policy = RetryPolicy()
-        seed = np.random.SeedSequence(7).spawn(3)[1]
-        delays = [policy.backoff_seconds(a, seed) for a in (1, 2, 3)]
-        assert delays == [policy.backoff_seconds(a, seed) for a in (1, 2, 3)]
-        # exponential shape survives the jitter envelope
-        assert 0 < delays[0] < delays[1] < delays[2] <= policy.backoff_max_s * 1.125
-        # different chunks jitter differently
-        other = np.random.SeedSequence(7).spawn(3)[2]
-        assert policy.backoff_seconds(1, other) != delays[0]
+        with pytest.raises(InjectedFaultError, match="chunk 1"):
+            engine.run(N_TRACES, _consumers(), store=store)
+        # Files that pool workers wrote ahead of the failure are gone.
+        opened = ChunkedTraceStore.open(store, quarantine=False)
+        assert opened.n_chunks == 1
+        assert opened.verify().ok
+        with pytest.raises(ConfigurationError):
+            FaultPlan.parse("worker@1x2")
 
 
 class TestPoolDegradation:

@@ -438,7 +438,6 @@ _INPUT_COMMANDS = {
 _NAMED_FLAGS = {
     "campaign-traces-0": "--traces",
     "campaign-traces-0-out": "--traces",
-    "campaign-retries-0": "--retries",
     "campaign-chunk-timeout-neg": "--chunk-timeout",
     "verify-plan-sets-0": "--plan-sets",
     "verify-schedules-0": "--schedules",
@@ -463,7 +462,6 @@ _BAD_INPUT_CASES = [
                                "--traces", "0", "--out", "{tmp}/store"]),
     ("campaign-chunk-size-0", _CAMPAIGN + ["--chunk-size", "0"]),
     ("campaign-workers-0", _CAMPAIGN + ["--workers", "0"]),
-    ("campaign-retries-0", _CAMPAIGN + ["--retries", "0"]),
     ("campaign-chunk-timeout-neg", _CAMPAIGN + ["--chunk-timeout", "-1"]),
     ("campaign-store-budget-neg", _CAMPAIGN + ["--store-budget-bytes", "-5"]),
     ("campaign-m-0", ["campaign", "--m", "0", "--traces", "200",

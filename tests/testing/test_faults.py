@@ -9,7 +9,6 @@ from repro.errors import (
     PoolBrokenError,
 )
 from repro.testing.faults import (
-    ALWAYS,
     FaultPlan,
     corrupt_chunk_file,
     drop_manifest_tail,
@@ -19,20 +18,17 @@ from repro.testing.faults import (
 
 
 class TestFaultPlanHooks:
-    def test_worker_fault_fires_on_scheduled_attempts_only(self):
-        plan = FaultPlan(worker_errors=((2, 2),))
-        with pytest.raises(InjectedFaultError):
-            plan.check_worker(2, 1)
-        with pytest.raises(InjectedFaultError):
-            plan.check_worker(2, 2)
-        plan.check_worker(2, 3)  # third attempt succeeds
-        plan.check_worker(0, 1)  # other chunks untouched
-
     def test_always_failing_chunk(self):
-        plan = FaultPlan(worker_errors=((1, ALWAYS),))
-        for attempt in (1, 10, 1000):
-            with pytest.raises(InjectedFaultError):
-                plan.check_worker(1, attempt)
+        plan = FaultPlan(worker_errors=(1,))
+        for _ in range(3):
+            with pytest.raises(InjectedFaultError, match="chunk 1"):
+                plan.check_worker(1)
+        plan.check_worker(0)  # other chunks untouched
+
+    def test_hang_spares_other_chunks(self):
+        # Only the scheduled chunk blocks; the engine calls this in pool
+        # workers only (see tests/pipeline/test_dead_worker.py).
+        FaultPlan(hangs=(1,)).check_hang(0)
 
     def test_pool_and_crash_hooks(self):
         plan = FaultPlan(pool_breaks=(3,), crash_after=5)
@@ -44,17 +40,18 @@ class TestFaultPlanHooks:
             plan.check_crash(5)
 
     def test_deterministic_across_calls(self):
-        plan = FaultPlan(worker_errors=((0, 1),))
+        plan = FaultPlan(worker_errors=(0,), pool_breaks=(1,))
         for _ in range(3):
             with pytest.raises(InjectedFaultError):
-                plan.check_worker(0, 1)
-            plan.check_worker(0, 2)
+                plan.check_worker(0)
+            with pytest.raises(PoolBrokenError):
+                plan.check_pool(1)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            FaultPlan(worker_errors=((-1, 1),))
+            FaultPlan(worker_errors=(-1,))
         with pytest.raises(ConfigurationError):
-            FaultPlan(worker_errors=((0, 0),))
+            FaultPlan(hangs=(-1,))
         with pytest.raises(ConfigurationError):
             FaultPlan(pool_breaks=(-2,))
         with pytest.raises(ConfigurationError):
@@ -63,20 +60,26 @@ class TestFaultPlanHooks:
     def test_picklable(self):
         import pickle
 
-        plan = FaultPlan(worker_errors=((1, 2),), pool_breaks=(0,), crash_after=4)
+        plan = FaultPlan(
+            worker_errors=(1,), hangs=(2,), pool_breaks=(0,), crash_after=4
+        )
         assert pickle.loads(pickle.dumps(plan)) == plan
 
 
 class TestFaultPlanParse:
     def test_full_mini_language(self):
-        plan = FaultPlan.parse("worker@1x2, pool@0, crash@4, worker@7")
-        assert plan.worker_errors == ((1, 2), (7, ALWAYS))
+        plan = FaultPlan.parse("worker@1, pool@0, crash@4, worker@7, hang@2")
+        assert plan.worker_errors == (1, 7)
+        assert plan.hangs == (2,)
         assert plan.pool_breaks == (0,)
         assert plan.crash_after == 4
 
     def test_empty_and_garbage(self):
         assert FaultPlan.parse("") == FaultPlan()
-        for bad in ("worker", "worker@", "oven@3", "crash@1x2", "pool@2x9"):
+        for bad in (
+            "worker", "worker@", "oven@3", "crash@1x2", "pool@2x9",
+            "worker@1x2", "hang@1x2", "hang@",
+        ):
             with pytest.raises(ConfigurationError):
                 FaultPlan.parse(bad)
 
@@ -86,13 +89,11 @@ class TestFaultPlanParse:
 
     def test_system_fault_directives(self):
         plan = FaultPlan.parse(
-            "enospc@3, shm-alloc-fail@1, journal-torn@4, "
-            "slow-client, stalled-server"
+            "enospc@3, shm-alloc-fail@1, journal-torn@4"
         )
         assert plan.enospc_chunks == (3,)
         assert plan.shm_alloc_failures == (1,)
         assert plan.journal_torn_record == 4
-        assert plan.slow_client and plan.stalled_server
 
     def test_system_fault_validation(self):
         for bad in (
@@ -101,7 +102,8 @@ class TestFaultPlanParse:
             "shm-alloc-fail@",
             "journal-torn@0",
             "journal-torn@1,journal-torn@2",
-            "slow-client@1",
+            "slow-client",
+            "stalled-server",
         ):
             with pytest.raises(ConfigurationError):
                 FaultPlan.parse(bad)
@@ -109,7 +111,7 @@ class TestFaultPlanParse:
     def test_system_fault_plan_picklable(self):
         import pickle
 
-        plan = FaultPlan.parse("enospc@2,shm-alloc-fail@0,slow-client")
+        plan = FaultPlan.parse("enospc@2,shm-alloc-fail@0,journal-torn@3")
         assert pickle.loads(pickle.dumps(plan)) == plan
 
 
