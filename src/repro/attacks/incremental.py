@@ -353,7 +353,7 @@ class IncrementalCpaBank:
 
         Reads only the construction-time config (bytes, engine)
         and the bank's scratch buffers, never the sums, so a
-        pool worker holding a fresh bank of the same config computes
+        campaign worker holding a fresh bank of the same config computes
         exactly what :meth:`update` would have added here.
         """
         traces = _as_batch(traces, data, keep_float32=self.engine == "fast")

@@ -8,7 +8,7 @@ memory bounded by the chunk size, with results independent of the worker
 count.  See ``docs/pipeline.md`` for the architecture.
 
 Long campaigns are fault tolerant: graceful degradation to inline
-execution when the pool dies or a chunk times out, and atomic
+execution when a worker dies or a chunk times out, and atomic
 :class:`~repro.pipeline.checkpoint.CampaignCheckpoint` files that let
 :meth:`StreamingCampaign.resume` continue a killed run bit-identically.
 See ``docs/robustness.md`` for the guarantees.

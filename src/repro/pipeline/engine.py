@@ -1,8 +1,8 @@
 """The streaming campaign engine: parallel acquisition in bounded memory.
 
 ``StreamingCampaign`` shards a campaign into fixed-size chunks, acquires
-them on a ``multiprocessing`` pool, and streams each finished chunk — in
-acquisition order — into an optional
+them on worker processes it starts and stops itself, and streams each
+finished chunk — in acquisition order — into an optional
 :class:`~repro.store.ChunkedTraceStore` and any number of
 :class:`~repro.pipeline.consumers.TraceConsumer` plug-ins.  Peak resident
 trace memory is O(workers x chunk), never O(campaign), which is what
@@ -32,10 +32,10 @@ The same purity is what makes multi-hour campaigns *restartable*:
   pure function of its spawned seeds, so a chunk that raised once would
   raise again, and a worker exception fails the run on its first
   attempt, pooled or inline;
-* if the pool dies, a chunk times out, or a chunk cannot be published
-  to shared memory, the engine **degrades** to inline single-process
-  execution for the remaining chunks instead of aborting
-  (``PipelineReport.degraded``);
+* if a worker dies, a chunk times out, or a chunk cannot be published
+  to shared memory, the engine stops its workers and **degrades** to
+  inline single-process execution for the remaining chunks instead of
+  aborting (``PipelineReport.degraded``);
 * with ``checkpoint=...`` the engine writes an atomic
   :class:`~repro.pipeline.checkpoint.CampaignCheckpoint` after every
   folded chunk, and :meth:`StreamingCampaign.resume` continues a killed
@@ -54,7 +54,7 @@ with each chunk result, and the timing fields of :class:`PipelineReport`
 are sums over the run's spans.  Pass an
 :class:`~repro.obs.Observability` bundle and the same spans also feed
 its histograms and, when its tracer records, one JSONL trace covering
-both sides of the pool; degradation counters and throughput gauges
+the parent and its workers; degradation counters and throughput gauges
 join them (see ``docs/observability.md`` for the catalogue).
 Instrumentation never touches the chunk RNG streams or persisted bytes:
 results are bit-identical with observability on or off
@@ -64,8 +64,6 @@ results are bit-identical with observability on or off
 from __future__ import annotations
 
 import multiprocessing
-import threading
-import time
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -84,6 +82,7 @@ from typing import (
 import numpy as np
 
 from repro.errors import (
+    AcquisitionError,
     CheckpointError,
     ConfigurationError,
     PoolBrokenError,
@@ -132,142 +131,18 @@ class _ChunkResult(NamedTuple):
     events: List[dict]  # trace events drained from that process
     summaries: Dict[int, object]  # worker summaries, by consumer position
     written: Optional[WrittenChunk]  # the chunk's files, for the store to commit
-    degraded: bool = False  # acquired inline after the pool failed
+    degraded: bool = False  # acquired inline after the workers failed
     transport: str = "inline"  # how its source ships chunks home (PipelineReport)
 
 
-#: Exceptions from collecting a pool result that mean "the pool is gone",
-#: not "the chunk is bad" — the engine degrades to inline execution on
-#: these instead of aborting the campaign.
-_POOL_FAILURES = (multiprocessing.TimeoutError, PoolBrokenError, BrokenPipeError)
-
-#: The summarizers a pool worker runs on every chunk it acquires, by
-#: consumer position, set by :func:`_init_pool_worker`; empty in the
-#: parent, so inline acquisition never summarizes.
-_WORKER_SUMMARIZERS: Dict[int, object] = {}
-
-#: True in a process :func:`_init_pool_worker` set up: only there does a
-#: ``hang@K`` fault block (inline acquisition never hangs).
-_IN_POOL_WORKER = False
-
-#: Seconds the shared-memory transport's in-place pool teardown may take
-#: before the workers are SIGKILLed (see :func:`_abandon_pool`).
-_PROMPT_TEARDOWN_S = 10.0
-
-#: Slice, in seconds, of the parent's wait for a pooled chunk between
-#: checks that the pool's workers are still alive (see :func:`_await_chunk`).
-_POOL_POLL_S = 0.5
-
-
-def _await_chunk(result, workers: Sequence, timeout_s: Optional[float]):
-    """Collect one pooled chunk result without hanging on a dead worker.
-
-    ``multiprocessing.Pool`` replaces a worker that dies, but the task
-    that worker held is lost and its result never arrives, so an
-    unbounded ``get()`` would wait forever.  The wait therefore runs in
-    :data:`_POOL_POLL_S` slices, and between slices any exit of the
-    ``workers`` the pool started with raises
-    :class:`~repro.errors.PoolBrokenError`.  ``timeout_s`` (the engine's
-    ``chunk_timeout_s``) still caps the whole wait for this chunk.
-    """
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    while True:
-        wait = _POOL_POLL_S
-        if deadline is not None:
-            wait = max(0.0, min(wait, deadline - time.monotonic()))
-        result.wait(wait)
-        if result.ready():
-            return result.get()
-        if deadline is not None and time.monotonic() >= deadline:
-            raise multiprocessing.TimeoutError(
-                f"no chunk result within {timeout_s} s"
-            )
-        dead = [proc.pid for proc in workers if proc.exitcode is not None]
-        if dead:
-            raise PoolBrokenError(
-                f"pool worker(s) {dead} died; the chunks they held are lost"
-            )
-
-
-def _abandon_pool(pool, prompt: bool = False) -> None:
-    """Hard-stop a failed pool without letting teardown block the campaign.
-
-    ``Pool.terminate()`` can deadlock when a worker is mid-write of a
-    chunk result larger than the pipe buffer: the terminate sequence
-    stops the result-reader thread, then needs the result queue's write
-    lock — which the blocked worker holds while waiting for a reader.
-    Workers are therefore SIGKILLed first (a killed writer releases the
-    pipe, and the work is re-acquired inline anyway), and the blocking
-    ``terminate()``/``join()`` runs on a daemon thread: if teardown still
-    wedges, an idle pool is leaked until interpreter exit instead of
-    hanging a multi-hour campaign.
-
-    With ``prompt=True`` — the shared-memory transport, whose results
-    are tiny handles (the chunk and its summaries stay in the ring) —
-    teardown is instead ``terminate()``/``join()`` waited for in place:
-    no SIGKILL, no leaked pool, and the caller may sweep the ring's
-    segments the moment this returns (asserted prompt by
-    ``tests/pipeline/test_transport.py``).  A respawned worker that got
-    no ring pipes whole chunks and can wedge that teardown too, so the
-    wait is bounded by :data:`_PROMPT_TEARDOWN_S`; past it the workers
-    are SIGKILLed and the wedged teardown is left to finish, or not, on
-    its daemon thread.
-
-    Either way no worker the pool had is still running when this returns
-    (a SIGKILLed one is waited for, up to :data:`_PROMPT_TEARDOWN_S`), so
-    none is still writing chunk files when the inline fallback rewrites
-    them or the engine deletes the files of chunks it never committed.
-    """
-    killed: list = []
-    kills_sent = threading.Event()
-
-    def reap() -> None:
-        if not prompt:
-            # Kill and terminate back to back in one thread: a worker the
-            # pool respawns in between would go on acquiring chunks.
-            try:
-                killed.extend(_kill_workers(pool))
-            finally:
-                kills_sent.set()
-        pool.terminate()
-        pool.join()
-
-    reaper = threading.Thread(
-        target=reap, name="pool-teardown" if prompt else "pool-reaper",
-        daemon=True,
-    )
-    reaper.start()
-    if prompt:
-        reaper.join(_PROMPT_TEARDOWN_S)
-        if reaper.is_alive():
-            killed = _kill_workers(pool)
-    else:
-        kills_sent.wait()
-    deadline = time.monotonic() + _PROMPT_TEARDOWN_S
-    while any(proc.exitcode is None for proc in killed):
-        if time.monotonic() >= deadline:
-            break
-        time.sleep(0.01)
-
-
-def _kill_workers(pool) -> list:
-    """SIGKILL the pool's live workers; returns the processes killed."""
-    killed = [
-        proc for proc in getattr(pool, "_pool", ()) if proc.exitcode is None
-    ]
-    for proc in killed:
-        proc.kill()
-    return killed
-
-
 def _summarizers(consumers: Sequence[TraceConsumer]) -> Dict[int, object]:
-    """The summarizers a pool ships to its workers, by consumer position.
+    """The summarizers a pooled run ships to its workers, by consumer position.
 
     A consumer offers one when it is a :class:`SummarizingConsumer` that
     kept the inherited ``consume`` (a subclass overriding ``consume``
     must have that override run, in the parent).  Every other consumer
-    is fed whole chunks in the parent.  A ``spawn`` pool pickles the
-    summarizers, so a summarizer must pickle.
+    is fed whole chunks in the parent.  A ``spawn`` worker starts from
+    pickled arguments, so a summarizer must pickle.
     """
     return {
         position: consumer.summarizer()
@@ -277,38 +152,26 @@ def _summarizers(consumers: Sequence[TraceConsumer]) -> Dict[int, object]:
     }
 
 
-def _init_pool_worker(summarizers: dict, ring_args: Optional[tuple]) -> None:
-    """Pool initializer: one BLAS thread, the summarizers, the shm ring.
+def _acquire_chunk(
+    task: _ChunkTask, summarizers: Dict[int, object],
+    ring: Optional[shm_transport.WorkerRing],
+) -> _ChunkResult:
+    """Build a fresh device and acquire one chunk.
 
-    The pool already runs one process per CPU, so a worker's GEMM gets
-    one BLAS thread; more would only preempt each other (see
-    :mod:`repro.utils.blas`).
-    """
-    global _WORKER_SUMMARIZERS, _IN_POOL_WORKER
-    set_blas_threads(1)
-    _WORKER_SUMMARIZERS = dict(summarizers)
-    _IN_POOL_WORKER = True
-    if ring_args is not None:
-        shm_transport._init_worker_ring(*ring_args)
-
-
-def _acquire_chunk(task: _ChunkTask) -> _ChunkResult:
-    """Worker entry point: build a fresh device and acquire one chunk.
-
-    In a pool whose initializer armed the shared-memory ring, the chunk
+    With a ``ring`` (a worker on the shared-memory transport) the chunk
     comes home as a :class:`~repro.pipeline.shm.ShmChunkHandle` parked
-    in this worker's ring slot; otherwise (inline, the pickle transport,
-    or a respawned worker that got no ring) the :class:`TraceSet` itself
-    is returned.  A failed publish raises
-    :class:`~repro.errors.PoolBrokenError`: the parent's one recovery
-    path for a chunk that cannot get home.
+    in the worker's ring slot; otherwise (inline, or the pickle
+    transport) the :class:`TraceSet` itself is returned.  A failed
+    publish raises :class:`~repro.errors.PoolBrokenError`: the parent's
+    one recovery path for a chunk that cannot get home.
 
-    Runs in the parent when ``workers == 1`` (or after pool degradation)
-    and in pool processes otherwise; either way the chunk's randomness
-    comes only from its spawned seed sequence, never from process-local
-    state.  Nothing here is retried: the acquisition is in-memory work
-    and a pure function of those seeds, so an exception would recur on
-    a second attempt; it reaches the parent and fails the run.
+    Runs in the parent, as ``_acquire_chunk(task, {}, None)``, when
+    ``workers == 1`` (or after degradation) and in the engine's worker
+    processes otherwise; either way the chunk's randomness comes only
+    from its spawned seed sequence, never from process-local state.
+    Nothing here is retried: the acquisition is in-memory work and a
+    pure function of those seeds, so an exception would recur on a
+    second attempt; it reaches the parent and fails the run.
 
     The acquisition runs under an ``acquire_chunk`` span of a *private*
     observability bundle (clocks are per-process, so worker spans never
@@ -319,12 +182,12 @@ def _acquire_chunk(task: _ChunkTask) -> _ChunkResult:
     metrics and trace.  Observation reads clocks only — the chunk's RNG
     streams and bytes are untouched.
 
-    In a pool worker the chunk's summaries, one per summarizer the pool
-    initializer installed, are computed once the acquisition has
-    succeeded; they ride in the ring slot with a published chunk, and in
-    ``summaries`` otherwise.  A summarizer that raises fails the run the
-    same way: its error is the consumer's own, and it reaches the parent
-    in place of the chunk.
+    The chunk's summaries, one per entry of ``summarizers`` (a worker's;
+    inline acquisition passes none), are computed once the acquisition
+    has succeeded; they ride in the ring slot with a published chunk,
+    and in ``summaries`` otherwise.  A summarizer that raises fails the
+    run the same way: its error is the consumer's own, and it reaches
+    the parent in place of the chunk.
 
     When the task names a store, this process then writes the chunk's
     files into it (:func:`~repro.store.write_chunk_files`, under a
@@ -333,8 +196,6 @@ def _acquire_chunk(task: _ChunkTask) -> _ChunkResult:
     failed write raises, like a failed append in the parent would.
     """
     index, n, chunk_seed, spec, faults, trace_offset, store_target = task
-    if faults is not None and _IN_POOL_WORKER:
-        faults.check_hang(index)
     obs = Observability.create(origin=f"worker:chunk-{index}")
     device_seq, data_seq = chunk_seed.spawn(2)
     with obs.tracer.span("acquire_chunk", chunk=index, traces=n):
@@ -352,7 +213,7 @@ def _acquire_chunk(task: _ChunkTask) -> _ChunkResult:
     if spec.fixed_plaintext is not None:
         chunk.metadata["tvla_interleaved"] = True
     summaries = {}
-    for position, summarizer in _WORKER_SUMMARIZERS.items():
+    for position, summarizer in summarizers.items():
         with obs.tracer.span("summarize", chunk=index, consumer=summarizer.name):
             summaries[position] = summarizer.summarize(chunk)
     written = None
@@ -360,7 +221,6 @@ def _acquire_chunk(task: _ChunkTask) -> _ChunkResult:
         directory, store_index = store_target
         with obs.tracer.span("store_write", chunk=index):
             written = write_chunk_files(directory, store_index, chunk, faults)
-    ring = shm_transport.worker_ring()
     if ring is not None:
         try:
             if faults is not None:
@@ -368,8 +228,8 @@ def _acquire_chunk(task: _ChunkTask) -> _ChunkResult:
             chunk = ring.publish(chunk, summaries)
         except OSError as exc:
             # /dev/shm exhausted mid-run (or injected): the chunk cannot
-            # get home, which the parent treats like a dead pool — it
-            # abandons the pool and acquires the rest inline.
+            # get home, which the parent treats like a dead worker — it
+            # stops the workers and acquires the rest inline.
             raise PoolBrokenError(
                 f"shared-memory publish of chunk {index} failed: {exc}"
             ) from exc
@@ -378,6 +238,93 @@ def _acquire_chunk(task: _ChunkTask) -> _ChunkResult:
         index, chunk, False, obs.metrics.snapshot(), obs.tracer.drain(),
         summaries, written,
     )
+
+
+def _work(
+    conn, tasks: Sequence[_ChunkTask], summarizers: Dict[int, object],
+    ring: Optional[shm_transport.WorkerRing],
+) -> None:
+    """A worker's whole life: acquire ``tasks`` in order, send each
+    result home on ``conn``, then exit.
+
+    The workers already occupy the CPUs, so a worker's GEMM gets one
+    BLAS thread; more would only preempt each other (see
+    :mod:`repro.utils.blas`).  A ``hang@K`` fault blocks here, before
+    the acquisition, so inline acquisition never hangs.  An exception
+    is sent home in place of the chunk and ends the worker; one that
+    does not survive pickling goes home as an
+    :class:`~repro.errors.AcquisitionError` naming it, so it still fails
+    the run instead of looking like a dead worker.
+    """
+    set_blas_threads(1)
+    for task in tasks:
+        if task.faults is not None:
+            task.faults.check_hang(task.index)
+        try:
+            result = _acquire_chunk(task, summarizers, ring)
+        except Exception as exc:
+            conn.send(_shippable(exc, task.index))
+            return
+        conn.send(result)
+        del result
+
+
+def _shippable(exc: Exception, index: int) -> Exception:
+    """``exc`` if it pickles and unpickles, else an error that names it."""
+    import pickle
+
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return AcquisitionError(
+            f"chunk {index} failed in a worker with an error that does not "
+            f"pickle: {type(exc).__name__}: {exc}"
+        )
+    return exc
+
+
+def _receive(conn, proc, timeout_s: Optional[float]) -> _ChunkResult:
+    """Worker ``proc``'s next chunk result, from its pipe ``conn``.
+
+    Waits on the pipe and on the worker's exit together, for at most
+    ``timeout_s`` (the engine's ``chunk_timeout_s``).  A worker that
+    exited, one killed mid-send (``recv`` raises ``OSError``: "got end
+    of file during message") and a wait that timed out all raise
+    :class:`~repro.errors.PoolBrokenError`: the chunk cannot come home.
+    An exception the worker sent in place of the chunk is re-raised as
+    is.
+    """
+    from multiprocessing.connection import wait
+
+    ready = wait([conn, proc.sentinel], timeout_s)
+    if conn in ready:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError) as exc:
+            raise PoolBrokenError(
+                f"{proc.name} died before its chunk came home ({exc!r})"
+            ) from exc
+        if isinstance(message, BaseException):
+            raise message
+        return message
+    if ready:
+        raise PoolBrokenError(f"{proc.name} exited with code {proc.exitcode}")
+    raise PoolBrokenError(f"no chunk result within {timeout_s} s")
+
+
+def _stop(workers: Sequence[Tuple[object, object]]) -> None:
+    """SIGKILL and reap every ``(process, pipe)`` worker.
+
+    Once this returns no worker is running, so none is still writing
+    chunk files when the inline fallback rewrites them or the engine
+    deletes the files of chunks it never committed.  A worker that
+    already exited is only reaped.
+    """
+    for proc, _ in workers:
+        proc.kill()
+    for proc, conn in workers:
+        proc.join()
+        conn.close()
 
 
 # -- chunk sources -----------------------------------------------------
@@ -419,14 +366,14 @@ def _count_write_failure(task: _ChunkTask, metrics, exc: BaseException) -> None:
 
 def _inline(tasks: Sequence[_ChunkTask], metrics) -> Iterator[_ChunkResult]:
     """Acquire ``tasks`` in this process: ``workers=1``, and the rest of
-    a run whose pool failed.
+    a run whose workers failed.
 
     The source drops its reference to each record once it is yielded,
     so a folded chunk is freed before the next acquisition starts.
     """
     for task in tasks:
         try:
-            result = _acquire_chunk(task)
+            result = _acquire_chunk(task, {}, None)
         except (StorageExhaustedError, OSError) as exc:
             _count_write_failure(task, metrics, exc)
             raise
@@ -438,25 +385,27 @@ def _pooled(
     engine: "StreamingCampaign", tasks: Sequence[_ChunkTask],
     consumers: Sequence[TraceConsumer], tracer: Tracer,
 ) -> Iterator[_ChunkResult]:
-    """Acquire ``tasks`` on a process pool, yielding them in index order.
+    """Acquire ``tasks`` on worker processes, yielding them in index order.
 
-    Owns the pool's whole life: the shared-memory ring and the pool,
-    created at the first ``next()`` (so after any replay), the
-    summarizers the pool offers its workers, and each ``await_chunk``
-    wait.  If the pool fails (:data:`_POOL_FAILURES`) it is abandoned
-    and the rest, from the chunk it failed on, is acquired by
-    :func:`_inline` — the one hand-off from pool to inline.  Any other
-    exit, a caller's ``close()`` included, abandons the pool; running
-    out of tasks closes and joins it.  The ring is swept on every exit.
-    Neither the source nor the pool's result handle keeps a chunk once
-    it is yielded.
+    Owns the workers' whole life.  At the first ``next()`` (so after any
+    replay) it builds the shared-memory ring and starts ``n`` daemon
+    processes, each with its own one-way pipe: worker ``w`` acquires
+    ``tasks[w::n]`` in order (:func:`_work`), so chunk ``k`` comes from
+    worker ``k % n`` and each worker's chunk indices increase, which
+    keeps the ring deadlock-free (see :mod:`repro.pipeline.shm`).  On
+    the pipe a worker blocks mid-send until the parent reads, so it runs
+    at most one chunk ahead of the fold.
+
+    If a chunk cannot come home (:func:`_receive` raises
+    :class:`~repro.errors.PoolBrokenError`: a dead worker, a timeout, a
+    failed publish) the workers are stopped and the rest, from that
+    chunk on, is acquired by :func:`_inline` — the one hand-off from
+    workers to inline.  Every exit, a caller's ``close()`` included,
+    SIGKILLs and reaps the workers and sweeps the ring.  The source
+    keeps no chunk once it is yielded.
     """
     metrics = engine.obs.metrics
-    ctx = (
-        multiprocessing.get_context(engine.start_method)
-        if engine.start_method
-        else multiprocessing.get_context()
-    )
+    ctx = multiprocessing.get_context(engine.start_method)
     n_procs = min(engine.workers, len(tasks))
     ring = None
     if shm_transport.shm_available():
@@ -467,63 +416,54 @@ def _pooled(
             # exhausted): chunks use the pipe.
             ring = None
     transport = "shm-ring" if ring is not None else "pickle"
+    summarizers = _summarizers(consumers)
+    workers: List[tuple] = []
     try:
-        pool = ctx.Pool(
-            processes=n_procs,
-            initializer=_init_pool_worker,
-            initargs=(
-                _summarizers(consumers),
-                ring.initargs() if ring is not None else None,
-            ),
-        )
-        pool_workers = list(getattr(pool, "_pool", ()))
-        pending = [pool.apply_async(_acquire_chunk, (task,)) for task in tasks]
-        try:
-            for position, task in enumerate(tasks):
-                try:
-                    if engine.faults is not None:
-                        engine.faults.check_pool(task.index)
-                    with tracer.span("await_chunk", chunk=task.index):
-                        result = _await_chunk(
-                            pending[position], pool_workers,
-                            engine.chunk_timeout_s,
-                        )
-                    # The pool's handle keeps what the worker returned,
-                    # the whole chunk on the pickle transport: drop it.
-                    pending[position] = None
-                    if isinstance(result.chunk, shm_transport.ShmChunkHandle):
-                        chunk, summaries = ring.receive(
-                            result.chunk, key=engine.spec.key
-                        )
-                        metrics.inc("campaign_shm_chunks_total")
-                        result = result._replace(chunk=chunk, summaries=summaries)
-                        # Only the record holds the chunk, so it is freed
-                        # once folded, before the next receive allocates.
-                        del chunk, summaries
-                except _POOL_FAILURES:
-                    break
-                except (StorageExhaustedError, OSError) as exc:
-                    _count_write_failure(task, metrics, exc)
-                    raise
-                yield result._replace(transport=transport)
-                del result
-            else:
-                pool.close()
-                pool.join()
-                return
-        except BaseException:
-            # Workers may still be mid-chunk; close()+join() would block
-            # on them while the campaign is already dead.  Kill the pool,
-            # surface the original error.
-            _abandon_pool(pool, prompt=ring is not None)
-            raise
-        # The pool (not the chunk) failed: abandon it and limp home
+        for w in range(n_procs):
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_work, name=f"campaign-worker-{w}", daemon=True,
+                args=(
+                    sender, tasks[w::n_procs], summarizers,
+                    ring.publisher(w) if ring is not None else None,
+                ),
+            )
+            proc.start()
+            # The worker holds the only send end, so its exit is EOF here.
+            sender.close()
+            workers.append((proc, receiver))
+        for position, task in enumerate(tasks):
+            proc, conn = workers[position % n_procs]
+            try:
+                if engine.faults is not None:
+                    engine.faults.check_pool(task.index)
+                with tracer.span("await_chunk", chunk=task.index):
+                    result = _receive(conn, proc, engine.chunk_timeout_s)
+                if isinstance(result.chunk, shm_transport.ShmChunkHandle):
+                    chunk, summaries = ring.receive(
+                        result.chunk, key=engine.spec.key
+                    )
+                    metrics.inc("campaign_shm_chunks_total")
+                    result = result._replace(chunk=chunk, summaries=summaries)
+                    # Only the record holds the chunk, so it is freed
+                    # once folded, before the next receive allocates.
+                    del chunk, summaries
+            except PoolBrokenError:
+                break
+            except (StorageExhaustedError, OSError) as exc:
+                _count_write_failure(task, metrics, exc)
+                raise
+            yield result._replace(transport=transport)
+            del result
+        else:
+            return
+        # The workers (not the chunk) failed: stop them and limp home
         # inline rather than losing the campaign.
         metrics.inc("campaign_pool_failures_total")
         tracer.instant(
             "pool_degraded", chunk=task.index, remaining=len(tasks) - position,
         )
-        _abandon_pool(pool, prompt=ring is not None)
+        _stop(workers)
         if task.store is not None:
             # A worker stopped mid-write leaves a temporary behind; the
             # inline path rewrites these chunks from scratch.
@@ -534,6 +474,7 @@ def _pooled(
         for result in _inline(tasks[position:], metrics):
             yield result._replace(degraded=True, transport=transport)
     finally:
+        _stop(workers)
         if ring is not None:
             # Sweep the ring on every exit path — normal completion,
             # degrade, timeout, crash, SIGINT — so no segment can outlive
@@ -571,7 +512,7 @@ class PipelineReport:
     workers overlap); ``consume_seconds`` sums the parent's ``consume``
     spans.  ``store_seconds`` sums the parent's ``store_append`` spans
     (checks, disk budget, manifest rewrite) and the ``store_write``
-    spans in which the acquiring process — a pool worker on a pooled
+    spans in which the acquiring process — a worker on a pooled
     run — wrote and hashed each chunk's files; neither is part of
     ``acquire_seconds``.
 
@@ -597,7 +538,7 @@ class PipelineReport:
     #: crypto / leakage / synth / capture): the ``acquire_stage`` spans,
     #: which nest inside ``acquire_chunk``, summed over chunks and workers.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Chunks acquired inline after the pool failed (see ``degraded``).
+    #: Chunks acquired inline after the workers failed (see ``degraded``).
     degraded_chunks: int = 0
     #: First chunk index acquired by this run when resuming (``None``
     #: for a fresh campaign).
@@ -605,8 +546,8 @@ class PipelineReport:
     #: Chunks folded from the store rather than re-acquired on resume.
     replayed_chunks: int = 0
     #: How fresh chunks travelled home: ``"shm-ring"`` (shared-memory
-    #: segments), ``"pickle"`` (the pool's result pipe), or ``"inline"``
-    #: (no pool — single worker or nothing fresh to acquire).
+    #: segments), ``"pickle"`` (each worker's pipe), or ``"inline"``
+    #: (no workers — single worker or nothing fresh to acquire).
     transport: str = "inline"
 
     @property
@@ -620,9 +561,9 @@ class PipelineReport:
 
     @property
     def degraded(self) -> bool:
-        """True when the pool failed and the engine finished inline.
+        """True when the workers failed and the engine finished inline.
 
-        Every pool failure inlines at least the chunk it was awaiting,
+        Every worker failure inlines at least the chunk it was awaiting,
         so this is exactly ``degraded_chunks > 0``.
         """
         return self.degraded_chunks > 0
@@ -676,11 +617,14 @@ class StreamingCampaign:
     chunk_size:
         Traces per chunk — the memory/scheduling granularity.
     workers:
-        Process count; ``1`` runs inline (no pool, identical results).
-        Pooled workers ship chunks home through shared-memory rings
-        (:mod:`repro.pipeline.shm`) when the host supports them, else
-        through the pickle result pipe; chunk bytes are identical
-        either way.
+        Process count; ``1`` runs inline (no workers, identical
+        results).  Otherwise the engine starts ``min(workers, chunks)``
+        processes and owns them: worker ``w`` acquires chunks ``w``,
+        ``w + workers``, ... in order and ships them home through its
+        shared-memory ring (:mod:`repro.pipeline.shm`) when the host
+        supports one, else pickled through its own pipe; chunk bytes
+        are identical either way.  A worker is never respawned, and
+        every exit of a run SIGKILLs and reaps its workers.
     seed:
         Master seed of the campaign's ``SeedSequence`` tree.
     start_method:
@@ -689,11 +633,11 @@ class StreamingCampaign:
     chunk_timeout_s:
         Parent-side cap on waiting for one pooled chunk, including the
         worker-side ``summarize`` of its summarizing consumers; on
-        expiry the pool is presumed dead and the engine degrades to
+        expiry the worker is presumed wedged and the engine degrades to
         inline execution.  ``None`` (default) waits as long as the
-        chunk takes, but a pool worker that dies mid-campaign degrades
-        the run the same way instead of leaving the parent waiting
-        forever.
+        chunk takes, but a worker that dies mid-campaign degrades the
+        run the same way at once: the parent waits on the worker's
+        exit together with its pipe.
     store_budget_bytes:
         Optional disk budget applied to the campaign's store
         (:attr:`ChunkedTraceStore.disk_budget_bytes`).  It is checked
@@ -909,7 +853,7 @@ class StreamingCampaign:
     def _create_store(self, path: Path, chunk: TraceSet) -> ChunkedTraceStore:
         """The deferred store, created at the first commit from the first
         chunk, which knows the sample period."""
-        return ChunkedTraceStore.create(
+        return self._attach(ChunkedTraceStore.create(
             path,
             key=self.spec.key,
             sample_period_ns=chunk.sample_period_ns,
@@ -918,7 +862,15 @@ class StreamingCampaign:
                 "seed": self.seed,
                 "chunk_size": self.chunk_size,
             },
-        )
+        ))
+
+    def _attach(self, store: ChunkedTraceStore) -> ChunkedTraceStore:
+        """Give ``store`` this run's metrics, faults and disk budget."""
+        store.metrics = self.obs.metrics
+        store.faults = self.faults
+        if self.store_budget_bytes is not None:
+            store.disk_budget_bytes = self.store_budget_bytes
+        return store
 
     def _execute(
         self,
@@ -935,11 +887,11 @@ class StreamingCampaign:
         """Fold every chunk of ``tasks`` from ``folded_chunks`` on.
 
         Chunks before ``replay_until`` come from the store
-        (:func:`_replayed`), the rest from a pool (:func:`_pooled`) or
+        (:func:`_replayed`), the rest from workers (:func:`_pooled`) or
         this process (:func:`_inline`).  One loop folds each record:
         store commit, consumers in order, checkpoint, counters,
         ``progress``, then the crash hook.  On every exit the source is
-        closed first (the pool is gone), then the files of chunks this
+        closed first (the workers are gone), then the files of chunks this
         run wrote and did not commit are deleted.
         """
         store_path: Optional[Path] = None
@@ -948,6 +900,8 @@ class StreamingCampaign:
             # which knows the sample period without building a throwaway
             # device here.
             store_path, store = Path(store), None
+        elif store is not None:
+            self._attach(store)
         if checkpoint_path is not None:
             checkpoint_path = Path(checkpoint_path)
             # Fail on un-checkpointable consumers up front, not at chunk 1.
@@ -1019,12 +973,6 @@ class StreamingCampaign:
                             with tracer.span("store_append", chunk=index):
                                 if store is None:
                                     store = self._create_store(store_path, chunk)
-                                store.metrics = obs.metrics
-                                store.faults = self.faults
-                                if self.store_budget_bytes is not None:
-                                    store.disk_budget_bytes = (
-                                        self.store_budget_bytes
-                                    )
                                 store.append(chunk, result.written)
                         # A consumer in result.summaries folds the summary
                         # a worker computed instead of the chunk.
@@ -1071,7 +1019,7 @@ class StreamingCampaign:
             finally:
                 # A loop left on an exception (a consumer error, a paused
                 # progress callback) does not close its source: close it
-                # here, so the pool is gone before the sweep below.
+                # here, so the workers are gone before the sweep below.
                 acquired.close()
                 if store_dir is not None:
                     # Workers run ahead of the commits: on a pause, cancel

@@ -1,12 +1,9 @@
-"""Shared-memory chunk transport: trace blocks without the result pipe.
+"""Shared-memory chunk transport: trace blocks without the worker's pipe.
 
-The pool's default transport pickles every finished chunk through the
-result pipe: serialize in the worker, two kernel copies through a pipe
-sized far below a chunk, deserialize in the parent.  Beyond the copies,
-the pipe *couples worker liveness to parent progress* — a worker
-mid-write of a multi-megabyte result blocks until the parent reads,
-which is the deadlock that forced the SIGKILL teardown documented on
-:func:`repro.pipeline.engine._abandon_pool`.
+Without it, each engine worker pickles every finished chunk through its
+own pipe to the parent: serialize in the worker, two kernel copies
+through a pipe sized far below a chunk, deserialize in the parent, and
+the worker blocks mid-send until the parent reads.
 
 This module moves the arrays through POSIX shared memory instead.  Each
 worker owns a small **ring** of reusable segments
@@ -15,16 +12,13 @@ and those of the worker-side summaries computed from it, into the next
 free slot and ships only a tiny picklable :class:`ShmChunkHandle`
 (segment name + dtype/shape/offset per field) through the pipe.  The
 parent attaches, copies the arrays out, closes its mapping, and releases
-that worker's slot semaphore.  Keeping the megabytes out of the pipe
-also keeps them off the pool's result-reader thread: its allocations
-land in a separate malloc arena, and when a full-key CPA bank's 4 MB
-summaries were unpickled there the parent's peak RSS wandered by tens
-of MB from run to run.  Flow control is
-the per-worker semaphore initialised to the ring depth: a worker more
-than :data:`RING_SLOTS` chunks ahead of the parent blocks in
-``publish`` — bounded memory, and deadlock-free because the parent folds
-chunks in index order and each worker's chunk indices are increasing, so
-the slot a worker waits for is always the next one the parent frees.
+that worker's slot semaphore.  Flow control is the per-worker semaphore
+initialised to the ring depth: a worker more than :data:`RING_SLOTS`
+chunks ahead of the parent blocks in ``publish`` — bounded memory, and
+deadlock-free because the parent folds chunks in index order and each
+worker's chunk indices are increasing (worker ``w`` of ``n`` acquires
+chunks ``w, w + n, ...``), so the slot a worker waits for is always the
+next one the parent frees.
 
 Determinism: the transport copies bytes; it never touches chunk RNG
 streams, fold order, or persisted store bytes.  Results are therefore
@@ -33,8 +27,9 @@ bit-identical across {pickle, shm} × any worker count (asserted by
 
 Cleanup is explicit: the engine calls
 :meth:`ChunkTransportRing.unlink_all` — which sweeps every possible ring
-name — on **every** exit path: normal completion, pool death/degrade,
-timeout, and KeyboardInterrupt.  The whole process tree shares one
+name — on **every** exit path, after it has SIGKILLed and reaped its
+workers: normal completion, worker death/degrade, timeout, and
+KeyboardInterrupt.  The whole process tree shares one
 :mod:`multiprocessing.resource_tracker`, whose cache is a *set* of
 names, so the bookkeeping balances by construction: creates and
 attaches register a name (idempotently), and only ``unlink()`` — called
@@ -55,7 +50,7 @@ import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -195,10 +190,12 @@ def _chunk_arrays(chunk: TraceSet) -> "Tuple[Dict[str, np.ndarray], dict]":
 class WorkerRing:
     """Worker-side publisher: packs chunks into this worker's slots.
 
-    Created by :func:`_init_worker_ring` inside each pool process.
-    Segments are kept open and reused between chunks; a slot is only
-    rewritten after the parent released it (the semaphore), so there is
-    never a reader attached to a segment being recreated.
+    Built in the parent by :meth:`ChunkTransportRing.publisher` and
+    handed to worker ``worker_id`` when it starts; the worker creates
+    its segments on first use.  Segments are kept open and reused
+    between chunks; a slot is only rewritten after the parent released
+    it (the semaphore), so there is never a reader attached to a segment
+    being recreated.
     """
 
     def __init__(self, prefix: str, worker_id: int, slots: int, semaphore):
@@ -235,12 +232,13 @@ class WorkerRing:
         """Park ``chunk`` and its summaries in the next free slot.
 
         Blocks while the ring is full.  The summaries' arrays share the
-        slot with the chunk's, so the result pipe only carries the handle.
+        slot with the chunk's, so the worker's pipe carries only the
+        handle.
 
         A failure to (re)allocate the slot's segment — ``/dev/shm`` full
         mid-campaign — releases the just-acquired semaphore (so the
         ring's flow-control accounting stays balanced) and re-raises the
-        ``OSError``; the engine then abandons the pool and finishes the
+        ``OSError``; the engine then stops its workers and finishes the
         campaign inline.
         """
         arrays, plain_meta = _chunk_arrays(chunk)
@@ -271,34 +269,6 @@ class WorkerRing:
             metadata=plain_meta,
             summaries=stream,
         )
-
-
-#: The pool-process ring, set by :func:`_init_worker_ring`; ``None`` in
-#: the parent / inline execution, which is how the worker entry point
-#: knows whether to publish or to return the chunk directly.
-_WORKER_RING: Optional[WorkerRing] = None
-
-
-def _init_worker_ring(prefix: str, slots: int, semaphores, counter) -> None:
-    """Pool initializer: claim a worker id and build this process's ring.
-
-    Ids come from a shared counter so they are dense regardless of fork
-    order.  A worker the pool respawns after one died draws an id past
-    the ring and gets no ring: its chunks come home through the result
-    pipe, and it can never share a live worker's semaphore or segments.
-    """
-    global _WORKER_RING
-    with counter.get_lock():
-        worker_id = counter.value
-        counter.value += 1
-    if worker_id < len(semaphores):
-        _WORKER_RING = WorkerRing(
-            prefix, worker_id, slots, semaphores[worker_id]
-        )
-
-
-def worker_ring() -> Optional[WorkerRing]:
-    return _WORKER_RING
 
 
 def receive_chunk(
@@ -349,11 +319,11 @@ def receive_chunk(
 class ChunkTransportRing:
     """Parent-side controller: ring identity, flow control, and cleanup.
 
-    Construct before the pool, pass :meth:`initargs` to the pool's
-    initializer, :meth:`receive` every handle the pool returns, and call
-    :meth:`unlink_all` on every exit path — it is idempotent and sweeps
-    every name the ring could have created, so it is safe (and required)
-    after crashes that interrupt workers mid-publish.
+    Construct before the workers, hand worker ``w`` its
+    :meth:`publisher`, :meth:`receive` every handle a worker sends, and
+    call :meth:`unlink_all` on every exit path — it is idempotent and
+    sweeps every name the ring could have created, so it is safe (and
+    required) after crashes that interrupt workers mid-publish.
     """
 
     def __init__(self, ctx, n_workers: int):
@@ -361,10 +331,12 @@ class ChunkTransportRing:
         self.n_workers = int(n_workers)
         self.slots = RING_SLOTS
         self._semaphores = [ctx.Semaphore(self.slots) for _ in range(self.n_workers)]
-        self._counter = ctx.Value("i", 0)
 
-    def initargs(self) -> tuple:
-        return (self.prefix, self.slots, self._semaphores, self._counter)
+    def publisher(self, worker_id: int) -> WorkerRing:
+        """Worker ``worker_id``'s side of the ring: its slots and semaphore."""
+        return WorkerRing(
+            self.prefix, worker_id, self.slots, self._semaphores[worker_id]
+        )
 
     def receive(
         self, handle: ShmChunkHandle, key: bytes

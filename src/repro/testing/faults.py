@@ -6,16 +6,16 @@ dies on it.  This module makes every failure mode reproducible on
 demand:
 
 * :class:`FaultPlan` — a picklable plan the engine consults at fixed
-  points: raise in the process acquiring chunk *k*, block the pool
-  worker that takes chunk *k* until it is killed, simulate the worker
-  pool dying while collecting chunk *k*, or simulate a hard process
+  points: raise in the process acquiring chunk *k*, block the worker
+  that owns chunk *k* until it is killed, simulate the workers failing
+  while collecting chunk *k*, or simulate a hard process
   crash right after chunk *k* is folded and checkpointed.
 * System-resource faults — the failure modes paper-scale campaigns
   actually hit: ``enospc@K`` makes the store's write path fail with
   ``ENOSPC`` while persisting chunk *K* (mid-append: the first field
   file lands, the second raises), ``shm-alloc-fail@K`` makes the
   shared-memory ring's allocation fail when publishing chunk *K*
-  (the engine must abandon the pool and finish inline, not abort), and
+  (the engine must stop its workers and finish inline, not abort), and
   ``journal-torn@N`` tears the service job journal mid-append of
   record *N* (a trailing fragment, exactly the footprint of a daemon
   killed between ``write`` and ``flush``).
@@ -62,12 +62,12 @@ class FaultPlan:
         :class:`~repro.errors.InjectedFaultError`, pooled or inline; the
         engine does not retry a chunk, so the campaign fails there.
     hangs:
-        Chunk indices whose pool worker blocks until it is killed, as a
+        Chunk indices whose worker blocks until it is killed, as a
         wedged worker would.  Inline acquisition (``workers=1``, or a
-        run that degraded) never hangs, so a run that gives up on the
-        pool still finishes.
+        run that degraded) never hangs, so a run that gives up on its
+        workers still finishes.
     pool_breaks:
-        Chunk indices at which collecting from the worker pool raises
+        Chunk indices at which collecting from the workers raises
         :class:`~repro.errors.PoolBrokenError` — the engine must
         degrade to inline execution, not abort.
     crash_after:
@@ -83,7 +83,7 @@ class FaultPlan:
     shm_alloc_failures:
         Chunk indices whose shared-memory publish fails with
         ``OSError(ENOSPC)`` inside the worker, as a full ``/dev/shm``
-        would; the engine must abandon the pool, acquire that chunk and
+        would; the engine must stop its workers, acquire that chunk and
         every later one inline, and keep the campaign alive.
     journal_torn_record:
         1-based journal record index after which the service job journal
@@ -129,14 +129,16 @@ class FaultPlan:
     def check_hang(self, chunk_index: int) -> None:
         """Block forever if this chunk is scheduled to wedge its worker.
 
-        The engine calls this in pool workers only; the process returns
-        from here only by being killed.
+        The engine's worker loop calls this before acquiring each chunk
+        it owns (worker ``w`` of ``n`` owns chunks ``w, w + n, ...``);
+        inline acquisition never does.  The process returns from here
+        only by being killed.
         """
         if chunk_index in self.hangs:
             threading.Event().wait()
 
     def check_pool(self, chunk_index: int) -> None:
-        """Raise if the pool is scheduled to die while collecting a chunk."""
+        """Raise if collecting this chunk is scheduled to fail."""
         if chunk_index in self.pool_breaks:
             raise PoolBrokenError(
                 f"injected pool failure while collecting chunk {chunk_index}"
@@ -180,8 +182,8 @@ class FaultPlan:
         """Build a plan from the CLI mini-language.
 
         Comma-separated directives: ``worker@K`` (acquiring chunk *K*
-        fails), ``hang@K`` (the pool worker that takes chunk *K* blocks
-        until killed), ``pool@K`` (pool dies collecting chunk *K*),
+        fails), ``hang@K`` (the worker that owns chunk *K* blocks
+        until killed), ``pool@K`` (workers fail collecting chunk *K*),
         ``crash@K`` (parent crashes after folding chunk *K*),
         ``enospc@K`` (store append of chunk *K* hits ``ENOSPC``
         mid-write), ``shm-alloc-fail@K`` (chunk *K*'s shared-memory

@@ -1,10 +1,10 @@
 """Read and set the thread count of the loaded OpenBLAS libraries.
 
-numpy's OpenBLAS starts one thread per CPU.  A campaign's pool workers
+numpy's OpenBLAS starts one thread per CPU.  A campaign's workers
 already occupy those CPUs, so a GEMM inside a worker that also fans out
 over every CPU only oversubscribes them: when another process preempts
 one BLAS thread, its siblings spin-wait at the next barrier.  The
-engine's pool initializer therefore calls ``set_blas_threads(1)``.
+engine's worker loop therefore calls ``set_blas_threads(1)``.
 
 The libraries are found through ``/proc/self/maps`` and driven through
 their ``*openblas_set_num_threads*`` / ``*openblas_get_num_threads*``

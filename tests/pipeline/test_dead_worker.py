@@ -1,24 +1,27 @@
-"""A dead or wedged pool worker degrades the run instead of hanging it.
+"""A dead or wedged worker degrades the run instead of hanging it.
 
-``multiprocessing.Pool`` replaces a worker that dies, but the task the
-worker held is lost: with ``chunk_timeout_s=None`` an unbounded wait on
-its result never returns.  Here every ``ForkPoolWorker`` is SIGKILLed
-from the progress callback right after chunk 0 is folded, on both
-transports.  The run must finish well inside 60 s, report ``degraded``,
-give results equal to a 1-worker run, and leave no shared-memory segment
-behind.
+The engine's workers are never respawned, and the parent waits on a
+worker's exit together with its pipe, so with ``chunk_timeout_s=None`` a
+worker that dies degrades the run at once.  Here every engine worker
+(``campaign-worker-<w>``) is SIGKILLed from the progress callback right
+after chunk 0 is folded, on both transports.  The run must finish,
+report ``degraded``, give results equal to a 1-worker run, and leave no
+shared-memory segment behind.
 
-Every chunk from 1 on is held with ``hang@K``: the pool worker that
-takes it blocks until it is killed, so whichever worker holds chunk 1
-still holds it when the kill lands (a chunk is surely lost), and no
-worker is writing a result when it dies.  Inline acquisition never
-hangs, so the degraded run acquires those chunks itself.
+In the first case every chunk from 1 on is held with ``hang@K``: the
+worker that takes it blocks until it is killed, so the worker that owns
+chunk 1 still holds it when the kill lands (a chunk is surely lost).
+Inline acquisition never hangs, so the degraded run acquires those
+chunks itself.  In the second the workers are idle when killed: each
+waits on the parent, blocked on its ring slot or mid-send of a chunk
+larger than the pipe buffer, and the run must degrade within 3 s.
 """
 
 import multiprocessing
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -64,14 +67,14 @@ def _assert_same_results(report, reference):
     )
 
 
-def _run_within_deadline(engine, progress=None):
+def _run_within_deadline(engine, progress=None, n_traces=N_TRACES):
     """Run ``engine`` on a thread; fail if it is still running at the deadline."""
     outcome = {}
 
     def run():
         try:
             outcome["report"] = engine.run(
-                N_TRACES, _consumers(), progress=progress
+                n_traces, _consumers(), progress=progress
             )
         except BaseException as exc:  # pragma: no cover - reported below
             outcome["error"] = exc
@@ -88,48 +91,82 @@ def _run_within_deadline(engine, progress=None):
     return report
 
 
-def _kill_workers_after_chunk_0(killed):
-    def progress(update):
-        if update.chunk_index != 0 or killed:
+class _KillWorkersAfterChunk0:
+    """Progress callback: after chunk 0, wait ``settle_s``, then SIGKILL
+    every engine worker, recording the pids and when they were killed."""
+
+    def __init__(self, settle_s=0.0):
+        self.settle_s = settle_s
+        self.pids = []
+        self.at = None
+
+    def __call__(self, update):
+        if update.chunk_index != 0 or self.at is not None:
             return
+        time.sleep(self.settle_s)
+        self.at = time.perf_counter()
         for proc in multiprocessing.active_children():
-            if proc.name.startswith("ForkPoolWorker"):
+            if proc.name.startswith("campaign-worker-"):
                 os.kill(proc.pid, signal.SIGKILL)
-                killed.append(proc.pid)
-
-    return progress
+                self.pids.append(proc.pid)
 
 
-@pytest.mark.parametrize(
-    "transport",
-    [
-        "pickle",
-        pytest.param(
-            "shm",
-            marks=pytest.mark.skipif(
-                not shm_transport.shm_available(),
-                reason="POSIX shared memory unavailable",
-            ),
+TRANSPORTS = [
+    "pickle",
+    pytest.param(
+        "shm",
+        marks=pytest.mark.skipif(
+            not shm_transport.shm_available(),
+            reason="POSIX shared memory unavailable",
         ),
-    ],
-)
+    ),
+]
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
 def test_killed_worker_degrades_instead_of_hanging(
     transport, reference, monkeypatch
 ):
     if transport == "pickle":
         monkeypatch.setattr(shm_transport, "shm_available", lambda: False)
-    killed = []
+    kill = _KillWorkersAfterChunk0()
     report = _run_within_deadline(
         StreamingCampaign(
             SPEC, chunk_size=CHUNK, seed=SEED, workers=2,
             faults=HELD_CHUNKS, chunk_timeout_s=None,
         ),
-        progress=_kill_workers_after_chunk_0(killed),
+        progress=kill,
     )
-    assert killed, "the progress callback never killed a worker"
+    assert len(kill.pids) == 2, "the callback did not kill both workers"
     assert report.degraded and report.degraded_chunks >= 1
     assert report.transport == ("shm-ring" if transport == "shm" else "pickle")
     _assert_same_results(report, reference)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_idle_killed_workers_degrade_within_3_s(transport, monkeypatch):
+    """Twelve chunks over 2 workers: while the parent sleeps after chunk
+    0, each worker fills its ring (two slots) or the pipe (a 50-trace
+    chunk pickles to ~107 kB) and blocks waiting on the parent.  Killed
+    there, the run still finishes inline, bit-identical."""
+    if transport == "pickle":
+        monkeypatch.setattr(shm_transport, "shm_available", lambda: False)
+    n_traces = 12 * CHUNK
+    reference = StreamingCampaign(SPEC, chunk_size=CHUNK, seed=SEED).run(
+        n_traces, _consumers()
+    )
+    kill = _KillWorkersAfterChunk0(settle_s=0.5)
+    report = _run_within_deadline(
+        StreamingCampaign(SPEC, chunk_size=CHUNK, seed=SEED, workers=2),
+        progress=kill,
+        n_traces=n_traces,
+    )
+    elapsed = time.perf_counter() - kill.at
+    assert len(kill.pids) == 2, "the callback did not kill both workers"
+    assert report.degraded and report.degraded_chunks >= 1
+    assert report.transport == ("shm-ring" if transport == "shm" else "pickle")
+    _assert_same_results(report, reference)
+    assert elapsed < 3.0, f"degraded run took {elapsed:.1f} s after the kill"
 
 
 def test_hang_never_blocks_inline_acquisition(reference):

@@ -4,14 +4,18 @@
 fetches the next, and the sources keep no reference of their own once
 they have yielded: the store replay (:func:`_replayed`, through
 ``ChunkedTraceStore.chunk``), the inline acquisition (:func:`_inline`,
-through ``engine._acquire_chunk``) and the pool (:func:`_pooled`,
-through ``engine._await_chunk``).  Each fetch is hooked here: when it
+through ``engine._acquire_chunk``) and the workers (:func:`_pooled`,
+through ``engine._receive``).  Each fetch is hooked here: when it
 starts, a weak reference to the previous chunk's trace array must
 already be dead.  No ``gc.collect()`` runs, so only reference counting
-may have freed it, as it does in a campaign.
+may have freed it, as it does in a campaign.  On the pickle transport a
+worker blocks mid-send until the parent reads, so the workers never run
+more than one chunk each ahead of the fold.
 """
 
+import gc
 import shutil
+import time
 import weakref
 
 import pytest
@@ -25,6 +29,7 @@ from repro.pipeline import (
 )
 from repro.pipeline import engine
 from repro.pipeline import shm as shm_transport
+from repro.power import TraceSet
 from repro.store import ChunkedTraceStore
 
 N_TRACES = 200
@@ -52,7 +57,7 @@ class _Fetches:
         )
         monkeypatch.setattr(
             engine, "_acquire_chunk",
-            lambda task: self._fetch("acquire", lambda: acquire(task)),
+            lambda *args: self._fetch("acquire", lambda: acquire(*args)),
         )
 
     def _fetch(self, kind, fetch):
@@ -132,9 +137,7 @@ def test_replay_from_a_zero_chunk_checkpoint_holds_one_chunk(
 
 @pytest.mark.parametrize("transport", ["pickle", "shm-ring"])
 def test_pooled_run_holds_no_folded_chunk(monkeypatch, transport):
-    # Workers run ahead, so a chunk may arrive before the previous one is
-    # folded; what must be dead by the next wait is every folded chunk.
-    # On the pickle transport the pool's result handles kept them all.
+    # What must be dead by the next receive is every folded chunk.
     if transport == "pickle":
         monkeypatch.setattr(shm_transport, "shm_available", lambda: False)
     elif not shm_transport.shm_available():
@@ -147,16 +150,43 @@ def test_pooled_run_holds_no_folded_chunk(monkeypatch, transport):
             folded.append(weakref.ref(chunk.traces))
             super().consume(chunk)
 
-    await_chunk = engine._await_chunk
+    receive = engine._receive
 
     def hooked(*args):
         alive.append(sum(ref() is not None for ref in folded))
-        return await_chunk(*args)
+        return receive(*args)
 
-    monkeypatch.setattr(engine, "_await_chunk", hooked)
+    monkeypatch.setattr(engine, "_receive", hooked)
     report = StreamingCampaign(
         _spec(), chunk_size=CHUNK, workers=2, seed=SEED
     ).run(N_TRACES, [Recording()])
     assert report.transport == transport
     assert len(folded) == 4
     assert alive == [0] * 4
+
+
+def test_pickle_workers_run_at_most_one_chunk_ahead(monkeypatch):
+    """A fold slower than acquisition must not pile chunks up in the
+    parent: the pipe holds each worker back, so at every fold at most
+    ``workers`` chunks that are not yet folded are alive."""
+    monkeypatch.setattr(shm_transport, "shm_available", lambda: False)
+    workers, n_chunks = 2, 8
+    alive = []
+
+    def trace_sets():
+        return sum(type(obj) is TraceSet for obj in gc.get_objects())
+
+    before = trace_sets()  # what earlier tests left alive
+
+    class Slow(CompletionTimeConsumer):
+        def consume(self, chunk):
+            alive.append(trace_sets() - before)
+            time.sleep(0.3)
+            super().consume(chunk)
+
+    report = StreamingCampaign(
+        _spec(), chunk_size=CHUNK, workers=workers, seed=SEED
+    ).run(CHUNK * n_chunks, [Slow()])
+    assert report.transport == "pickle"
+    assert len(alive) == n_chunks
+    assert max(alive) <= workers, alive

@@ -5,20 +5,16 @@ it and through the pickle pipe otherwise; the tests force the pickle
 path by patching ``shm_available``.  Campaign results must be
 bit-identical across {pickle, shm} transports and any worker count,
 shared-memory segments must never outlive the campaign (normal exit,
-pool death, chunk timeout, a failed publish), and the shm teardown path
-must be the prompt synchronous one (no SIGKILL reaper thread — that
-workaround is for the pickle pipe deadlock).  The prompt teardown is
-still bounded: a worker the pool respawned gets no ring and pipes whole
-chunks, so a worker mid-write of one can wedge it the same way.
+worker death, chunk timeout, a failed publish), and the engine's
+teardown — SIGKILL and reap its own workers, then sweep — starts no
+thread.
 """
 
 import itertools
 import multiprocessing
 import os
 import pickle
-import signal
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -61,10 +57,6 @@ def _ring_segments():
     if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux
         return set()
     return {n for n in os.listdir(shm_dir) if n.startswith("rftc-shm-")}
-
-
-def _reaper_threads():
-    return [t for t in threading.enumerate() if t.name == "pool-reaper"]
 
 
 def _force_pickle(monkeypatch):
@@ -121,8 +113,7 @@ def test_summaries_ride_in_the_ring_slot_not_the_pipe():
     assert not summary.sum_pt.flags.c_contiguous  # a GEMM column slice
     assert summary.sum_pt.nbytes > 4_000_000
     ring = shm_transport.ChunkTransportRing(multiprocessing.get_context(), 1)
-    prefix, slots, semaphores, _ = ring.initargs()
-    publisher = shm_transport.WorkerRing(prefix, 0, slots, semaphores[0])
+    publisher = ring.publisher(0)
     try:
         handle = publisher.publish(chunk, [summary, ("tag", 7)])
         assert len(pickle.dumps(handle)) < 8192
@@ -148,7 +139,7 @@ def test_auto_transport_falls_back_to_pickle(monkeypatch):
 def test_pool_death_under_shm_degrades_bit_identical_and_sweeps():
     baseline = _run(workers=1)
     before_segments = _ring_segments()
-    before_reapers = len(_reaper_threads())
+    before_threads = set(threading.enumerate())
     report = _run(workers=2, faults=FaultPlan(pool_breaks=(1,)))
     assert report.degraded
     assert report.transport == "shm-ring"
@@ -156,11 +147,35 @@ def test_pool_death_under_shm_degrades_bit_identical_and_sweeps():
         report.results["cpa[0]"].peak_corr,
         baseline.results["cpa[0]"].peak_corr,
     )
-    # Every ring segment retired despite the mid-campaign pool loss.
+    # Every ring segment retired despite the mid-campaign worker loss.
     assert _ring_segments() <= before_segments
-    # The shm path tears the pool down synchronously; the SIGKILL-and-
-    # reap daemon thread is the pickle-pipe workaround only.
-    assert len(_reaper_threads()) == before_reapers
+    assert set(threading.enumerate()) == before_threads
+
+
+@pytest.mark.parametrize(
+    "transport",
+    ["pickle", pytest.param("shm-ring", marks=requires_shm)],
+)
+@pytest.mark.parametrize(
+    "faults", [None, "pool@1"], ids=["healthy", "degraded"]
+)
+def test_the_engine_starts_no_thread(monkeypatch, transport, faults):
+    """Workers are processes the engine kills and reaps itself: no
+    thread runs beside the fold, healthy or degraded."""
+    if transport == "pickle":
+        _force_pickle(monkeypatch)
+    before = set(threading.enumerate())
+    seen = []
+    spec = CampaignSpec(target="unprotected", noise_std=2.0)
+    report = StreamingCampaign(
+        spec, chunk_size=CHUNK, workers=2, seed=9,
+        faults=FaultPlan.parse(faults) if faults else None,
+    ).run(TRACES, progress=lambda _: seen.append(set(threading.enumerate())))
+    assert report.transport == transport
+    assert report.degraded == (faults is not None)
+    assert len(seen) == N_CHUNKS
+    assert all(threads == before for threads in seen)
+    assert set(threading.enumerate()) == before
 
 
 @requires_shm
@@ -282,103 +297,6 @@ def test_stale_empty_segment_under_ring_name_is_reclaimed(monkeypatch):
     finally:
         for name in planted & _ring_segments():
             os.unlink(os.path.join("/dev/shm", name))
-
-
-def _ring_id(delay_s):
-    """Pool task: this worker's pid and ring id (``None``: no ring)."""
-    time.sleep(delay_s)
-    ring = shm_transport.worker_ring()
-    return os.getpid(), None if ring is None else ring.worker_id
-
-
-@requires_shm
-def test_respawned_worker_never_shares_a_live_workers_ring():
-    """The pool replaces a SIGKILLed worker; the replacement must not
-    claim the ring id (semaphore, segment names) of a live worker."""
-    ctx = multiprocessing.get_context("spawn")
-    ring = shm_transport.ChunkTransportRing(ctx, 2)
-    pool = ctx.Pool(
-        2, initializer=shm_transport._init_worker_ring,
-        initargs=ring.initargs(),
-    )
-
-    def ring_ids(pids):
-        seen = {}
-        for _ in range(50):
-            batch = pool.map_async(_ring_id, [0.02] * 8, chunksize=1)
-            seen.update(batch.get(timeout=30))
-            if set(pids) <= set(seen):
-                return {pid: seen[pid] for pid in pids}
-        pytest.fail(f"workers {set(pids) - set(seen)} never ran a task")
-
-    try:
-        ids = ring_ids([proc.pid for proc in pool._pool])
-        assert sorted(ids.values()) == [0, 1]
-        victim = next(pid for pid, worker_id in ids.items() if worker_id == 1)
-        survivor = next(pid for pid in ids if pid != victim)
-        for _ in range(2):  # one slow task per worker
-            pool.apply_async(_ring_id, (1.0,))
-        time.sleep(0.3)
-        os.kill(victim, signal.SIGKILL)  # mid-task; its result is lost
-        deadline = time.monotonic() + 30
-        while True:
-            live = [p.pid for p in pool._pool if p.exitcode is None]
-            if victim not in live and len(live) == 2:
-                break
-            assert time.monotonic() < deadline, "pool never respawned"
-            time.sleep(0.05)
-        ids = ring_ids(live)
-        claimed = [wid for wid in ids.values() if wid is not None]
-        assert len(claimed) == len(set(claimed))
-        (replacement,) = set(live) - {survivor}
-        assert ids[replacement] is None
-    finally:
-        pool.terminate()
-        pool.join()
-        ring.unlink_all()
-
-
-class _FakeWorker:
-    exitcode = None
-
-    def __init__(self, on_kill=None):
-        self.killed = False
-        self._on_kill = on_kill
-
-    def kill(self):
-        self.killed = True
-        if self._on_kill is not None:
-            self._on_kill()
-
-
-class _FakePool:
-    def __init__(self, terminate_blocks):
-        self._unwedge = threading.Event()
-        if not terminate_blocks:
-            self._unwedge.set()
-        self._pool = [_FakeWorker(self._unwedge.set), _FakeWorker()]
-
-    def terminate(self):
-        self._unwedge.wait()
-
-    def join(self):
-        pass
-
-
-def test_prompt_teardown_never_kills_a_pool_that_terminates():
-    pool = _FakePool(terminate_blocks=False)
-    engine_module._abandon_pool(pool, prompt=True)
-    assert not any(worker.killed for worker in pool._pool)
-
-
-def test_prompt_teardown_is_bounded(monkeypatch):
-    """A wedged terminate() (a worker mid-write of a result larger than
-    the pipe buffer: a ringless respawned worker's whole chunk) must
-    cost the bound, then SIGKILL, never a hang."""
-    monkeypatch.setattr(engine_module, "_PROMPT_TEARDOWN_S", 0.05)
-    pool = _FakePool(terminate_blocks=True)
-    engine_module._abandon_pool(pool, prompt=True)
-    assert all(worker.killed for worker in pool._pool)
 
 
 @requires_shm

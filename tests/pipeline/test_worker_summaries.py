@@ -1,4 +1,4 @@
-"""CPA cross-sums computed in the pool workers, folded in the parent.
+"""CPA cross-sums computed in the engine's workers, folded in the parent.
 
 A pooled campaign runs each :class:`SummarizingConsumer`'s ``summarize``
 in the worker that acquired the chunk and calls only ``fold`` in the
@@ -9,12 +9,14 @@ pre-split in-place update wrote) and store replay.  Consumers that
 cannot be split — a ``consume`` override, a wrapper — keep being fed
 whole chunks in the parent, and a ``summarize`` that raises in a worker
 fails the campaign with its own error, unretried and without
-degradation.
+degradation — or, when that error does not pickle, with an
+``AcquisitionError`` that names it.
 """
 
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 from types import SimpleNamespace
 
@@ -24,7 +26,7 @@ import pytest
 from repro.attacks.incremental import CpaChunkSummary
 from repro.attacks.models import hd_pair_table
 from repro.crypto.aes_tables import SHIFT_ROWS_MAP
-from repro.errors import AttackError
+from repro.errors import AcquisitionError, AttackError, PoolBrokenError
 from repro.obs import Observability
 from repro.pipeline import (
     CampaignCheckpoint,
@@ -367,6 +369,58 @@ def test_summarize_error_is_the_consumers_own_and_kills_the_pool(
     assert [index for _, index in calls].count("1") == 1
     assert all(int(pid) != os.getpid() for pid, _ in calls)
     assert obs.metrics.counter_value("campaign_pool_failures_total") == 0
+
+
+class _HoldsALock(Exception):
+    """Does not pickle: it carries a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class _TwoArgs(Exception):
+    """Pickles, but does not unpickle: ``__init__`` wants two arguments."""
+
+    def __init__(self, message, code):
+        super().__init__(f"{message} (code {code})")
+
+
+class _SummarizeFailsUnpicklably(CpaBankConsumer):
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def summarize(self, chunk):
+        if chunk.metadata["chunk_index"] == 1:
+            if self.error == "lock":
+                raise _HoldsALock("summarize died")
+            raise _TwoArgs("summarize died", 7)
+        return super().summarize(chunk)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("error", ["lock", "two-args"])
+def test_summarize_error_that_does_not_pickle_still_fails_the_run(
+    transport, error, monkeypatch
+):
+    """Not a dead worker and not a degrade: one error line that names
+    the consumer's exception."""
+    obs = Observability.create()
+    _select_transport(monkeypatch, transport)
+    engine = StreamingCampaign(
+        _spec(), chunk_size=CHUNK, seed=SEED, workers=2, obs=obs,
+    )
+    with pytest.raises(AcquisitionError) as raised:
+        engine.run(N_TRACES, [_SummarizeFailsUnpicklably(error)])
+    assert not isinstance(raised.value, PoolBrokenError)
+    message = str(raised.value)
+    assert "\n" not in message
+    assert message.startswith("chunk 1 failed in a worker")
+    assert "summarize died" in message
+    assert ("_HoldsALock" if error == "lock" else "_TwoArgs") in message
+    assert obs.metrics.counter_value("campaign_pool_failures_total") == 0
+    assert obs.metrics.counter_value("campaign_degraded_chunks_total") == 0
 
 
 class _BlasProbe(CpaStreamConsumer):
