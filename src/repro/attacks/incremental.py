@@ -271,19 +271,21 @@ class IncrementalCpaBank:
     attack that recomputes the trace sums 16 times and runs 16 small
     matrix products per chunk.  The bank keeps **one** copy of the trace
     sums and stacks every byte's 256 guesses into a single ``(B·256, S)``
-    cross-sum updated by one GEMM per chunk — the streaming twin of
-    :class:`~repro.attacks.cpa.CpaEngine`.
+    cross-sum — the streaming twin of :class:`~repro.attacks.cpa.CpaEngine`.
 
     The default ``engine="fast"`` additionally exploits that the
     last-round HD model depends on the ciphertext only through the byte
-    pair ``(ct[b], ct[SR(b)])``: predictions become one row gather from
-    the shared :func:`~repro.attacks.models.hd_pair_table`, and the
-    cross-sum GEMM runs on the trace block augmented with a ones column
-    so ``Σp`` falls out of the same BLAS call (exact — every addend is an
-    integer).  For float64 batches the fast engine is bit-identical to
+    pair ``(ct[b], ct[SR(b)])``: each byte's predictions are one row
+    gather from the shared :func:`~repro.attacks.models.hd_pair_table`,
+    and its 256 rows of the cross-sum come from one GEMM on the trace
+    block augmented with a ones column, so ``Σp`` falls out of the same
+    BLAS call (exact — every addend is an integer).  Scratch memory is
+    one byte's predictions plus one trace block, whatever ``B``.  For
+    float64 batches the fast engine is bit-identical to
     ``engine="reference"`` (the pre-optimization update, kept for
-    benchmarking and as an executable specification); float32 batches
-    run the whole GEMM in float32 while the running sums stay float64.
+    benchmarking and as an executable specification; for the one BLAS
+    caveat see :meth:`_fast_sums`); float32 batches run the GEMMs in
+    float32 while the running sums stay float64.
 
     Parameters
     ----------
@@ -382,14 +384,25 @@ class IncrementalCpaBank:
         )
 
     def _fast_sums(self, traces: np.ndarray, data: np.ndarray) -> tuple:
-        """Pair-table gather + augmented GEMM (see class docstring).
+        """Pair-table gather + augmented GEMM, one key byte at a time.
+
+        Each byte's ``(n, 256)`` predictions are gathered into one reused
+        buffer and multiplied into that byte's 256 rows of ``cross``, so
+        no ``(n, B·256)`` block is built.
 
         float64 batches are bit-identical to :meth:`_reference_sums`:
         the prediction-side sums are integer-valued and every addend is
         exactly representable, so both computations land on the same
         integers, and the augmented GEMM keeps the reduction dimension
-        whole so each ``Σpt`` element is the same dot product
-        (``tests/attacks/test_incremental_fast.py`` pins both claims).
+        whole so each ``Σpt`` element is the same dot product, as it is
+        in the whole-bank GEMM over all bytes at once
+        (``tests/attacks/test_incremental_fast.py`` pins all three).
+        "The same dot product" assumes the BLAS reduces every GEMM shape
+        alike.  OpenBLAS sends a GEMM of at most 100³ multiply-adds to a
+        small-matrix kernel that sums the whole chunk in one pass, where
+        its blocked kernel adds K-panels of a few hundred traces one by
+        one; chunks of under 10 samples can reach it, here and in the
+        reference alike, and then differ in the last bit.
         """
         ct = np.asarray(data, dtype=np.uint8)
         if ct.ndim != 2 or ct.shape[1] != 16:
@@ -397,38 +410,33 @@ class IncrementalCpaBank:
         n, s = traces.shape
         compute = traces.dtype
         table = hd_pair_table()
-        gathered = self._scratch_buf("gathered", (n, self._n_hyp), np.uint8)
-        # One fused gather for all attacked bytes: C-order (n, B) pair
-        # indices land row i*B+j of the (n*B, 256) view exactly on
-        # gathered[i, 256j:256(j+1)].
-        targets = np.asarray(self.byte_indices, dtype=np.intp)
-        partners = SHIFT_ROWS_MAP[targets]
-        pair = (ct[:, targets].astype(np.uint16) << 8) | ct[:, partners]
-        np.take(
-            table,
-            pair.reshape(-1),
-            axis=0,
-            out=gathered.reshape(n * len(self.byte_indices), 256),
-        )
-        preds = self._scratch_buf("preds", (n, self._n_hyp), compute)
-        np.copyto(preds, gathered)
         augmented = self._scratch_buf("augmented", (n, s + 1), compute)
         augmented[:, :s] = traces
         augmented[:, s] = 1.0
+        targets = np.asarray(self.byte_indices, dtype=np.intp)
+        partners = SHIFT_ROWS_MAP[targets]
+        pair = (ct[:, targets].astype(np.uint16) << 8) | ct[:, partners]
+        gathered = self._scratch_buf("gathered", (n, 256), np.uint8)
+        preds = self._scratch_buf("preds", (n, 256), compute)
         # Not scratch: the summary holds views of it after this returns.
         cross = np.empty((self._n_hyp, s + 1), dtype=compute)
-        np.matmul(preds.T, augmented, out=cross)
+        # Σp² addends are integers (p ≤ 8, so p² ≤ 64): exact in float64
+        # always, and exact in float32 for every realistic chunk size
+        # (n·64 < 2²⁴ ⇔ n < 262144); float32 beyond that is budgeted
+        # drift, not corruption.
+        sum_p2 = np.empty(self._n_hyp, dtype=compute)
+        for j in range(len(targets)):
+            rows = slice(256 * j, 256 * (j + 1))
+            np.take(table, pair[:, j], axis=0, out=gathered)
+            np.copyto(preds, gathered)
+            np.matmul(preds.T, augmented, out=cross[rows])
+            np.einsum("nk,nk->k", preds, preds, out=sum_p2[rows])
         if compute == np.float32:
             sum_t = traces.sum(axis=0, dtype=np.float64)
             sum_t2 = np.einsum("ns,ns->s", traces, traces, dtype=np.float64)
         else:
             sum_t = traces.sum(axis=0)
             sum_t2 = (traces * traces).sum(axis=0)
-        # Σp² addends are integers (p ≤ 8, so p² ≤ 64): exact in float64
-        # always, and exact in float32 for every realistic chunk size
-        # (n·64 < 2²⁴ ⇔ n < 262144); float32 beyond that is budgeted
-        # drift, not corruption.
-        sum_p2 = np.einsum("nk,nk->k", preds, preds)
         return sum_t, sum_t2, cross[:, s], sum_p2, cross[:, :s]
 
     def snapshot(self) -> dict:

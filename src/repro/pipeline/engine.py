@@ -240,13 +240,51 @@ def _acquire_chunk(
     )
 
 
+#: ``prctl`` option: the signal a process gets when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent() -> None:
+    """Have the kernel SIGKILL this process when its parent dies (Linux).
+
+    A SIGKILLed campaign then takes its workers along wherever they
+    block (a full ring slot, a pipe send, a GEMM) at no cost while it
+    lives, and once they are gone the resource tracker unlinks their
+    ring segments.  Under ``forkserver`` the parent is the fork server,
+    which outlives the campaign while its workers live (see
+    ``docs/robustness.md``).  The signal follows the thread that
+    started the worker; the engine starts and stops its workers within
+    one ``run`` on one thread.  A parent that died before the
+    ``prctl`` sends no signal, hence the check after it.  Without
+    ``prctl`` (not Linux) this does nothing.
+    """
+    import ctypes
+    import os
+    import signal
+
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (AttributeError, OSError):
+        return
+    prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) == 0:
+        if not multiprocessing.parent_process().is_alive():
+            os._exit(1)
+
+
 def _work(
-    conn, tasks: Sequence[_ChunkTask], summarizers: Dict[int, object],
-    ring: Optional[shm_transport.WorkerRing],
+    conn, inherited: Sequence[object], tasks: Sequence[_ChunkTask],
+    summarizers: Dict[int, object], ring: Optional[shm_transport.WorkerRing],
 ) -> None:
     """A worker's whole life: acquire ``tasks`` in order, send each
     result home on ``conn``, then exit.
 
+    It first ties its life to the parent's (:func:`_die_with_parent`)
+    and closes ``inherited``: under ``fork``, its copies of the receive
+    ends of its own pipe and of the workers started before it (while
+    any copy is open, a send to a dead parent without the death signal
+    blocks instead of failing); under other start methods, nothing.
     The workers already occupy the CPUs, so a worker's GEMM gets one
     BLAS thread; more would only preempt each other (see
     :mod:`repro.utils.blas`).  A ``hang@K`` fault blocks here, before
@@ -256,6 +294,9 @@ def _work(
     :class:`~repro.errors.AcquisitionError` naming it, so it still fails
     the run instead of looking like a dead worker.
     """
+    _die_with_parent()
+    for receiver in inherited:
+        receiver.close()
     set_blas_threads(1)
     for task in tasks:
         if task.faults is not None:
@@ -401,8 +442,9 @@ def _pooled(
     failed publish) the workers are stopped and the rest, from that
     chunk on, is acquired by :func:`_inline` — the one hand-off from
     workers to inline.  Every exit, a caller's ``close()`` included,
-    SIGKILLs and reaps the workers and sweeps the ring.  The source
-    keeps no chunk once it is yielded.
+    SIGKILLs and reaps the workers and sweeps the ring; a parent killed
+    before any of that takes its workers along (:func:`_work`).  The
+    source keeps no chunk once it is yielded.
     """
     metrics = engine.obs.metrics
     ctx = multiprocessing.get_context(engine.start_method)
@@ -417,14 +459,18 @@ def _pooled(
             ring = None
     transport = "shm-ring" if ring is not None else "pickle"
     summarizers = _summarizers(consumers)
+    # Only a forked worker inherits the parent's receive ends.
+    forked = ctx.get_start_method() == "fork"
     workers: List[tuple] = []
     try:
         for w in range(n_procs):
             receiver, sender = ctx.Pipe(duplex=False)
+            inherited = [conn for _, conn in workers] + [receiver]
             proc = ctx.Process(
                 target=_work, name=f"campaign-worker-{w}", daemon=True,
                 args=(
-                    sender, tasks[w::n_procs], summarizers,
+                    sender, inherited if forked else [],
+                    tasks[w::n_procs], summarizers,
                     ring.publisher(w) if ring is not None else None,
                 ),
             )
