@@ -812,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (0 = ephemeral, printed at startup)")
     p.add_argument("--worker-budget", type=int, default=2,
-                   help="campaigns run concurrently")
+                   help="job processes, each running one campaign at a time")
     p.add_argument("--cache-entries", type=int, default=1024,
                    help="result-cache capacity (FIFO eviction)")
     p.add_argument("--tenant", action="append", metavar="SPEC",

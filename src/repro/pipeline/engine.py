@@ -104,6 +104,7 @@ from repro.store import (
 )
 from repro.testing.faults import FaultPlan
 from repro.utils.blas import set_blas_threads
+from repro.utils.lifetime import die_with_parent
 
 class _ChunkTask(NamedTuple):
     """A unit of worker work: everything needed to acquire one chunk."""
@@ -240,39 +241,6 @@ def _acquire_chunk(
     )
 
 
-#: ``prctl`` option: the signal a process gets when its parent dies.
-_PR_SET_PDEATHSIG = 1
-
-
-def _die_with_parent() -> None:
-    """Have the kernel SIGKILL this process when its parent dies (Linux).
-
-    A SIGKILLed campaign then takes its workers along wherever they
-    block (a full ring slot, a pipe send, a GEMM) at no cost while it
-    lives, and once they are gone the resource tracker unlinks their
-    ring segments.  Under ``forkserver`` the parent is the fork server,
-    which outlives the campaign while its workers live (see
-    ``docs/robustness.md``).  The signal follows the thread that
-    started the worker; the engine starts and stops its workers within
-    one ``run`` on one thread.  A parent that died before the
-    ``prctl`` sends no signal, hence the check after it.  Without
-    ``prctl`` (not Linux) this does nothing.
-    """
-    import ctypes
-    import os
-    import signal
-
-    try:
-        prctl = ctypes.CDLL(None, use_errno=True).prctl
-    except (AttributeError, OSError):
-        return
-    prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
-    prctl.restype = ctypes.c_int
-    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) == 0:
-        if not multiprocessing.parent_process().is_alive():
-            os._exit(1)
-
-
 def _work(
     conn, inherited: Sequence[object], tasks: Sequence[_ChunkTask],
     summarizers: Dict[int, object], ring: Optional[shm_transport.WorkerRing],
@@ -280,7 +248,8 @@ def _work(
     """A worker's whole life: acquire ``tasks`` in order, send each
     result home on ``conn``, then exit.
 
-    It first ties its life to the parent's (:func:`_die_with_parent`)
+    It first ties its life to the parent's
+    (:func:`~repro.utils.lifetime.die_with_parent`)
     and closes ``inherited``: under ``fork``, its copies of the receive
     ends of its own pipe and of the workers started before it (while
     any copy is open, a send to a dead parent without the death signal
@@ -294,7 +263,7 @@ def _work(
     :class:`~repro.errors.AcquisitionError` naming it, so it still fails
     the run instead of looking like a dead worker.
     """
-    _die_with_parent()
+    die_with_parent()
     for receiver in inherited:
         receiver.close()
     set_blas_threads(1)

@@ -37,12 +37,10 @@ exactly once per live name, by whichever process retires it —
 unregisters.  No manual (un)tracking, no double-unlink tracebacks, no
 leak warnings at exit.  Should the parent die before its sweep, its
 workers die with it (the engine has the kernel SIGKILL each worker when
-the process that forked it dies), and the tracker, once every process
-holding its pipe has exited, unlinks whatever remains.  Under the
-``forkserver`` start method the workers' parent is the fork server,
-which outlives a SIGKILLed campaign while they live, so a worker
-blocked on its slot keeps its segments; so does SIGKILLing the tracker
-too (the entire tree).  Leaked segments are bounded by
+the process that forked it dies, or under ``forkserver`` exits once the
+campaign's pipe reaches EOF), and the tracker, once every process
+holding its pipe has exited, unlinks whatever remains.  SIGKILLing the
+tracker too (the entire tree) keeps the segments.  Leaked segments are bounded by
 ``workers × RING_SLOTS × chunk bytes`` and carry the parent PID in
 their name for manual sweeping.
 """

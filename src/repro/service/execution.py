@@ -14,18 +14,27 @@ and :class:`~repro.pipeline.StreamingCampaign`.  Two properties matter:
   from the :class:`~repro.service.cache.ResultCache` and to compare
   across runs.  Wall-clock accounting lives on the job record instead.
 
-Cancellation is cooperative: the engine's per-chunk progress callback
-checks the job's cancel event and raises :class:`JobCancelledError`,
-which the scheduler finalizes as ``cancelled`` rather than ``failed``.
+Each job runs in one of the service's long-lived job processes
+(:class:`JobProcess`): forked once, one BLAS thread each, so concurrent
+jobs share no GIL.  The job crosses the process's pipe as its fields;
+the payload or the error comes back with the job's ``store_bytes``.
+
+Cancellation is cooperative: a cancel crosses the same pipe, and the
+engine's per-chunk progress callback finds it there and raises
+:class:`JobCancelledError`, which the scheduler finalizes as
+``cancelled`` rather than ``failed``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 import shutil
+import signal
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from repro.errors import JobCancelledError, StorageExhaustedError
+from repro.errors import JobCancelledError, ServiceError, StorageExhaustedError
 from repro.pipeline import (
     CompletionTimeConsumer,
     CpaStreamConsumer,
@@ -36,6 +45,8 @@ from repro.pipeline import (
 )
 from repro.pipeline.spec import CampaignSpec
 from repro.service.jobs import CampaignJob
+from repro.utils.blas import set_blas_threads
+from repro.utils.lifetime import die_with_parent
 
 #: Version tag of the result payload layout.
 RESULT_SCHEMA = "rftc-service-result/1"
@@ -109,14 +120,15 @@ def _tree_bytes(root: Path) -> int:
 
 def run_job(
     job: CampaignJob,
-    checkpoint_dir: Optional[Path] = None,
-    store_dir: Optional[Path] = None,
-    resume: bool = False,
-    faults=None,
+    checkpoint_dir: Path,
+    store_dir: Path,
+    resume: bool,
+    faults,
+    cancelled: Callable[[], bool],
 ) -> dict:
     """Execute ``job`` to completion and return its result payload.
 
-    Runs in a scheduler worker thread.  ``durable`` jobs checkpoint to
+    Runs in a job process.  ``durable`` jobs checkpoint to
     ``checkpoint_dir / <job_id>.ckpt`` after every chunk; with
     ``resume=True`` and an existing checkpoint, the campaign continues
     from it (bit-identically, per the engine's resume contract) instead
@@ -131,23 +143,23 @@ def run_job(
     removes the job's partial store tree before propagating, so a
     ``FAILED`` job neither holds disk nor charges quota.
 
-    Raises :class:`JobCancelledError` as soon as the job's cancel event
-    is observed at a chunk boundary.
+    Raises :class:`JobCancelledError` at the first chunk boundary at
+    which ``cancelled()`` is true.
     """
     spec = job.spec()
     consumers = job_consumers(spec)
 
     checkpoint_path: Optional[Path] = None
-    if job.durable and checkpoint_dir is not None:
+    if job.durable:
         checkpoint_path = Path(checkpoint_dir) / f"{job.job_id}.ckpt"
 
     store_path: Optional[Path] = None
-    if job.store and store_dir is not None:
+    if job.store:
         store_path = Path(store_dir) / job.tenant / job.job_id
         store_path.parent.mkdir(parents=True, exist_ok=True)
 
     def progress(update) -> None:
-        if job.cancel_event.is_set():
+        if cancelled():
             raise JobCancelledError(f"job {job.job_id} cancelled")
 
     try:
@@ -189,3 +201,120 @@ def run_job(
         # The campaign finished; the resume point has served its purpose.
         checkpoint_path.unlink()
     return serialize_report(report)
+
+
+#: What the service sends down a job process's pipe to cancel its job.
+CANCEL = "cancel"
+
+
+def _job_main(conn, checkpoint_dir: Path, store_dir: Path) -> None:
+    """A job process's whole life: run the jobs that arrive on ``conn``.
+
+    Each job arrives as ``(fields, resume, faults)`` and goes home as
+    ``(store_bytes, payload or exception)``.  While a job runs, the
+    only message that can arrive is :data:`CANCEL`, so a readable pipe
+    at a chunk boundary cancels it; a cancel that arrives between jobs
+    came after its job had finished, and is dropped.  The process dies
+    with the daemon, runs its GEMMs on one BLAS thread (the job
+    processes already occupy the CPUs), and leaves a terminal's Ctrl-C
+    (SIGINT) to the daemon, which waits for running jobs on shutdown.
+    It exits when the daemon closes the pipe.
+    """
+    die_with_parent()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    set_blas_threads(1)
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message == CANCEL:
+            continue
+        fields, resume, faults = message
+        job = CampaignJob.from_dict(fields)
+        try:
+            outcome = run_job(
+                job, checkpoint_dir, store_dir, resume, faults, conn.poll
+            )
+        except Exception as exc:  # noqa: BLE001 - job failure is data
+            outcome = _shippable(exc)
+        conn.send((job.store_bytes, outcome))
+        del outcome
+
+
+def _shippable(exc: Exception) -> Exception:
+    """``exc`` if it pickles and unpickles, else an error that names it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return ServiceError(
+            f"the job failed with an error that does not pickle: "
+            f"{type(exc).__name__}: {exc}"
+        )
+    return exc
+
+
+class JobProcess:
+    """One long-lived job process of the service, and its pipe.
+
+    Forked (:meth:`start`) with the service's state directories; it runs
+    one job at a time.  The service calls :meth:`send` and :meth:`cancel`
+    under its lock, so a cancel always follows its job down the pipe,
+    and :meth:`receive` on the job's lane, without the lock.
+    """
+
+    def __init__(self, checkpoint_dir: Path, store_dir: Path, name: str):
+        self._args = (checkpoint_dir, store_dir)
+        self.name = name
+        #: The job this process runs, or ``None`` while it is free.
+        self.job_id: Optional[str] = None
+        self.start()
+
+    def start(self) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_job_main, args=(child,) + self._args, name=self.name,
+            daemon=True,
+        )
+        self.process.start()
+        child.close()
+
+    def send(self, job: CampaignJob, resume: bool, faults) -> None:
+        """Hand ``job`` over; a cancel already requested follows it."""
+        try:
+            self._conn.send((job.to_dict(include_result=False), resume, faults))
+        except OSError:
+            return  # the process is dead; receive() finds out
+        if job.cancel_event.is_set():
+            self.cancel()
+
+    def cancel(self) -> None:
+        try:
+            self._conn.send(CANCEL)
+        except OSError:
+            pass  # the process is dead; receive() finds out
+
+    def receive(self):
+        """The job's ``(store_bytes, payload or exception)``.
+
+        ``None`` if the process died first; it is then replaced by a
+        fresh one before this returns.
+        """
+        from multiprocessing.connection import wait
+
+        ready = wait([self._conn, self.process.sentinel])
+        if self._conn in ready:
+            try:
+                return self._conn.recv()
+            except (EOFError, OSError):
+                pass  # killed mid-send
+        self.stop()
+        self.start()
+        return None
+
+    def stop(self) -> None:
+        """SIGKILL and reap the process; close the pipe."""
+        self.process.kill()
+        self.process.join()
+        self._conn.close()

@@ -20,8 +20,8 @@ worker budget or thread timing.  Three mechanisms make that true:
   (a short job dispatched later completes first), but their results are
   buffered and the finalize callback runs strictly in dispatch order —
   mirroring how the engine folds chunks in index order — so completion
-  sequence numbers are deterministic for any worker budget.  Worker
-  slots are released at raw completion, so this buffering never costs
+  sequence numbers are deterministic for any worker budget.  A lane
+  is free again at raw completion, so this buffering never costs
   throughput.
 
 The scheduler is pure mechanism: it owns no journal, no metrics, and no
@@ -32,7 +32,6 @@ callbacks (invoked under the shared lock) and does the bookkeeping.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, JobCancelledError
@@ -47,12 +46,14 @@ RunnerFn = Callable[[CampaignJob, bool], dict]
 
 
 class Scheduler:
-    """Multiplex campaigns over ``worker_budget`` threads, fairly.
+    """Multiplex campaigns over ``worker_budget`` lanes, fairly.
 
     Parameters
     ----------
     runner:
-        ``runner(job, resume) -> payload`` executed on a worker thread.
+        ``runner(job, resume) -> payload``, called on a lane thread
+        without the lock (the service's runner hands the job to a job
+        process and waits for it).
         :class:`JobCancelledError` finalizes the job as ``cancelled``;
         any other exception finalizes it as ``failed``.
     worker_budget:
@@ -102,8 +103,7 @@ class Scheduler:
         self._next_finalize = 0
         self._in_flight = 0
         self._stop = False
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._dispatcher: Optional[threading.Thread] = None
+        self._lanes: List[threading.Thread] = []
 
     # -- policy views --------------------------------------------------
 
@@ -118,16 +118,17 @@ class Scheduler:
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
-        if self._dispatcher is not None:
+        """Start ``worker_budget`` lanes: each runs one job at a time."""
+        if self._lanes:
             raise ConfigurationError("scheduler already started")
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.worker_budget,
-            thread_name_prefix="campaign-worker",
-        )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="campaign-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
+        self._lanes = [
+            threading.Thread(
+                target=self._lane, name=f"campaign-lane-{i}", daemon=True
+            )
+            for i in range(self.worker_budget)
+        ]
+        for lane in self._lanes:
+            lane.start()
 
     def submit(self, job: CampaignJob, resume: bool = False) -> None:
         """Enqueue ``job``; the dispatcher picks it up when fair."""
@@ -156,15 +157,13 @@ class Scheduler:
                 lambda: not self._has_work(), timeout=timeout
             )
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop dispatching; optionally wait for in-flight jobs."""
+    def shutdown(self) -> None:
+        """Stop dispatching and wait for the running jobs to end."""
         with self.cond:
             self._stop = True
             self.cond.notify_all()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=10.0)
-        if self._executor is not None:
-            self._executor.shutdown(wait=wait)
+        for lane in self._lanes:
+            lane.join()
 
     def _has_work(self) -> bool:
         return (
@@ -215,7 +214,7 @@ class Scheduler:
         nothing in flight.
         """
         with self.cond:
-            if self._dispatcher is not None or self._in_flight:
+            if self._lanes or self._in_flight:
                 raise ConfigurationError(
                     "cannot restore sequences on a running scheduler"
                 )
@@ -245,22 +244,21 @@ class Scheduler:
 
     # -- dispatch + finalize -------------------------------------------
 
-    def _dispatch_loop(self) -> None:
+    def _lane(self) -> None:
+        """Pick, run, complete; repeat until shutdown.
+
+        A lane picks only while it is free, under the lock, so at most
+        ``worker_budget`` jobs run and each pick reads only dispatch
+        history, as in a single dispatcher.
+        """
         while True:
             with self.cond:
                 self.cond.wait_for(
-                    lambda: self._stop
-                    or (
-                        any(self._ready.values())
-                        and self._in_flight < self.worker_budget
-                    )
+                    lambda: self._stop or any(self._ready.values())
                 )
                 if self._stop:
                     return
-                picked = self._pick_locked()
-                if picked is None:
-                    continue
-                job, resume = picked
+                job, resume = self._pick_locked()
                 seq = self._dispatch_seq
                 self._dispatch_seq += 1
                 self._enqueued_at.pop(job.job_id, None)
@@ -272,31 +270,16 @@ class Scheduler:
                 job.dispatch_seq = seq
                 if self.on_dispatch is not None:
                     self.on_dispatch(job)
-                executor = self._executor
+            payload: Optional[dict] = None
+            error: Optional[str] = None
             try:
-                executor.submit(self._run_one, job, resume, seq)
-            except RuntimeError as exc:
-                # A concurrent shutdown() finished executor.shutdown()
-                # between our _stop check and this submit.  Finalize the
-                # already-dispatched job as cancelled instead of leaving
-                # it journaled RUNNING forever (and keep this thread
-                # alive to drain anything else in flight).
-                self._complete(
-                    seq, job, None, "cancelled",
-                    f"scheduler shut down before the job started: {exc}",
-                )
-
-    def _run_one(self, job: CampaignJob, resume: bool, seq: int) -> None:
-        payload: Optional[dict] = None
-        error: Optional[str] = None
-        try:
-            payload = self.runner(job, resume)
-            state = "done"
-        except JobCancelledError as exc:
-            state, error = "cancelled", str(exc)
-        except Exception as exc:  # noqa: BLE001 - job failure is data
-            state, error = "failed", f"{type(exc).__name__}: {exc}"
-        self._complete(seq, job, payload, state, error)
+                payload = self.runner(job, resume)
+                state = "done"
+            except JobCancelledError as exc:
+                state, error = "cancelled", str(exc)
+            except Exception as exc:  # noqa: BLE001 - job failure is data
+                state, error = "failed", f"{type(exc).__name__}: {exc}"
+            self._complete(seq, job, payload, state, error)
 
     def _complete(
         self,
@@ -307,7 +290,7 @@ class Scheduler:
         error: Optional[str],
     ) -> None:
         with self.cond:
-            # Free the worker slot immediately; finalize strictly in
+            # The lane is free again at once; finalize strictly in
             # dispatch order (buffered, like the engine's chunk folding)
             # so completion sequence numbers are timing-independent.
             self._in_flight -= 1

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import (
     ConfigurationError,
+    JobCancelledError,
     QuotaExceededError,
     ServiceError,
     UnknownJobError,
@@ -38,7 +39,7 @@ from repro.errors import (
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.spec import CampaignSpec, spec_to_dict
 from repro.service.cache import ResultCache, cache_key
-from repro.service.execution import run_job
+from repro.service.execution import JobProcess
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -76,8 +77,8 @@ class CampaignService:
         journal), ``checkpoints/`` (durable jobs' resume points), and
         ``stores/<tenant>/<job_id>/`` (persisted traces).
     worker_budget:
-        Campaigns run concurrently (each single-process inside its
-        worker thread).
+        Campaigns run concurrently, each in one of this many long-lived
+        job processes that :meth:`start` forks.
     policies:
         Per-tenant :class:`TenantPolicy`; unknown tenants get defaults.
     cache_entries:
@@ -140,6 +141,7 @@ class CampaignService:
         self._submit_seq = self.store.max_seq("submit_seq") + 1
         #: job_ids in the order their terminal state was assigned.
         self.completion_order: List[str] = []
+        self._processes: List[JobProcess] = []
         self._declare_metrics()
         self._recover()
         if compact_journal:
@@ -151,11 +153,25 @@ class CampaignService:
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> "CampaignService":
+        """Fork the job processes, then start the scheduler's lanes.
+
+        The processes are forked first, while the service has no thread
+        of its own and is small; call this before starting an HTTP
+        front-end, from a thread that lives as long as the service
+        (the processes die with the thread that forked them).
+        """
+        self._processes = [
+            JobProcess(self.checkpoint_dir, self.store_dir, f"campaign-job-{i}")
+            for i in range(self.scheduler.worker_budget)
+        ]
         self.scheduler.start()
         return self
 
-    def shutdown(self, wait: bool = True) -> None:
-        self.scheduler.shutdown(wait=wait)
+    def shutdown(self) -> None:
+        """Wait for the running jobs, then stop the job processes."""
+        self.scheduler.shutdown()
+        for process in self._processes:
+            process.stop()
         self.store.close()
 
     def __enter__(self) -> "CampaignService":
@@ -260,8 +276,9 @@ class CampaignService:
         """Cancel a job; returns its state after the request.
 
         Queued jobs finalize as ``cancelled`` immediately.  Running jobs
-        get their cancel flag set and stop at the next chunk boundary.
-        Terminal jobs are left untouched (idempotent).
+        get their cancel flag set, the cancel crosses to their job
+        process, and they stop at the next chunk boundary.  Terminal
+        jobs are left untouched (idempotent).
         """
         with self._cond:
             job = self._job(job_id)
@@ -273,6 +290,9 @@ class CampaignService:
                 )
                 return job.state
             job.cancel_event.set()
+            for process in self._processes:
+                if process.job_id == job_id:
+                    process.cancel()
             return job.state
 
     def list_jobs(self, tenant: Optional[str] = None) -> List[dict]:
@@ -417,15 +437,38 @@ class CampaignService:
                 )
 
     def _run(self, job: CampaignJob, resume: bool) -> dict:
-        """Scheduler runner: executes on a worker thread, no lock held."""
+        """Scheduler runner: runs ``job`` in a free job process.
+
+        Called on a scheduler lane, without the lock.  There are as
+        many processes as lanes, so one is free.  If the process dies
+        mid-job (it is replaced at once), a durable job resumes from
+        its checkpoint on the new process, once; any other job fails.
+        """
         faults = self.job_faults(job) if self.job_faults is not None else None
-        return run_job(
-            job,
-            checkpoint_dir=self.checkpoint_dir,
-            store_dir=self.store_dir,
-            resume=resume,
-            faults=faults,
-        )
+        with self._cond:
+            process = next(p for p in self._processes if p.job_id is None)
+            process.job_id = job.job_id
+        try:
+            for attempt in range(2):
+                with self._cond:
+                    process.send(job, resume, faults)
+                outcome = process.receive()
+                if outcome is not None:
+                    break
+                if job.cancel_event.is_set():
+                    raise JobCancelledError(f"job {job.job_id} cancelled")
+                if not job.durable or attempt:
+                    raise ServiceError(
+                        f"job process died while running job {job.job_id}"
+                    )
+                resume = job.resumed = True
+        finally:
+            with self._cond:
+                process.job_id = None
+        job.store_bytes, result = outcome
+        if isinstance(result, BaseException):
+            raise result
+        return result
 
     def _on_dispatch(self, job: CampaignJob) -> None:
         """Scheduler callback (under the shared lock): job started."""

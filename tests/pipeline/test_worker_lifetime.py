@@ -5,8 +5,10 @@ workers are blocked on the parent (ring slots full, or mid-send of a
 chunk larger than the pipe buffer), the test SIGKILLs that subprocess
 only.  Within 3 s no ``campaign-worker-*`` process of it may be left,
 and no ``rftc-shm-<pid>-`` segment: the workers get SIGKILL from the
-kernel when their parent dies, and the resource tracker then unlinks
-their segments.  Both transports, under ``fork`` and ``spawn``.
+kernel when their parent dies (under ``forkserver``, a thread of theirs
+sees the parent's pipe reach EOF and exits them), and the resource
+tracker then unlinks their segments.  Both transports, under ``fork``,
+``spawn`` and ``forkserver``.
 
 A worker on the pipe also exits without that signal (a platform with
 no ``prctl``): it closed the parent's receive ends it inherited, so its
@@ -60,7 +62,7 @@ CAMPAIGN = textwrap.dedent(
         if transport == "pickle":
             shm_transport.shm_available = lambda: False
         if pdeathsig == "off":
-            engine._die_with_parent = lambda: None
+            engine.die_with_parent = lambda: None
         StreamingCampaign(
             CampaignSpec(target="unprotected"), chunk_size=500, workers=2,
             seed=5, start_method=start_method,
@@ -136,7 +138,7 @@ needs_linux = pytest.mark.skipif(
 
 @needs_linux
 @pytest.mark.parametrize("transport", TRANSPORTS)
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+@pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
 def test_killed_run_leaves_no_worker_and_no_segment(
     tmp_path, start_method, transport
 ):

@@ -27,6 +27,8 @@ from tests.service.test_serve_cli import _env
 
 N_TRACES = 40
 CHUNK = 20
+#: A job that cannot finish while a test holds it: 5000 chunks.
+HELD_TRACES = 100_000
 
 
 def small_spec(**overrides):
@@ -165,9 +167,16 @@ class TestLoadShedding:
         host, port = server.start()
         client = ServiceClient(host, port)
         try:
-            # Fill the single worker, then the queue up to the bound.
-            running = client.submit(small_spec(), 4000, chunk_size=CHUNK,
-                                    seed=1)
+            # Fill the single job process, then the queue up to the
+            # bound.  The running job's budget is far beyond what it can
+            # acquire during the test, so it is still running when the
+            # third submission arrives.
+            running = client.submit(small_spec(), HELD_TRACES,
+                                    chunk_size=CHUNK, seed=1)
+            deadline = time.monotonic() + 30.0
+            while client.status(running["job_id"])["state"] != "running":
+                assert time.monotonic() < deadline, "never dispatched"
+                time.sleep(0.01)
             queued = client.submit(small_spec(), 4000, chunk_size=CHUNK,
                                    seed=2)
             status, headers, body = raw_request(
@@ -186,15 +195,16 @@ class TestLoadShedding:
                 host, port, "GET", "/healthz/ready"
             )
             assert ready_status == 503 and "Retry-After" in ready_headers
-            assert client.status(running["job_id"])["state"] in (
-                "running", "queued", "done",
-            )
+            assert client.status(running["job_id"])["state"] == "running"
             assert client.counter_value("service_shed_total") >= 1
 
-            # Pressure stops -> the gate reopens, no hysteresis.
+            # Pressure stops -> the gate reopens, no hysteresis.  The
+            # running job stops at its next chunk boundary.
             client.cancel(queued["job_id"])
             client.cancel(running["job_id"])
             assert service.join(timeout=60)
+            assert client.status(queued["job_id"])["state"] == "cancelled"
+            assert client.status(running["job_id"])["state"] == "cancelled"
             assert client.ready()
             accepted = client.submit(small_spec(), N_TRACES,
                                      chunk_size=CHUNK, seed=4)

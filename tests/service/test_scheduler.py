@@ -231,33 +231,6 @@ class TestLifecycle:
         assert (job.completion_seq, other.completion_seq) == (0, 1)
         scheduler.shutdown()
 
-    def test_executor_shutdown_race_finalizes_job_as_cancelled(self):
-        """If executor.shutdown() wins the race after the dispatcher's
-        _stop check, the picked job must be finalized (cancelled), not
-        left journaled RUNNING with a dead dispatcher thread."""
-        finalized = []
-        scheduler = Scheduler(
-            lambda job, resume: {"ok": True},
-            worker_budget=1,
-            on_finalize=lambda job, payload, state, error: finalized.append(
-                (job.job_id, state, error)
-            ),
-        )
-        scheduler.start()
-        # Simulate the concurrent shutdown() having completed its
-        # executor.shutdown() between the _stop check and submit.
-        scheduler._executor.shutdown(wait=True)
-        job = make_job(0)
-        scheduler.submit(job)
-        with scheduler.cond:
-            assert scheduler.cond.wait_for(lambda: finalized, timeout=10.0)
-        assert finalized == [
-            (job.job_id, "cancelled", finalized[0][2])
-        ]
-        assert "shut down before the job started" in finalized[0][2]
-        assert scheduler._dispatcher.is_alive()
-        scheduler.shutdown()
-
     def test_constructor_validation(self):
         with pytest.raises(ConfigurationError):
             Scheduler(lambda job, resume: {}, worker_budget=0)
