@@ -239,7 +239,6 @@ def _job_main(conn, checkpoint_dir: Path, store_dir: Path) -> None:
         except Exception as exc:  # noqa: BLE001 - job failure is data
             outcome = _shippable(exc)
         conn.send((job.store_bytes, outcome))
-        del outcome
 
 
 def _shippable(exc: Exception) -> Exception:
