@@ -9,11 +9,13 @@ RFTC(1, 4) at three scope bandwidths.
 """
 
 
+import numpy as np
+
 from benchmarks._budget import run_once, scaled
 from repro.attacks.cpa import cpa_byte
 from repro.attacks.models import expand_last_round_key
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import DEFAULT_KEY, build_rftc
+from repro.pipeline import DEFAULT_KEY, CampaignSpec
 from repro.baselines import UnprotectedClock
 from repro.power.acquisition import AcquisitionCampaign, ProtectedAesDevice
 from repro.power.scope import Oscilloscope
@@ -35,9 +37,11 @@ def _unprotected_peak(bandwidth_mhz: float, n: int) -> float:
 
 
 def _rftc_dtw_rank(bandwidth_mhz: float, n: int) -> int:
-    scenario = build_rftc(1, 4, seed=73, noise_std=2.0)
-    scenario.device.scope = Oscilloscope(bandwidth_mhz=bandwidth_mhz)
-    ts = AcquisitionCampaign(scenario.device, seed=74).collect(n)
+    device = CampaignSpec(
+        target="rftc", m_outputs=1, p_configs=4, plan_seed=73
+    ).build_device(np.random.default_rng(74))
+    device.scope = Oscilloscope(bandwidth_mhz=bandwidth_mhz)
+    ts = AcquisitionCampaign(device, seed=74).collect(n)
     rk10 = expand_last_round_key(ts.key)
     warped = DtwAligner()(ts.traces)
     return cpa_byte(warped, ts.ciphertexts, 0).rank_of(rk10[0])

@@ -8,11 +8,13 @@ design choice behind DtwAligner's default and is worth a number.
 """
 
 
+import numpy as np
+
 from benchmarks._budget import run_once, scaled
 from repro.attacks.cpa import cpa_byte
 from repro.attacks.models import expand_last_round_key
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import build_rftc
+from repro.pipeline import CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign
 from repro.preprocess import DtwAligner
 
@@ -21,8 +23,10 @@ def test_ablation_dtw_reference(benchmark):
     n = scaled(8000)
 
     def run():
-        scenario = build_rftc(1, 4, seed=83)
-        ts = AcquisitionCampaign(scenario.device, seed=84).collect(n)
+        device = CampaignSpec(
+            target="rftc", m_outputs=1, p_configs=4, plan_seed=83
+        ).build_device(np.random.default_rng(84))
+        ts = AcquisitionCampaign(device, seed=84).collect(n)
         rk10 = expand_last_round_key(ts.key)
         ranks = {}
         for reference in ("first", "mean"):

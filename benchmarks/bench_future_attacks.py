@@ -14,18 +14,26 @@ RFTC(1, 4) and RFTC(3, 64):
 """
 
 
+import numpy as np
+
 from benchmarks._budget import run_once, scaled
 from repro.attacks.cpa import cpa_byte
 from repro.attacks.models import expand_last_round_key
 from repro.attacks.sliding_window import sliding_window_cpa
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import build_rftc, build_unprotected
+from repro.pipeline import CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign
 from repro.preprocess import RapidAligner
 
 
-def _ranks(scenario, seed, n):
-    ts = AcquisitionCampaign(scenario.device, seed=seed).collect(n)
+def _device(target, rng_seed, **shape):
+    return CampaignSpec(target=target, **shape).build_device(
+        np.random.default_rng(rng_seed)
+    )
+
+
+def _ranks(device, seed, n):
+    ts = AcquisitionCampaign(device, seed=seed).collect(n)
     rk10 = expand_last_round_key(ts.key)
     plain = cpa_byte(ts.traces, ts.ciphertexts, 0).rank_of(rk10[0])
     ram = cpa_byte(
@@ -44,9 +52,13 @@ def test_future_attacks_ram_and_sliding_window(benchmark):
 
     def run():
         return {
-            "unprotected": _ranks(build_unprotected(), 91, min(n, 3000)),
-            "RFTC(1, 4)": _ranks(build_rftc(1, 4, seed=92), 93, n),
-            "RFTC(3, 64)": _ranks(build_rftc(3, 64, seed=94), 95, n),
+            "unprotected": _ranks(_device("unprotected", 91), 91, min(n, 3000)),
+            "RFTC(1, 4)": _ranks(
+                _device("rftc", 93, m_outputs=1, p_configs=4, plan_seed=92), 93, n
+            ),
+            "RFTC(3, 64)": _ranks(
+                _device("rftc", 95, m_outputs=3, p_configs=64, plan_seed=94), 95, n
+            ),
         }
 
     out = run_once(benchmark, run)

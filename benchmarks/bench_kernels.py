@@ -31,7 +31,6 @@ from repro.attacks.cpa import CpaEngine, cpa_byte
 from repro.attacks.models import last_round_hd_predictions
 from repro.crypto.aes import AES, batch_expand_key
 from repro.crypto.datapath import AesDatapath, batch_round_states
-from repro.experiments import scenarios
 from repro.hw.clock import ClockSchedule
 from repro.hw.drp import _encode_burst
 from repro.leakage_assessment.tvla import IncrementalTvla
@@ -40,7 +39,7 @@ from repro.power.synth import TraceSynthesizer
 from repro.preprocess.dtw import batch_dtw_align
 from repro.preprocess.fft import fft_magnitude
 from repro.utils.iir import rc_lowpass
-from repro.rftc import RFTCParams
+from repro.rftc import RFTCParams, planner
 from repro.rftc.planner import plan_overlap_free
 from repro.utils.stats import RunningMoments, column_pearson
 
@@ -279,21 +278,21 @@ def bench_rftc_device_build(scale, rng):
     """
     spec = CampaignSpec(target="rftc", m_outputs=3, p_configs=256)
     spec.warm_caches()
-    plan = scenarios.cached_plan(spec.m_outputs, spec.p_configs, spec.plan_seed)
-    key = scenarios._plan_key(plan.params, spec.plan_seed, True)
+    plan = planner.cached_plan(spec.m_outputs, spec.p_configs, spec.plan_seed)
+    key = planner._plan_key(plan.params, spec.plan_seed, True)
 
     def new():
         spec.build_device(np.random.default_rng(0))
 
     def ref():
         _encode_burst.cache_clear()
-        scenarios._PLAN_CACHE[key] = dataclasses.replace(plan)
+        planner._PLAN_CACHE[key] = dataclasses.replace(plan)
         spec.build_device(np.random.default_rng(0))
 
     try:
         new_s, ref_s = _time_interleaved(new, ref)
     finally:
-        scenarios._PLAN_CACHE[key] = plan
+        planner._PLAN_CACHE[key] = plan
         spec.warm_caches()
     return {
         "shape": {"m_outputs": 3, "p_configs": 256},

@@ -13,19 +13,28 @@ class structure (DESIGN.md §6).
 """
 
 
+import numpy as np
+
 from benchmarks._budget import run_once, scaled
 from repro.attacks.incremental import IncrementalCpa
 from repro.attacks.models import expand_last_round_key
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import build_rftc
+from repro.pipeline import CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign
 
 BATCH = 15000
 
 
-def _stream_attack(scenario, seed, total, checkpoints):
-    campaign = AcquisitionCampaign(scenario.device, seed=seed)
-    rk10 = expand_last_round_key(scenario.device.key)
+def _rftc(m_outputs, p_configs, seed):
+    """RFTC(M, P) on plan ``seed``, switching from ``seed + 1``."""
+    return CampaignSpec(
+        target="rftc", m_outputs=m_outputs, p_configs=p_configs, plan_seed=seed
+    ).build_device(np.random.default_rng(seed + 1))
+
+
+def _stream_attack(device, seed, total, checkpoints):
+    campaign = AcquisitionCampaign(device, seed=seed)
+    rk10 = expand_last_round_key(device.key)
     inc = IncrementalCpa(byte_index=0)
     history = []
     collected = 0
@@ -47,10 +56,10 @@ def test_paper_scale_streaming_cpa(benchmark):
 
     def run():
         weak = _stream_attack(
-            build_rftc(1, 4, seed=92), 93, total, checkpoints
+            _rftc(1, 4, seed=92), 93, total, checkpoints
         )
         strong = _stream_attack(
-            build_rftc(3, 256, seed=94), 95, total, checkpoints
+            _rftc(3, 256, seed=94), 95, total, checkpoints
         )
         return weak, strong
 

@@ -13,17 +13,19 @@ the unprotected core and RFTC(2, 16):
 """
 
 
+import numpy as np
+
 from benchmarks._budget import run_once, scaled
 from repro.attacks.mia import mia_byte
 from repro.attacks.models import expand_last_round_key
 from repro.attacks.template import build_templates, template_rank
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import build_rftc, build_unprotected
+from repro.pipeline import CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign
 
 
-def _evaluate(scenario, seed, n):
-    campaign = AcquisitionCampaign(scenario.device, seed=seed)
+def _evaluate(device, seed, n):
+    campaign = AcquisitionCampaign(device, seed=seed)
     ts = campaign.collect(n)
     rk10 = expand_last_round_key(ts.key)
     half = ts.n_traces // 2
@@ -42,8 +44,20 @@ def test_profiled_and_model_free_adversaries(benchmark):
 
     def run():
         return {
-            "unprotected": _evaluate(build_unprotected(), 31, n),
-            "RFTC(2, 16)": _evaluate(build_rftc(2, 16, seed=32), 33, n),
+            "unprotected": _evaluate(
+                CampaignSpec(target="unprotected").build_device(
+                    np.random.default_rng(31)
+                ),
+                31,
+                n,
+            ),
+            "RFTC(2, 16)": _evaluate(
+                CampaignSpec(
+                    target="rftc", m_outputs=2, p_configs=16, plan_seed=32
+                ).build_device(np.random.default_rng(33)),
+                33,
+                n,
+            ),
         }
 
     out = run_once(benchmark, run)

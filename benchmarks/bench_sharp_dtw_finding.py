@@ -16,11 +16,13 @@ result with the paper's measured one.
 """
 
 
+import numpy as np
+
 from benchmarks._budget import run_once, scaled
 from repro.attacks.cpa import cpa_byte
 from repro.attacks.models import expand_last_round_key
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import build_rftc
+from repro.pipeline import CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign
 from repro.power.synth import TraceSynthesizer
 from repro.preprocess import DtwAligner
@@ -36,9 +38,11 @@ def test_sharp_reference_dtw_finding(benchmark):
             ("3x noise", 6.0, ((0.0, 1.0),)),
             ("intra-round substructure", 2.0, ((0.0, 0.6), (7.0, 0.4))),
         ):
-            scenario = build_rftc(3, 64, seed=241, noise_std=noise)
-            scenario.device.synthesizer = TraceSynthesizer(taps=taps)
-            ts = AcquisitionCampaign(scenario.device, seed=242).collect(n)
+            device = CampaignSpec(
+                target="rftc", m_outputs=3, p_configs=64, plan_seed=241, noise_std=noise
+            ).build_device(np.random.default_rng(242))
+            device.synthesizer = TraceSynthesizer(taps=taps)
+            ts = AcquisitionCampaign(device, seed=242).collect(n)
             rk10 = expand_last_round_key(ts.key)
             ranks = {}
             for reference in ("mean", "first"):

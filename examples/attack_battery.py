@@ -13,9 +13,9 @@ import sys
 
 import numpy as np
 
-from repro.experiments import build_rftc
 from repro.experiments.attack_suite import run_attack_suite
 from repro.experiments.reporting import render_attack_suite
+from repro.pipeline import CampaignSpec
 from repro.power import AcquisitionCampaign
 
 
@@ -24,9 +24,10 @@ def main():
     p = int(sys.argv[2]) if len(sys.argv) > 2 else 16
     n = int(sys.argv[3]) if len(sys.argv) > 3 else 6000
 
-    scenario = build_rftc(m_outputs=m, p_configs=p, seed=7)
-    print(f"collecting {n} traces from {scenario.name} ...")
-    trace_set = AcquisitionCampaign(scenario.device, seed=7).collect(n)
+    spec = CampaignSpec(target="rftc", m_outputs=m, p_configs=p, plan_seed=7)
+    device = spec.build_device(np.random.default_rng(8))
+    print(f"collecting {n} traces from {spec.label()} ...")
+    trace_set = AcquisitionCampaign(device, seed=7).collect(n)
     print(
         f"completion times span "
         f"{trace_set.completion_times_ns.min():.1f} - "
@@ -36,7 +37,7 @@ def main():
 
     result = run_attack_suite(
         trace_set,
-        scenario.name,
+        spec.label(),
         trace_counts=tuple(c for c in (n // 4, n // 2, n) if c >= 500),
         n_repeats=5,
         byte_indices=(0,),

@@ -16,9 +16,9 @@ import numpy as np
 from repro.attacks import cpa_byte
 from repro.attacks.models import expand_last_round_key
 from repro.baselines.base import AES_CYCLES, CountermeasureBase
-from repro.experiments.scenarios import DEFAULT_KEY, _measurement_chain
 from repro.hw.clock import ClockSchedule, freq_mhz_to_period_ns
-from repro.power import AcquisitionCampaign
+from repro.pipeline import DEFAULT_KEY
+from repro.power import AcquisitionCampaign, ProtectedAesDevice
 
 
 class TwoSpeedClock(CountermeasureBase):
@@ -52,7 +52,7 @@ class TwoSpeedClock(CountermeasureBase):
 
 def main():
     cm = TwoSpeedClock(rng=np.random.default_rng(5))
-    device = _measurement_chain(DEFAULT_KEY, cm)
+    device = ProtectedAesDevice(DEFAULT_KEY, cm)
     trace_set = AcquisitionCampaign(device, seed=6).collect(6000)
     rk10 = expand_last_round_key(trace_set.key)
 

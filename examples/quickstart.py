@@ -11,21 +11,22 @@ Builds the two ends of the paper's story on the synthetic bench:
 Run:  python examples/quickstart.py
 """
 
+import numpy as np
 
 from repro.attacks import cpa_attack
 from repro.attacks.models import (
     expand_last_round_key,
     recover_master_key_from_last_round,
 )
-from repro.experiments import build_rftc, build_unprotected
+from repro.pipeline import CampaignSpec
 from repro.power import AcquisitionCampaign
 
 N_TRACES = 3000
 
 
-def attack(scenario, seed):
+def attack(device, seed):
     """Collect a campaign and run last-round CPA on all 16 key bytes."""
-    campaign = AcquisitionCampaign(scenario.device, seed=seed)
+    campaign = AcquisitionCampaign(device, seed=seed)
     trace_set = campaign.collect(N_TRACES)
     result = cpa_attack(
         trace_set.traces, trace_set.ciphertexts, byte_indices=range(16)
@@ -39,25 +40,30 @@ def attack(scenario, seed):
 
 def main():
     print(f"=== Unprotected AES, {N_TRACES} traces ===")
-    unprotected = build_unprotected()
+    unprotected = CampaignSpec(target="unprotected").build_device(
+        np.random.default_rng(1)
+    )
     result, rk10, correct = attack(unprotected, seed=1)
     print(f"key bytes recovered: {correct}/16")
     if result.is_correct(rk10):
         master = recover_master_key_from_last_round(result.recovered_key())
         print(f"last round key : {result.recovered_key().hex()}")
         print(f"master key     : {master.hex()}")
-        print(f"device key     : {unprotected.device.key.hex()}")
-        assert master == unprotected.device.key
+        print(f"device key     : {unprotected.key.hex()}")
+        assert master == unprotected.key
         print("-> full AES-128 key recovered by inverting the key schedule.")
 
     print()
     print(f"=== RFTC(3, 64), same attack, same {N_TRACES} traces ===")
-    rftc = build_rftc(m_outputs=3, p_configs=64, seed=11)
+    rftc = CampaignSpec(
+        target="rftc", m_outputs=3, p_configs=64, plan_seed=11
+    ).build_device(np.random.default_rng(12))
     result, rk10, correct = attack(rftc, seed=2)
     print(f"key bytes recovered: {correct}/16")
     controller = rftc.countermeasure
+    plan = controller.plan
     print(
-        f"(randomized over {rftc.plan.n_sets * rftc.plan.m_outputs} clock "
+        f"(randomized over {plan.n_sets * plan.m_outputs} clock "
         f"frequencies; one MMCM reconfiguration takes "
         f"{controller.reconfiguration_seconds * 1e6:.1f} us and serves "
         f"~{controller.expected_encryptions_per_swap():.0f} encryptions)"

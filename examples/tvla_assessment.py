@@ -9,18 +9,22 @@ leakage shrinks as more clock outputs randomize within each encryption.
 Run:  python examples/tvla_assessment.py
 """
 
+import numpy as np
 
-from repro.experiments import build_rftc, build_unprotected
-from repro.experiments.figures import TVLA_FIXED_PLAINTEXT
-from repro.leakage_assessment import TVLA_THRESHOLD, tvla_fixed_vs_random
+from repro.leakage_assessment import (
+    TVLA_FIXED_PLAINTEXT,
+    TVLA_THRESHOLD,
+    tvla_fixed_vs_random,
+)
 from repro.leakage_assessment.tvla import load_stage_samples
+from repro.pipeline import CampaignSpec
 from repro.power import AcquisitionCampaign
 
 N_PER_GROUP = 8000
 
 
-def assess(name, scenario, max_first_period_ns):
-    campaign = AcquisitionCampaign(scenario.device, seed=hash(name) % 2**31)
+def assess(name, device, max_first_period_ns):
+    campaign = AcquisitionCampaign(device, seed=hash(name) % 2**31)
     fixed, random_ = campaign.collect_fixed_vs_random(
         N_PER_GROUP, TVLA_FIXED_PLAINTEXT
     )
@@ -41,11 +45,16 @@ def main():
         f"TVLA, {N_PER_GROUP} traces per population, threshold +-"
         f"{TVLA_THRESHOLD} (paper: 500k per population)\n"
     )
-    assess("unprotected", build_unprotected(), 1000.0 / 48.0)
+    unprotected = CampaignSpec(target="unprotected").build_device(
+        np.random.default_rng(100)
+    )
+    assess("unprotected", unprotected, 1000.0 / 48.0)
     for m in (1, 2, 3):
-        scenario = build_rftc(m, 8, seed=100 + m)
-        slowest = 1000.0 / float(scenario.plan.sets_mhz.min())
-        assess(f"RFTC({m}, 8)", scenario, slowest)
+        device = CampaignSpec(
+            target="rftc", m_outputs=m, p_configs=8, plan_seed=100 + m
+        ).build_device(np.random.default_rng(101 + m))
+        slowest = 1000.0 / float(device.countermeasure.plan.sets_mhz.min())
+        assess(f"RFTC({m}, 8)", device, slowest)
     print(
         "\npaper verdicts: M=1 far beyond 4.5; M=2 grazes it; M=3 within "
         "(only the plaintext-load prefix exceeds, which DPA cannot exploit)"

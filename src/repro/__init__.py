@@ -13,12 +13,13 @@ runs paper-scale trace counts in bounded memory on a worker pool.
 Quick start::
 
     import numpy as np
-    from repro.experiments import build_rftc, build_unprotected
+    from repro.pipeline import CampaignSpec
     from repro.power import AcquisitionCampaign
     from repro.attacks import cpa_attack
 
-    scenario = build_rftc(m_outputs=3, p_configs=64)
-    traces = AcquisitionCampaign(scenario.device, seed=1).collect(2000)
+    spec = CampaignSpec(target="rftc", m_outputs=3, p_configs=64)
+    device = spec.build_device(np.random.default_rng(2020))
+    traces = AcquisitionCampaign(device, seed=1).collect(2000)
     result = cpa_attack(traces.traces, traces.ciphertexts, byte_indices=(0,))
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for

@@ -15,7 +15,18 @@ from repro.baselines.rcdd import RandomClockDummyData
 from repro.baselines.rdi import RandomDelayInsertion
 from repro.baselines.unprotected import UnprotectedClock
 
+#: The related-work baselines a campaign can target, by name.  Each class
+#: takes its randomness as ``rng=``.
+BASELINES = {
+    "rdi": RandomDelayInsertion,
+    "rcdd": RandomClockDummyData,
+    "phase-shift": PhaseShiftedClocks,
+    "ippap": IPpapClocks,
+    "clock-rand": FritzkeClockRandomization,
+}
+
 __all__ = [
+    "BASELINES",
     "CountermeasureBase",
     "FritzkeClockRandomization",
     "IPpapClocks",

@@ -161,13 +161,27 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _device(args: argparse.Namespace):
+    """The ``attack``/``tvla`` target's device and its printed name."""
+    from repro.pipeline import CampaignSpec
+
+    if args.target == "unprotected":
+        device = CampaignSpec(target="unprotected").build_device(
+            np.random.default_rng(args.seed)
+        )
+        return device, device.countermeasure.label
+    spec = CampaignSpec(
+        target="rftc", m_outputs=args.m, p_configs=args.p, plan_seed=args.seed
+    )
+    return spec.build_device(np.random.default_rng(args.seed + 1)), spec.label()
+
+
 def _cmd_attack(args: argparse.Namespace) -> int:
     from repro.experiments.attack_suite import (
         EXTENDED_ATTACK_NAMES,
         run_attack_suite,
     )
     from repro.experiments.reporting import render_attack_suite
-    from repro.experiments.scenarios import build_rftc, build_unprotected
     from repro.power.acquisition import AcquisitionCampaign
 
     attacks = tuple(args.attacks.split(","))
@@ -175,18 +189,13 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     if unknown:
         raise ConfigurationError(f"unknown attacks: {sorted(unknown)}; "
                                  f"available: {EXTENDED_ATTACK_NAMES}")
-    if args.target == "unprotected":
-        scenario = build_unprotected()
-    else:
-        scenario = build_rftc(args.m, args.p, seed=args.seed)
-    print(f"collecting {args.traces} traces from {scenario.name} ...")
-    trace_set = AcquisitionCampaign(scenario.device, seed=args.seed).collect(
-        args.traces
-    )
+    device, name = _device(args)
+    print(f"collecting {args.traces} traces from {name} ...")
+    trace_set = AcquisitionCampaign(device, seed=args.seed).collect(args.traces)
     counts = [c for c in (args.traces // 4, args.traces // 2, args.traces) if c >= 8]
     result = run_attack_suite(
         trace_set,
-        scenario.name,
+        name,
         attacks=attacks,
         trace_counts=counts,
         n_repeats=args.repeats,
@@ -198,22 +207,21 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_tvla(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import TVLA_FIXED_PLAINTEXT
-    from repro.experiments.scenarios import build_rftc, build_unprotected
-    from repro.leakage_assessment import TVLA_THRESHOLD, tvla_fixed_vs_random
+    from repro.leakage_assessment import (
+        TVLA_FIXED_PLAINTEXT,
+        TVLA_THRESHOLD,
+        tvla_fixed_vs_random,
+    )
     from repro.power.acquisition import AcquisitionCampaign
 
-    if args.target == "unprotected":
-        scenario = build_unprotected()
-    else:
-        scenario = build_rftc(args.m, args.p, seed=args.seed)
-    campaign = AcquisitionCampaign(scenario.device, seed=args.seed)
+    device, name = _device(args)
+    campaign = AcquisitionCampaign(device, seed=args.seed)
     fixed, random_ = campaign.collect_fixed_vs_random(
         args.traces, TVLA_FIXED_PLAINTEXT
     )
     result = tvla_fixed_vs_random(fixed.traces, random_.traces)
     verdict = "PASS" if result.max_abs_t < TVLA_THRESHOLD else "LEAK"
-    print(f"{scenario.name}: max |t| = {result.max_abs_t:.2f} over "
+    print(f"{name}: max |t| = {result.max_abs_t:.2f} over "
           f"{args.traces} traces/group -> {verdict} "
           f"(threshold {TVLA_THRESHOLD})")
     return 0
@@ -254,8 +262,7 @@ def _write_metrics(obs, path: str) -> None:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.attacks.models import expand_last_round_key
     from repro.errors import AcquisitionError
-    from repro.experiments.figures import TVLA_FIXED_PLAINTEXT
-    from repro.leakage_assessment import TVLA_THRESHOLD
+    from repro.leakage_assessment import TVLA_FIXED_PLAINTEXT, TVLA_THRESHOLD
     from repro.pipeline import CampaignSpec, StreamingCampaign
     from repro.pipeline.checkpoint import CampaignCheckpoint
     from repro.service.execution import job_consumers

@@ -1,5 +1,8 @@
-"""Experiment orchestration: scenario builders, attack suites, and the
-regeneration code for every table and figure in the paper's evaluation."""
+"""Experiment orchestration: attack suites and the regeneration code for
+every table and figure in the paper's evaluation.
+
+Every device they measure comes from
+:meth:`repro.pipeline.CampaignSpec.build_device`."""
 
 from repro.experiments.attack_suite import (
     ATTACK_NAMES,
@@ -7,22 +10,10 @@ from repro.experiments.attack_suite import (
     make_preprocessor,
     run_attack_suite,
 )
-from repro.experiments.scenarios import (
-    DEFAULT_KEY,
-    Scenario,
-    build_baseline,
-    build_rftc,
-    build_unprotected,
-)
 
 __all__ = [
     "ATTACK_NAMES",
     "AttackSuiteResult",
     "make_preprocessor",
     "run_attack_suite",
-    "DEFAULT_KEY",
-    "Scenario",
-    "build_baseline",
-    "build_rftc",
-    "build_unprotected",
 ]

@@ -19,19 +19,17 @@ from repro.experiments.attack_suite import (
     AttackSuiteResult,
     run_attack_suite,
 )
-from repro.experiments.scenarios import (
-    DEFAULT_KEY,
-    build_rftc,
-    build_unprotected,
+from repro.leakage_assessment.tvla import (
+    TVLA_FIXED_PLAINTEXT,
+    TvlaResult,
+    load_stage_samples,
+    tvla_fixed_vs_random,
 )
-from repro.leakage_assessment.tvla import TvlaResult, load_stage_samples, tvla_fixed_vs_random
+from repro.pipeline import DEFAULT_KEY, CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign
 from repro.rftc import RFTCParams, simulate_completion_times
 from repro.rftc.completion import collision_statistics
 from repro.rftc.planner import plan_naive_grid, plan_overlap_free
-
-#: Fixed plaintext of the TVLA campaigns (the standard TVLA constant).
-TVLA_FIXED_PLAINTEXT = bytes.fromhex("da39a3ee5e6b4b0d3255bfef95601890")
 
 
 @dataclass
@@ -112,12 +110,15 @@ def attack_figure_data(
     """
     results: Dict[int, AttackSuiteResult] = {}
     for p in p_values:
-        scenario = build_rftc(m_outputs, p, key=key, seed=seed)
-        campaign = AcquisitionCampaign(scenario.device, seed=seed + p)
+        spec = CampaignSpec(
+            target="rftc", m_outputs=m_outputs, p_configs=p, key=key, plan_seed=seed
+        )
+        device = spec.build_device(np.random.default_rng(seed + 1))
+        campaign = AcquisitionCampaign(device, seed=seed + p)
         trace_set = campaign.collect(n_traces)
         results[p] = run_attack_suite(
             trace_set,
-            scenario.name,
+            spec.label(),
             attacks=attacks,
             trace_counts=trace_counts,
             n_repeats=n_repeats,
@@ -152,12 +153,14 @@ def unprotected_baseline_data(
     seed: int = 11,
 ) -> AttackSuiteResult:
     """Sec. 7's unprotected reference: ~2k traces for CPA/PCA/DTW, ~8k for FFT."""
-    scenario = build_unprotected()
-    campaign = AcquisitionCampaign(scenario.device, seed=seed)
+    device = CampaignSpec(target="unprotected").build_device(
+        np.random.default_rng(seed)
+    )
+    campaign = AcquisitionCampaign(device, seed=seed)
     trace_set = campaign.collect(n_traces)
     return run_attack_suite(
         trace_set,
-        scenario.name,
+        device.countermeasure.label,
         trace_counts=trace_counts,
         n_repeats=n_repeats,
         rng=np.random.default_rng(seed + 1),
@@ -194,12 +197,14 @@ def figure6_data(
     panels: Dict[str, TvlaPanel] = {}
     for m in m_values:
         for p in p_values:
-            scenario = build_rftc(m, p, seed=seed)
-            campaign = AcquisitionCampaign(scenario.device, seed=seed + 31 * m + p)
+            device = CampaignSpec(
+                target="rftc", m_outputs=m, p_configs=p, plan_seed=seed
+            ).build_device(np.random.default_rng(seed + 1))
+            campaign = AcquisitionCampaign(device, seed=seed + 31 * m + p)
             fixed, random_ = campaign.collect_fixed_vs_random(
                 n_per_group, TVLA_FIXED_PLAINTEXT
             )
-            max_first_period = float(scenario.plan.sets_mhz.min()) if scenario.plan is not None else 48.0
+            max_first_period = float(device.countermeasure.plan.sets_mhz.min())
             prefix = load_stage_samples(
                 fixed.sample_period_ns, 1000.0 / max_first_period
             )
@@ -213,8 +218,10 @@ def figure6_data(
 
 def tvla_unprotected(n_per_group: int = 20000, seed: int = 19) -> TvlaPanel:
     """TVLA of the unprotected device (massive leakage, for contrast)."""
-    scenario = build_unprotected()
-    campaign = AcquisitionCampaign(scenario.device, seed=seed)
+    device = CampaignSpec(target="unprotected").build_device(
+        np.random.default_rng(seed)
+    )
+    campaign = AcquisitionCampaign(device, seed=seed)
     fixed, random_ = campaign.collect_fixed_vs_random(
         n_per_group, TVLA_FIXED_PLAINTEXT
     )

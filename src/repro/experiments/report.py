@@ -106,9 +106,10 @@ def generate_report(profile: str = "smoke", seed: int = 2019) -> str:
     lines.append("")
 
     # --- TVLA trio -------------------------------------------------------------
-    from repro.experiments.figures import TVLA_FIXED_PLAINTEXT
-    from repro.experiments.scenarios import build_rftc
-    from repro.leakage_assessment.tvla import tvla_fixed_vs_random
+    import numpy as np
+
+    from repro.leakage_assessment.tvla import TVLA_FIXED_PLAINTEXT, tvla_fixed_vs_random
+    from repro.pipeline import CampaignSpec
     from repro.power.acquisition import AcquisitionCampaign
 
     lines.append(
@@ -119,15 +120,18 @@ def generate_report(profile: str = "smoke", seed: int = 2019) -> str:
     lines.append("| build | max \\|t\\| | verdict |")
     lines.append("|---|---|---|")
     for m in (1, 2, 3):
-        scenario = build_rftc(m, p.rftc_p_for_tvla, seed=seed + 10 + m)
-        campaign = AcquisitionCampaign(scenario.device, seed=seed + 20 + m)
+        spec = CampaignSpec(
+            target="rftc", m_outputs=m, p_configs=p.rftc_p_for_tvla, plan_seed=seed + 10 + m
+        )
+        device = spec.build_device(np.random.default_rng(seed + 11 + m))
+        campaign = AcquisitionCampaign(device, seed=seed + 20 + m)
         fixed, rnd = campaign.collect_fixed_vs_random(
             p.tvla_traces_per_group, TVLA_FIXED_PLAINTEXT
         )
         result = tvla_fixed_vs_random(fixed.traces, rnd.traces)
         verdict = "PASS" if result.max_abs_t < 4.5 else "LEAK"
         lines.append(
-            f"| {scenario.name} | {result.max_abs_t:.2f} | {verdict} |"
+            f"| {spec.label()} | {result.max_abs_t:.2f} | {verdict} |"
         )
     lines.append("")
 

@@ -16,11 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.attacks.incremental import IncrementalCpa
 from repro.attacks.models import expand_last_round_key
 from repro.errors import ConfigurationError
-from repro.experiments.scenarios import build_baseline, build_rftc
+from repro.pipeline import CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign
+from repro.power.synth import TraceSynthesizer
 
 
 @dataclass
@@ -51,7 +54,7 @@ class SecurityParameterRow:
 
 
 def _streamed_disclosure(
-    scenario, seed: int, budget: int, batch: int = 10_000
+    device, seed: int, budget: int, batch: int = 10_000
 ) -> Optional[int]:
     """First checkpoint where streamed plain CPA on key byte 0 holds rank 0.
 
@@ -59,8 +62,8 @@ def _streamed_disclosure(
     disclosure is declared, rejecting the transient rank-0 flickers a
     noisy correlation ranking produces.
     """
-    campaign = AcquisitionCampaign(scenario.device, seed=seed)
-    rk10 = expand_last_round_key(scenario.device.key)
+    campaign = AcquisitionCampaign(device, seed=seed)
+    rk10 = expand_last_round_key(device.key)
     inc = IncrementalCpa(byte_index=0)
     collected = 0
     first_zero = None
@@ -96,7 +99,13 @@ def measure_security_parameters(
     if budget < 2048:
         raise ConfigurationError("budget must be >= 2048")
     seed = 51
-    unprotected = build_baseline("unprotected", seed=seed)
+
+    def build(target: str, rng_seed: int, **shape):
+        return CampaignSpec(target=target, **shape).build_device(
+            np.random.default_rng(rng_seed)
+        )
+
+    unprotected = build("unprotected", seed)
     unprot = _streamed_disclosure(unprotected, seed + 1, 16_000, batch=500)
     if unprot is None:
         raise ConfigurationError(
@@ -104,16 +113,22 @@ def measure_security_parameters(
             "channel calibration is off"
         )
     rows = []
+    rcdd = build("rcdd", seed + 3)
+    # RCDD's dummy cycles push past the default 256-sample window.
+    rcdd.synthesizer = TraceSynthesizer(n_samples=320)
     targets = [
-        ("RDI [14]", build_baseline("rdi", seed=seed + 2)),
-        ("RCDD [3]", build_baseline("rcdd", seed=seed + 3, n_samples=320)),
-        ("Phase shifted clocks [10]", build_baseline("phase-shift", seed=seed + 4)),
-        ("iPPAP [19]", build_baseline("ippap", seed=seed + 5)),
-        ("Clock randomization [9]", build_baseline("clock-rand", seed=seed + 6)),
-        ("RFTC(3, 64)", build_rftc(3, 64, seed=seed + 7)),
+        ("RDI [14]", build("rdi", seed + 2)),
+        ("RCDD [3]", rcdd),
+        ("Phase shifted clocks [10]", build("phase-shift", seed + 4)),
+        ("iPPAP [19]", build("ippap", seed + 5)),
+        ("Clock randomization [9]", build("clock-rand", seed + 6)),
+        (
+            "RFTC(3, 64)",
+            build("rftc", seed + 8, m_outputs=3, p_configs=64, plan_seed=seed + 7),
+        ),
     ]
-    for offset, (name, scenario) in enumerate(targets):
-        disclosed = _streamed_disclosure(scenario, seed + 10 + offset, budget)
+    for offset, (name, device) in enumerate(targets):
+        disclosed = _streamed_disclosure(device, seed + 10 + offset, budget)
         rows.append(
             SecurityParameterRow(
                 name=name,

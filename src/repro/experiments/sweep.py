@@ -12,14 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.attacks.cpa import cpa_byte
 from repro.attacks.models import expand_last_round_key
 from repro.errors import ConfigurationError
 from repro.experiments.attack_suite import make_preprocessor
-from repro.experiments.figures import TVLA_FIXED_PLAINTEXT
 from repro.experiments.reporting import format_table
-from repro.experiments.scenarios import build_rftc
-from repro.leakage_assessment.tvla import tvla_fixed_vs_random
+from repro.leakage_assessment.tvla import TVLA_FIXED_PLAINTEXT, tvla_fixed_vs_random
+from repro.pipeline import CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign
 
 
@@ -95,10 +96,11 @@ def design_space_sweep(
     cells: Dict[Tuple[int, int], SweepCell] = {}
     for m in m_values:
         for p in p_values:
-            scenario = build_rftc(m, p, seed=seed + m * 131 + p)
-            campaign = AcquisitionCampaign(
-                scenario.device, seed=seed + m * 17 + p
-            )
+            plan_seed = seed + m * 131 + p
+            device = CampaignSpec(
+                target="rftc", m_outputs=m, p_configs=p, plan_seed=plan_seed
+            ).build_device(np.random.default_rng(plan_seed + 1))
+            campaign = AcquisitionCampaign(device, seed=seed + m * 17 + p)
             ts = campaign.collect(n_traces)
             rk10 = expand_last_round_key(ts.key)
             ranks = {}

@@ -21,9 +21,9 @@ from repro.baselines import (
     RandomClockDummyData,
     RandomDelayInsertion,
 )
-from repro.experiments.scenarios import build_rftc
 from repro.hw.bufg import bufg_count_for_inputs
-from repro.rftc import RFTCParams, distinct_completion_time_count
+from repro.pipeline import CampaignSpec
+from repro.rftc import distinct_completion_time_count
 
 #: Paper-reported Table 1 values, for side-by-side reporting.  ``None``
 #: mirrors the paper's "NA" entries.
@@ -94,15 +94,21 @@ class Table1Row:
         return self.time_overhead * self.power_overhead
 
 
+def _rftc_controller(m_outputs: int, p_configs: int, seed: int):
+    """RFTC(M, P)'s controller on the plan of ``seed``."""
+    return CampaignSpec(
+        target="rftc", m_outputs=m_outputs, p_configs=p_configs, plan_seed=seed
+    ).build_device(np.random.default_rng(seed + 1)).countermeasure
+
+
 def _rftc_overheads(m_outputs: int, p_configs: int, seed: int) -> Table1Row:
-    scenario = build_rftc(m_outputs, p_configs, seed=seed)
-    controller = scenario.countermeasure
-    params: RFTCParams = scenario.rftc_params
+    controller = _rftc_controller(m_outputs, p_configs, seed)
+    params = controller.params
     delays = distinct_completion_time_count(
         params.m_outputs, params.p_configs, params.rounds
     )
     # Residual exact duplicates on the hardware lattice reduce the count.
-    delays -= scenario.plan.duplicate_count()
+    delays -= controller.plan.duplicate_count()
     sched = controller.schedule(4096)
     completion = sched.completion_times_ns()
     # Reference: the unprotected circuit at the top of the window (48 MHz),
@@ -177,7 +183,5 @@ def table1_rows(seed: int = 23) -> Sequence[Table1Row]:
 
 def block_ram_count(m_outputs: int = 3, p_configs: int = 1024, seed: int = 23) -> int:
     """The paper's "20 Block RAMs" resource figure for RFTC(3, 1024)."""
-    scenario = build_rftc(m_outputs, p_configs, seed=seed)
-    return scenario.countermeasure.block_ram.bram_count(
-        n_mmcms=scenario.rftc_params.n_mmcms
-    )
+    controller = _rftc_controller(m_outputs, p_configs, seed)
+    return controller.block_ram.bram_count(n_mmcms=controller.params.n_mmcms)

@@ -2,6 +2,7 @@
 
 from repro.leakage_assessment.snr import partition_snr
 from repro.leakage_assessment.tvla import (
+    TVLA_FIXED_PLAINTEXT,
     TVLA_THRESHOLD,
     TvlaResult,
     IncrementalTvla,
@@ -10,6 +11,7 @@ from repro.leakage_assessment.tvla import (
 
 __all__ = [
     "partition_snr",
+    "TVLA_FIXED_PLAINTEXT",
     "TVLA_THRESHOLD",
     "TvlaResult",
     "IncrementalTvla",

@@ -20,6 +20,9 @@ from repro.utils.stats import RunningMoments, fold_interleaved, welch_t
 #: The pass/fail threshold of [6]: |t| above this flags exploitable leakage.
 TVLA_THRESHOLD = 4.5
 
+#: Fixed plaintext of the TVLA campaigns (the standard TVLA constant).
+TVLA_FIXED_PLAINTEXT = bytes.fromhex("da39a3ee5e6b4b0d3255bfef95601890")
+
 
 @dataclass
 class TvlaResult:

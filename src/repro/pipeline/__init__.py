@@ -37,6 +37,7 @@ from repro.pipeline.engine import (
     StreamingCampaign,
 )
 from repro.pipeline.spec import (
+    DEFAULT_KEY,
     CampaignSpec,
     campaign_targets,
     spec_from_dict,
@@ -46,6 +47,7 @@ from repro.pipeline.spec import (
 __all__ = [
     "CampaignCheckpoint",
     "CampaignSpec",
+    "DEFAULT_KEY",
     "campaign_targets",
     "spec_from_dict",
     "spec_to_dict",

@@ -21,7 +21,10 @@ import numpy as np
 from repro.errors import CheckpointError, ConfigurationError
 from repro.power.drift import DriftSpec
 
-#: Non-baseline target names (baselines come from ``baseline_names()``).
+#: The key used throughout the reproduction (the FIPS-197 Appendix B key).
+DEFAULT_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+
+#: Non-baseline target names (baselines come from ``repro.baselines.BASELINES``).
 _CORE_TARGETS = ("unprotected", "rftc")
 
 #: Version tag folded into every :meth:`CampaignSpec.spec_digest` — bump
@@ -100,11 +103,9 @@ def spec_from_dict(fields: dict) -> "CampaignSpec":
 
 def campaign_targets() -> Tuple[str, ...]:
     """Every target name a :class:`CampaignSpec` accepts."""
-    from repro.experiments.scenarios import baseline_names
+    from repro.baselines import BASELINES
 
-    names = list(_CORE_TARGETS)
-    names += [n for n in baseline_names() if n not in names]
-    return tuple(names)
+    return _CORE_TARGETS + tuple(BASELINES)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,8 @@ class CampaignSpec:
         for other targets.  The plan seed is deliberately separate from
         the campaign master seed: every chunk must use the *same* plan.
     key / noise_std:
-        Device key and scope noise, as in ``experiments.scenarios``.
+        Device key (default :data:`DEFAULT_KEY`) and the acquisition
+        front-end's Gaussian noise.
     fixed_plaintext:
         When set, chunks interleave this plaintext on even rows (TVLA
         fixed-vs-random acquisition); ``None`` means a plain
@@ -148,7 +150,7 @@ class CampaignSpec:
     target: str = "rftc"
     m_outputs: int = 2
     p_configs: int = 16
-    key: bytes = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+    key: bytes = DEFAULT_KEY
     noise_std: float = 2.0
     plan_seed: int = 2019
     fixed_plaintext: Optional[bytes] = None
@@ -198,57 +200,51 @@ class CampaignSpec:
         re-encoding once each.
         """
         if self.target == "rftc":
-            from repro.experiments.scenarios import cached_plan
             from repro.hw.drp import encode_config
+            from repro.rftc import cached_plan
 
             plan = cached_plan(self.m_outputs, self.p_configs, self.plan_seed, True)
             for config in plan.to_mmcm_configs():
                 encode_config(config)
 
     def build_device(self, rng: np.random.Generator):
-        """A fresh :class:`ProtectedAesDevice` whose randomness is ``rng``."""
-        import dataclasses
+        """A fresh :class:`ProtectedAesDevice` whose randomness is ``rng``.
 
-        from repro.experiments.scenarios import (
-            build_baseline,
-            build_rftc,
-            build_unprotected,
+        The one place a device under test is put together: RFTC(M, P) on
+        the memoized plan, the unprotected 48 MHz clock, or a baseline
+        from :data:`repro.baselines.BASELINES`, measured through the
+        paper's bench chain in the spec's dtype.
+        """
+        from repro.baselines import BASELINES, UnprotectedClock
+        from repro.power import (
+            CloudSensor,
+            DriftProcess,
+            Oscilloscope,
+            ProtectedAesDevice,
+            TraceSynthesizer,
         )
+        from repro.rftc import RFTCController, RFTCParams, cached_plan
 
         if self.target == "rftc":
-            scenario = build_rftc(
-                self.m_outputs,
-                self.p_configs,
-                key=self.key,
-                seed=self.plan_seed,
-                noise_std=self.noise_std,
+            countermeasure = RFTCController(
+                RFTCParams(m_outputs=self.m_outputs, p_configs=self.p_configs),
+                cached_plan(self.m_outputs, self.p_configs, self.plan_seed, True),
                 rng=rng,
             )
         elif self.target == "unprotected":
-            scenario = build_unprotected(key=self.key, noise_std=self.noise_std)
+            countermeasure = UnprotectedClock()
         else:
-            scenario = build_baseline(
-                self.target, key=self.key, noise_std=self.noise_std, rng=rng
-            )
-        device = scenario.device
-        if self.acquisition == "cloud":
-            from repro.power.cloud import CloudSensor
-
-            # Swap the bench scope for the on-chip co-tenant sensor;
-            # noise_std scales the sensor's readout noise just as it
-            # scales the scope's front-end noise.
-            device.scope = CloudSensor(
-                sample_rate_msps=device.synthesizer.sample_rate_msps,
-                noise_std=self.noise_std,
-            )
-        if self.dtype != "float64":
-            # Scenario builders are dtype-agnostic; the spec applies its
-            # trace dtype to the measurement chain after the fact.
-            device.synthesizer.dtype = self.dtype
-            device.scope = dataclasses.replace(device.scope, dtype=self.dtype)
+            countermeasure = BASELINES[self.target](rng=rng)
+        # The bench scope or the on-chip co-tenant sensor; noise_std scales
+        # the sensor's readout noise just as it scales the scope's.
+        front_end = CloudSensor if self.acquisition == "cloud" else Oscilloscope
+        device = ProtectedAesDevice(
+            self.key,
+            countermeasure,
+            synthesizer=TraceSynthesizer(dtype=self.dtype),
+            scope=front_end(noise_std=self.noise_std, dtype=self.dtype),
+        )
         if self.drift is not None and self.drift.enabled:
-            from repro.power.drift import DriftProcess
-
             device.drift = DriftProcess(self.drift)
         return device
 

@@ -214,11 +214,15 @@ class ProtectedAesDevice:
         The 16-byte device key.
     countermeasure:
         Clock scheduler (RFTC controller or a baseline).
-    leakage / synthesizer / scope:
+    synthesizer / scope:
         Measurement-chain stages; defaults model the paper's bench with the
         SNR scaled for laptop-feasible trace counts (see DESIGN.md).
         ``scope`` may also be a :class:`~repro.power.cloud.CloudSensor`
         (anything with the scope's ``capture(analog, rng)`` contract).
+
+    The leakage stage is the Hamming-distance model of the round
+    register.  Any stage can be replaced on a built device by assigning
+    :attr:`leakage`, :attr:`synthesizer` or :attr:`scope`.
 
     A device starts without drift.  Set :attr:`drift` to a
     :class:`~repro.power.drift.DriftProcess` to apply it to the analog
@@ -233,13 +237,12 @@ class ProtectedAesDevice:
         self,
         key: bytes,
         countermeasure: Countermeasure,
-        leakage: Optional[LeakageModel] = None,
         synthesizer: Optional[TraceSynthesizer] = None,
         scope: Optional[Oscilloscope] = None,
     ):
         self.datapath = AesDatapath(key)
         self.countermeasure = countermeasure
-        self.leakage = leakage if leakage is not None else HammingDistanceLeakage()
+        self.leakage: LeakageModel = HammingDistanceLeakage()
         self.synthesizer = (
             synthesizer if synthesizer is not None else TraceSynthesizer()
         )

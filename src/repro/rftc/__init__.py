@@ -23,7 +23,7 @@ from repro.rftc.export import (
     write_coe,
     write_verilog_header,
 )
-from repro.rftc.planner import FrequencyPlan, plan_frequencies
+from repro.rftc.planner import FrequencyPlan, cached_plan, plan_frequencies
 
 __all__ = [
     "completion_time_count",
@@ -35,6 +35,7 @@ __all__ = [
     "RFTCController",
     "ReconfigurationPipeline",
     "FrequencyPlan",
+    "cached_plan",
     "plan_frequencies",
     "load_plan",
     "parse_coe",

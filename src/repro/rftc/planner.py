@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -440,3 +440,34 @@ def plan_frequencies(
         f"unknown planning method {method!r}; "
         "expected 'overlap-free' or 'naive-grid'"
     )
+
+
+_PLAN_CACHE: Dict[tuple, FrequencyPlan] = {}
+
+
+def _plan_key(params: RFTCParams, seed: int, hardware: bool) -> tuple:
+    # ``RFTCParams.spec`` is left out of the dataclass's equality and hash,
+    # but the planner samples its lattice, so it is keyed explicitly.
+    return (params, params.spec, seed, hardware)
+
+
+def cached_plan(
+    m_outputs: int,
+    p_configs: int,
+    seed: int = 2019,
+    hardware: bool = True,
+) -> FrequencyPlan:
+    """Memoized overlap-free frequency plan for ``RFTCParams(M, P)``.
+
+    Plans for large P are expensive, so they are memoized per (RFTC
+    parameters, seed, hardware) within the process.
+    """
+    params = RFTCParams(m_outputs=m_outputs, p_configs=p_configs)
+    cache_key = _plan_key(params, seed, hardware)
+    if cache_key not in _PLAN_CACHE:
+        _PLAN_CACHE[cache_key] = plan_frequencies(
+            params,
+            rng=np.random.default_rng(seed),
+            hardware=hardware,
+        )
+    return _PLAN_CACHE[cache_key]

@@ -95,7 +95,7 @@ def lattice_reference_for(cell: ScenarioSpec) -> float:
 
     spec = cell.to_campaign()
     if cell.target == "rftc":
-        from repro.experiments.scenarios import cached_plan
+        from repro.rftc import cached_plan
 
         plan = cached_plan(
             cell.m_outputs, cell.p_configs, cell.plan_seed, True

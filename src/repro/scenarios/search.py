@@ -2,12 +2,12 @@
 
 Every RFTC frequency plan is a deterministic function of its plan seed
 (the planner draws MMCM-realizable sets from a seeded generator — see
-:func:`repro.experiments.scenarios.cached_plan`), so the space of
-MMCM-realizable frequency *sets* is indexed by the plan-seed axis.  The
-search evaluates candidate seeds by running the planner's output
-through the same evaluation stack the scenario matrix uses — one CPA
-cell scoring traces-to-disclosure, one TVLA cell scoring the leakage
-t-statistic — and keeps a ranking.
+:func:`repro.rftc.cached_plan`), so the space of MMCM-realizable
+frequency *sets* is indexed by the plan-seed axis.  The search evaluates
+candidate seeds by running the planner's output through the same
+evaluation stack the scenario matrix uses — one CPA cell scoring
+traces-to-disclosure, one TVLA cell scoring the leakage t-statistic —
+and keeps a ranking.
 
 Two phases, both deterministic for a given ``SearchConfig``:
 
@@ -119,7 +119,7 @@ def _evaluate(
     phase: str,
     workers: int,
 ) -> dict:
-    from repro.experiments.scenarios import cached_plan
+    from repro.rftc import cached_plan
 
     cpa_cell, tvla_cell = config.candidate_cells(plan_seed)
     cpa_payload = run_cell(cpa_cell, workers=workers)

@@ -122,7 +122,7 @@ class ScenarioSpec:
 
     def to_campaign(self):
         """The :class:`CampaignSpec` this cell acquires through."""
-        from repro.experiments.figures import TVLA_FIXED_PLAINTEXT
+        from repro.leakage_assessment.tvla import TVLA_FIXED_PLAINTEXT
         from repro.pipeline.spec import CampaignSpec
 
         return CampaignSpec(

@@ -13,15 +13,17 @@ from repro.attacks.lattice import (
 )
 from repro.attacks.models import expand_last_round_key
 from repro.errors import AttackError
-from repro.experiments.scenarios import build_rftc
+from repro.pipeline import CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign
 
 
 @pytest.fixture(scope="module")
 def rftc_3k_traceset():
     """The acceptance campaign: RFTC(2, 8) where generic CPA fails."""
-    scenario = build_rftc(2, 8, seed=5)
-    return AcquisitionCampaign(scenario.device, seed=2).collect(3000)
+    device = CampaignSpec(
+        target="rftc", m_outputs=2, p_configs=8, plan_seed=5
+    ).build_device(np.random.default_rng(6))
+    return AcquisitionCampaign(device, seed=2).collect(3000)
 
 
 class TestLatticeCells:

@@ -12,9 +12,12 @@ from repro.attacks.mlp import (
 )
 from repro.attacks.models import expand_last_round_key
 from repro.errors import AttackError
-from repro.experiments.scenarios import build_unprotected
-from repro.pipeline import MlpAttackConsumer
+from repro.pipeline import CampaignSpec, MlpAttackConsumer
 from repro.power.acquisition import AcquisitionCampaign
+
+
+def _unprotected():
+    return CampaignSpec(target="unprotected").build_device(np.random.default_rng(0))
 
 
 def _rank(model, trace_set):
@@ -27,9 +30,7 @@ def _rank(model, trace_set):
 @pytest.fixture(scope="module")
 def profiled_model():
     """The full-size profile: 4,000 clone traces, default config."""
-    clone = AcquisitionCampaign(build_unprotected().device, seed=41).collect(
-        4000
-    )
+    clone = AcquisitionCampaign(_unprotected(), seed=41).collect(4000)
     true_byte = int(expand_last_round_key(clone.key)[0])
     return train_mlp_profile(clone.traces, clone.ciphertexts, true_byte)
 
@@ -54,7 +55,7 @@ class TestConfigValidation:
 
 class TestTrainingDeterminism:
     def _profile(self):
-        ts = AcquisitionCampaign(build_unprotected().device, seed=9).collect(
+        ts = AcquisitionCampaign(_unprotected(), seed=9).collect(
             256
         )
         true_byte = int(expand_last_round_key(ts.key)[0])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.experiments.scenarios import DEFAULT_KEY, build_rftc, build_unprotected
+from repro.pipeline import DEFAULT_KEY, CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign
 from repro.rftc import RFTCParams
 from repro.rftc.planner import plan_overlap_free
@@ -61,12 +61,14 @@ def small_plan_params():
 @pytest.fixture(scope="session")
 def unprotected_traceset():
     """2,500-trace unprotected campaign — enough for CPA to succeed."""
-    scenario = build_unprotected()
-    return AcquisitionCampaign(scenario.device, seed=1).collect(2500)
+    device = CampaignSpec(target="unprotected").build_device(np.random.default_rng(1))
+    return AcquisitionCampaign(device, seed=1).collect(2500)
 
 
 @pytest.fixture(scope="session")
 def rftc_traceset():
     """A small RFTC(2, 8) campaign for attack/TVLA plumbing tests."""
-    scenario = build_rftc(2, 8, seed=5)
-    return AcquisitionCampaign(scenario.device, seed=2).collect(1200)
+    device = CampaignSpec(
+        target="rftc", m_outputs=2, p_configs=8, plan_seed=5
+    ).build_device(np.random.default_rng(6))
+    return AcquisitionCampaign(device, seed=2).collect(1200)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.crypto.datapath import AesDatapath
 from repro.errors import ConfigurationError
-from repro.experiments.scenarios import DEFAULT_KEY
+from repro.pipeline import DEFAULT_KEY
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Security-parameter measurement plumbing (full scale runs in benchmarks)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -8,7 +9,11 @@ from repro.experiments.security_parameter import (
     _streamed_disclosure,
     measure_security_parameters,
 )
-from repro.experiments.scenarios import build_baseline, build_rftc
+from repro.pipeline import CampaignSpec
+
+
+def _unprotected():
+    return CampaignSpec(target="unprotected").build_device(np.random.default_rng(0))
 
 
 class TestRow:
@@ -39,28 +44,28 @@ class TestRow:
 
 class TestStreamedDisclosure:
     def test_unprotected_falls_quickly(self):
-        scenario = build_baseline("unprotected", seed=3)
         n = _streamed_disclosure(
-            scenario, seed=4, budget=6000, batch=1000
+            _unprotected(), seed=4, budget=6000, batch=1000
         )
         assert n is not None
         assert n <= 4000
 
     def test_rftc_survives_small_budget(self):
-        scenario = build_rftc(3, 16, seed=5)
+        device = CampaignSpec(
+            target="rftc", m_outputs=3, p_configs=16, plan_seed=5
+        ).build_device(np.random.default_rng(6))
         n = _streamed_disclosure(
-            scenario, seed=6, budget=4000, batch=2000
+            device, seed=6, budget=4000, batch=2000
         )
         assert n is None
 
     def test_confirmation_requires_streak(self):
         """A single rank-0 checkpoint at the very end is not a disclosure."""
-        scenario = build_baseline("unprotected", seed=7)
         # Budget below the confirmation horizon: even if the last batch
         # ranks 0, one checkpoint cannot satisfy the two confirmations... unless
         # disclosure happened earlier and held.
         n = _streamed_disclosure(
-            scenario, seed=8, budget=1000, batch=1000
+            _unprotected(), seed=8, budget=1000, batch=1000
         )
         assert n is None
 

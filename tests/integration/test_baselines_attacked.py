@@ -14,17 +14,25 @@ import pytest
 from repro.attacks.cpa import cpa_byte
 from repro.attacks.models import expand_last_round_key
 from repro.attacks.sliding_window import sliding_window_cpa
-from repro.experiments.scenarios import build_baseline
+from repro.pipeline import CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign
+from repro.power.synth import TraceSynthesizer
 from repro.preprocess import DtwAligner
 
 BUDGET = 10_000
 
 
-def _collect(name, **kwargs):
-    scenario = build_baseline(name, seed=300, **kwargs)
-    ts = AcquisitionCampaign(scenario.device, seed=301).collect(BUDGET)
+def _collect(name, n_samples=256):
+    device = CampaignSpec(target=name).build_device(np.random.default_rng(300))
+    device.synthesizer = TraceSynthesizer(n_samples=n_samples)
+    ts = AcquisitionCampaign(device, seed=301).collect(BUDGET)
     return ts, expand_last_round_key(ts.key)
+
+
+def _rftc_3_64():
+    return CampaignSpec(
+        target="rftc", m_outputs=3, p_configs=64, plan_seed=241
+    ).build_device(np.random.default_rng(242))
 
 
 def _grouped_rank(ts, rk10):
@@ -85,10 +93,7 @@ class TestRftcResistsSameBattery:
         """The attacks that felled the baselines — with the literature's
         mean-reference DTW, as in the paper — all fail against RFTC(3, 64)
         at the same budget."""
-        from repro.experiments.scenarios import build_rftc
-
-        scenario = build_rftc(3, 64, seed=241)
-        ts = AcquisitionCampaign(scenario.device, seed=242).collect(BUDGET)
+        ts = AcquisitionCampaign(_rftc_3_64(), seed=242).collect(BUDGET)
         rk10 = expand_last_round_key(ts.key)
         ranks = []
         ranks.append(
@@ -116,10 +121,7 @@ class TestRftcResistsSameBattery:
         of the mean inverts per-round randomization on this clean channel
         and recovers the key byte — see bench_sharp_dtw_finding and
         EXPERIMENTS.md for the analysis and its noise boundary."""
-        from repro.experiments.scenarios import build_rftc
-
-        scenario = build_rftc(3, 64, seed=241)
-        ts = AcquisitionCampaign(scenario.device, seed=242).collect(BUDGET)
+        ts = AcquisitionCampaign(_rftc_3_64(), seed=242).collect(BUDGET)
         rk10 = expand_last_round_key(ts.key)
         aligner = DtwAligner(band=48, decimate=2, reference="first")
         rank = cpa_byte(aligner(ts.traces), ts.ciphertexts, 0).rank_of(rk10[0])

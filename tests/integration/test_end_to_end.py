@@ -14,10 +14,17 @@ from repro.attacks.models import (
     expand_last_round_key,
     recover_master_key_from_last_round,
 )
-from repro.experiments.scenarios import DEFAULT_KEY, build_rftc, build_unprotected
 from repro.leakage_assessment.snr import partition_snr
-from repro.leakage_assessment.tvla import tvla_fixed_vs_random
+from repro.leakage_assessment.tvla import TVLA_FIXED_PLAINTEXT, tvla_fixed_vs_random
+from repro.pipeline import CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign
+
+
+def _rftc_device(m_outputs, p_configs, seed):
+    """RFTC(M, P) on plan ``seed``, switching from ``seed + 1``."""
+    return CampaignSpec(
+        target="rftc", m_outputs=m_outputs, p_configs=p_configs, plan_seed=seed
+    ).build_device(np.random.default_rng(seed + 1))
 
 
 class TestHeadlineAttack:
@@ -42,8 +49,8 @@ class TestHeadlineAttack:
         """Splitting traces by frequency set restores alignment and the
         attack — evidence the *only* protection is misalignment, exactly
         the paper's premise."""
-        scenario = build_rftc(1, 4, seed=61)
-        ts = AcquisitionCampaign(scenario.device, seed=62).collect(9000)
+        device = _rftc_device(1, 4, seed=61)
+        ts = AcquisitionCampaign(device, seed=62).collect(9000)
         sets = ts.metadata["set_indices"]
         rk10 = expand_last_round_key(ts.key)
         biggest = np.argmax(np.bincount(sets))
@@ -89,12 +96,10 @@ class TestSnrOrdering:
 class TestTvlaOrdering:
     @pytest.fixture(scope="class")
     def tvla_by_m(self):
-        from repro.experiments.figures import TVLA_FIXED_PLAINTEXT
-
         values = {}
         for m in (1, 2, 3):
-            scenario = build_rftc(m, 8, seed=71 + m)
-            campaign = AcquisitionCampaign(scenario.device, seed=81 + m)
+            device = _rftc_device(m, 8, seed=71 + m)
+            campaign = AcquisitionCampaign(device, seed=81 + m)
             fixed, rnd = campaign.collect_fixed_vs_random(
                 8000, TVLA_FIXED_PLAINTEXT
             )
@@ -115,13 +120,14 @@ class TestCompletionTimeEndToEnd:
     def test_controller_times_match_plan_enumeration(self):
         """Every completion time the controller produces is one the plan's
         enumeration predicted (Sec. 4's combinatorics, end to end)."""
-        scenario = build_rftc(2, 8, seed=91)
-        ts = AcquisitionCampaign(scenario.device, seed=92).collect(2000)
-        table = scenario.plan.completion_table_ns()
+        device = _rftc_device(2, 8, seed=91)
+        plan = device.countermeasure.plan
+        ts = AcquisitionCampaign(device, seed=92).collect(2000)
+        table = plan.completion_table_ns()
         # Controller times include the load cycle; subtract it per trace.
         sets = ts.metadata["set_indices"]
         choices = ts.metadata["round_choices"]
-        periods = 1000.0 / scenario.plan.sets_mhz
+        periods = 1000.0 / plan.sets_mhz
         load = periods[sets, choices[:, 0]]
         round_time = ts.completion_times_ns - load
         for i in range(0, 2000, 97):
@@ -130,7 +136,7 @@ class TestCompletionTimeEndToEnd:
 
     def test_x_encryptions_per_set_magnitude(self):
         """Fig. 2-B's x (~82 on the paper's bench) at model scale."""
-        scenario = build_rftc(3, 16, seed=95)
-        AcquisitionCampaign(scenario.device, seed=96).collect(4000)
-        x = scenario.countermeasure.pipeline.mean_encryptions_per_swap
+        device = _rftc_device(3, 16, seed=95)
+        AcquisitionCampaign(device, seed=96).collect(4000)
+        x = device.countermeasure.pipeline.mean_encryptions_per_swap
         assert 30 < x < 200

@@ -10,17 +10,17 @@ import numpy as np
 
 from repro.attacks.cpa import cpa_byte
 from repro.attacks.models import expand_last_round_key
-from repro.experiments.scenarios import DEFAULT_KEY, _measurement_chain, cached_plan
 from repro.hw.lfsr import Lfsr128
-from repro.power.acquisition import AcquisitionCampaign
-from repro.rftc import RFTCController, RFTCParams
+from repro.pipeline import DEFAULT_KEY
+from repro.power.acquisition import AcquisitionCampaign, ProtectedAesDevice
+from repro.rftc import RFTCController, RFTCParams, cached_plan
 
 
 def _campaign(seed_lfsr: int, n: int = 1500):
     params = RFTCParams(m_outputs=2, p_configs=8)
     plan = cached_plan(2, 8, seed=41)
     controller = RFTCController(params, plan, rng=Lfsr128(seed=seed_lfsr))
-    device = _measurement_chain(DEFAULT_KEY, controller)
+    device = ProtectedAesDevice(DEFAULT_KEY, controller)
     return AcquisitionCampaign(device, seed=9).collect(n), controller
 
 

@@ -13,7 +13,6 @@ import pytest
 from repro.attacks.models import expand_last_round_key
 from repro.attacks.mlp import train_mlp_profile
 from repro.errors import AttackError, CheckpointError
-from repro.experiments.scenarios import cached_plan
 from repro.obs import Observability
 from repro.pipeline import (
     CampaignSpec,
@@ -26,6 +25,7 @@ from repro.pipeline import (
 )
 from repro.attacks.incremental import IncrementalCpa
 from repro.pipeline.attack_consumers import _replica_keep_mask
+from repro.rftc import cached_plan
 from tests.attacks.test_incremental import _reference_chunk_summary
 
 ZOO = ("mlp", "lattice", "mia", "success_rate", "disclosure")

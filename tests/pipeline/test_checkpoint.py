@@ -272,7 +272,7 @@ class TestZooCheckpointSize:
         # ~14.3 MB, ~9.4 MB of it MIA.
         from repro.attacks import train_mlp_profile
         from repro.attacks.models import expand_last_round_key
-        from repro.experiments.scenarios import cached_plan
+        from repro.rftc import cached_plan
         from repro.power.acquisition import AcquisitionCampaign
 
         spec = CampaignSpec(target="rftc", m_outputs=2, p_configs=8)

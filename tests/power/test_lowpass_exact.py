@@ -12,8 +12,8 @@ import pytest
 from scipy.signal import lfilter
 
 from repro.baselines import UnprotectedClock
-from repro.experiments.scenarios import DEFAULT_KEY
 from repro.hw.clock import ClockSchedule
+from repro.pipeline import DEFAULT_KEY
 from repro.power import CloudSensor
 from repro.power.acquisition import AcquisitionCampaign, ProtectedAesDevice
 from repro.power.drift import DriftProcess, DriftSpec

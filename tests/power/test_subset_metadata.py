@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.experiments.scenarios import build_rftc
+from repro.pipeline import CampaignSpec
 from repro.power.acquisition import AcquisitionCampaign, TraceSet
 
 
@@ -53,8 +53,10 @@ class TestSubsetMetadata:
         # The bug this guards against: collect_fixed_vs_random splits one
         # combined run via subset(), and the RFTC controller's per-trace
         # metadata (set indices, stall times) must follow the split.
-        scenario = build_rftc(2, 8, seed=3)
-        campaign = AcquisitionCampaign(scenario.device, seed=4)
+        spec = CampaignSpec(target="rftc", m_outputs=2, p_configs=8, plan_seed=3)
+        campaign = AcquisitionCampaign(
+            spec.build_device(np.random.default_rng(4)), seed=4
+        )
         fixed, rand = campaign.collect_fixed_vs_random(30, bytes(16))
         assert fixed.metadata["set_indices"].shape == (30,)
         assert rand.metadata["set_indices"].shape == (30,)
@@ -62,11 +64,11 @@ class TestSubsetMetadata:
         combined_again[0::2] = fixed.metadata["set_indices"]
         combined_again[1::2] = rand.metadata["set_indices"]
         # Rebuild the combined campaign to check the interleaving is real.
-        scenario2 = build_rftc(2, 8, seed=3)
-        campaign2 = AcquisitionCampaign(scenario2.device, seed=4)
+        device2 = spec.build_device(np.random.default_rng(4))
+        campaign2 = AcquisitionCampaign(device2, seed=4)
         pts = campaign2.random_plaintexts(60)
         pts[0::2] = 0
-        combined = scenario2.device.run(pts, campaign2._rng)
+        combined = device2.run(pts, campaign2._rng)
         np.testing.assert_array_equal(
             combined_again, combined.metadata["set_indices"]
         )

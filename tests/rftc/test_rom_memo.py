@@ -14,12 +14,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.experiments import scenarios
 from repro.hw.block_ram import BlockRam
 from repro.hw.drp import DrpTransaction, _encode_burst, encode_config
 from repro.hw.mmcm import MmcmConfig, OutputDivider
 from repro.pipeline import CampaignSpec
-from repro.rftc import RFTCController, RFTCParams
+from repro.rftc import RFTCController, RFTCParams, planner
 
 SIZES = [(1, 16), (2, 8), (3, 256)]
 
@@ -33,7 +32,7 @@ def _spec(m, p):
 
 
 def _plan(m, p):
-    return scenarios.cached_plan(m, p, 2019, True)
+    return planner.cached_plan(m, p, 2019, True)
 
 
 class TestEncodeMemo:
@@ -83,8 +82,8 @@ def _cold_device(m, p, seed, monkeypatch):
     _encode_burst.cache_clear()
     plan = _plan(m, p)
     monkeypatch.setitem(
-        scenarios._PLAN_CACHE,
-        scenarios._plan_key(plan.params, 2019, True),
+        planner._PLAN_CACHE,
+        planner._plan_key(plan.params, 2019, True),
         dataclasses.replace(plan),
     )
     return _spec(m, p).build_device(np.random.default_rng(seed))

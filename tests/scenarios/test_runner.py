@@ -175,7 +175,7 @@ class TestAdversaryCells:
         assert block["reference_ns"] == lattice_reference_for(cell)
 
     def test_lattice_reference_from_plan_for_rftc(self):
-        from repro.experiments.scenarios import cached_plan
+        from repro.rftc import cached_plan
 
         cell = self._cell("lattice", target="rftc")
         plan = cached_plan(cell.m_outputs, cell.p_configs, cell.plan_seed, True)

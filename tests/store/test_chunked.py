@@ -251,10 +251,12 @@ class TestMetadata:
 
 class TestBridge:
     def test_real_campaign_chunks_carry_schedule_metadata(self, tmp_path):
-        from repro.experiments.scenarios import build_rftc
+        from repro.pipeline import CampaignSpec
 
-        scenario = build_rftc(1, 4, seed=3)
-        ts = AcquisitionCampaign(scenario.device, seed=1).collect(12)
+        device = CampaignSpec(
+            target="rftc", m_outputs=1, p_configs=4, plan_seed=3
+        ).build_device(np.random.default_rng(4))
+        ts = AcquisitionCampaign(device, seed=1).collect(12)
         store = write_store(ts, tmp_path / "s", chunk_size=6)
         chunk = store.chunk(0)
         assert "countermeasure" in store.metadata or "countermeasure" in chunk.metadata

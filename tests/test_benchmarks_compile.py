@@ -3,12 +3,16 @@
 The pytest-benchmark scripts run under CI's bench jobs and the argparse
 harnesses run with explicit flags (``--quick --out ...``); neither path
 exercises ``--help`` or catches bit-rot in rarely-used flags.  This
-module compiles every script and runs ``--help`` on each argparse
-harness in a subprocess from the repo root (their working-directory
-contract), so a renamed flag, a broken import at module scope, or a
-stale ``set_defaults`` fails tier-1 instead of the nightly lane.
+module compiles every script, checks that every ``from repro...``
+import in it (the ledger's included) names a real attribute, and runs
+``--help`` on each argparse harness in a subprocess from the repo root
+(their working-directory contract), so a renamed flag, a broken or
+moved import, or a stale ``set_defaults`` fails tier-1 instead of the
+nightly lane.
 """
 
+import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -29,6 +33,25 @@ CLI_SCRIPTS = sorted(
 @pytest.mark.parametrize("path", BENCHMARKS, ids=lambda p: p.stem)
 def test_compiles(path):
     compile(path.read_text(), str(path), "exec")
+
+
+@pytest.mark.parametrize(
+    "path",
+    BENCHMARKS + sorted((REPO_ROOT / "benchmarks" / "ledger").glob("*.py")),
+    ids=lambda p: p.relative_to(REPO_ROOT / "benchmarks").with_suffix("").as_posix(),
+)
+def test_imports_resolve(path):
+    """Every ``from repro...`` import, function-local ones included,
+    names a real attribute."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+            node.module.startswith("repro")
+        ):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (
+                    f"{path.name}: {node.module}.{alias.name} missing"
+                )
 
 
 def test_expected_cli_harnesses_present():
